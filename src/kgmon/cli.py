@@ -54,6 +54,7 @@ from kgmon.monitor import (
     normalize_weights,
     observe,
     parse_history_line,
+    read_history,
     record_to_row,
 )
 from kgmon.ontology import Ontology, OntologyError, load_ontology
@@ -379,13 +380,6 @@ def _load_pipeline(
     return ontology, dictionary, rules
 
 
-def _read_history_rows(path: str) -> list[HistoryRow]:
-    if not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8") as fh:
-        return [parse_history_line(line) for line in fh if line.strip()]
-
-
 def _bootstrap_state(
     rows: list[HistoryRow], model: str, config: RunConfig
 ) -> ThresholdState:
@@ -442,7 +436,9 @@ def _evaluate_once(
     transport=None,
 ) -> bool:
     """Shared evaluate cycle: baseline row first, then one observed row per
-    candidate in model-name order. Returns True when any model flagged."""
+    candidate in model-name order. The rows are appended in one write once
+    all are computed, so a rejected cycle leaves the history untouched.
+    Returns True when any model flagged."""
     g_base, _diags = build_baseline(
         batch, dictionary, rules, ontology, batch_id=batch_id, timestamp=timestamp
     )
@@ -451,8 +447,11 @@ def _evaluate_once(
         base_report = validate_graph(g_base, batch, ontology)
         base_metrics = replace(base_metrics, hal=base_report.score)
 
-    history_rows = _read_history_rows(config.history)
-    append_history(config.history, baseline_row(timestamp, batch_id, base_metrics))
+    history_rows = (
+        read_history(config.history) if os.path.exists(config.history) else []
+    )
+    new_rows = [baseline_row(timestamp, batch_id, base_metrics)]
+    alerts = []
 
     endpoint_loaded: tuple[dict, PromptTemplate] | None = None
     any_flag = False
@@ -499,13 +498,16 @@ def _evaluate_once(
             hall_total=report.total,
             hall_failed=report.hallucinated,
         )
-        append_history(config.history, record_to_row(record))
+        new_rows.append(record_to_row(record))
         if alert is not None:
-            print(_alert_line(alert), file=sys.stderr)
+            alerts.append(alert)
         any_flag = any_flag or record.flagged
 
     if candidates and not any_success:
         raise CliError("every candidate extraction failed")
+    append_history(config.history, *new_rows)
+    for alert in alerts:
+        print(_alert_line(alert), file=sys.stderr)
     return any_flag
 
 

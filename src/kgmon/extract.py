@@ -222,24 +222,23 @@ def dict_ner(text: str, dictionary: NerDictionary) -> list[NerMatch]:
     return _scan_tokens(tokens, [t for t, _ in tokens], dictionary)
 
 
-def _sentence_ranges(token_texts: list[str]) -> list[tuple[int, int]]:
-    # Boundary after each ./!/? token; trailing fragment is a sentence too.
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for idx, tok in enumerate(token_texts):
-        if tok in _SENTENCE_END:
-            ranges.append((start, idx + 1))
-            start = idx + 1
-    if start < len(token_texts):
-        ranges.append((start, len(token_texts)))
-    return ranges
+def _sentence_ends(token_texts: list[str]) -> list[int]:
+    # End (exclusive) of the sentence holding each token. A sentence closes
+    # after each ./!/? token; the trailing fragment is a sentence too.
+    ends = [0] * len(token_texts)
+    end = len(token_texts)
+    for idx in range(len(token_texts) - 1, -1, -1):
+        if token_texts[idx] in _SENTENCE_END:
+            end = idx + 1
+        ends[idx] = end
+    return ends
 
 
 def _match_rule_at(
     rule: PatternRule,
     pos: int,
     end: int,
-    token_texts: list[str],
+    folded: list[str],
     match_at: dict[int, NerMatch],
     ontology: Ontology,
 ) -> dict[str, NerMatch] | None:
@@ -251,7 +250,7 @@ def _match_rule_at(
             if cursor + k > end:
                 return None
             for j in range(k):
-                if token_texts[cursor + j].casefold() != item.tokens[j]:
+                if folded[cursor + j] != item.tokens[j]:
                     return None
             cursor += k
         else:
@@ -287,35 +286,50 @@ def extract_article(
     ]
     match_at = {m.token_start: m for m in matches}
 
+    # A rule can only match where its first item does: at a token equal to
+    # a literal's first token, or at a dictionary match for a slot. Trying
+    # those positions in ascending order, rule by rule, keeps the output
+    # order of trying every rule at every token.
+    folded = [t.casefold() for t in token_texts]
+    sentence_end = _sentence_ends(folded)
+    positions: dict[str, list[int]] = {}
+    for pos, tok in enumerate(folded):
+        positions.setdefault(tok, []).append(pos)
+    match_starts = sorted(match_at)
+
     triples: list[TripleAssertion] = []
     rejected = 0
     for rule in rules:
-        for start, end in _sentence_ranges(token_texts):
-            for pos in range(start, end):
-                bound = _match_rule_at(
-                    rule, pos, end, token_texts, match_at, ontology
+        first = rule.items[0]
+        if isinstance(first, LiteralItem):
+            starts = positions.get(first.tokens[0], [])
+        else:
+            starts = match_starts
+        for pos in starts:
+            bound = _match_rule_at(
+                rule, pos, sentence_end[pos], folded, match_at, ontology
+            )
+            if bound is None:
+                continue
+            subj, obj = bound["subject"], bound["object"]
+            if not is_permissible(ontology, subj.cls, rule.predicate, obj.cls):
+                rejected += 1
+                log.warning(
+                    "rule %s produced impermissible triple (%s, %s, %s)",
+                    rule.rule_id,
+                    subj.surface,
+                    rule.predicate,
+                    obj.surface,
                 )
-                if bound is None:
-                    continue
-                subj, obj = bound["subject"], bound["object"]
-                if not is_permissible(ontology, subj.cls, rule.predicate, obj.cls):
-                    rejected += 1
-                    log.warning(
-                        "rule %s produced impermissible triple (%s, %s, %s)",
-                        rule.rule_id,
-                        subj.surface,
-                        rule.predicate,
-                        obj.surface,
-                    )
-                    continue
-                triples.append(
-                    TripleAssertion(
-                        subject=subj.surface,
-                        predicate=rule.predicate,
-                        object=obj.surface,
-                        provenance=article.id,
-                    )
+                continue
+            triples.append(
+                TripleAssertion(
+                    subject=subj.surface,
+                    predicate=rule.predicate,
+                    object=obj.surface,
+                    provenance=article.id,
                 )
+            )
     return entities, triples, rejected
 
 

@@ -40,16 +40,23 @@ class HallucinationReport:
     verdicts: list[ValidationVerdict]
 
 
+def _haystack(batch: list[ArticleDoc]) -> str:
+    # Articles are normalized and casefolded one by one, then joined with a
+    # newline. A normalized needle never contains one, so no match can run
+    # from one article into the next.
+    return "\n".join(normalize_entity(article.text).casefold() for article in batch)
+
+
+def _traces(entity: str, haystack: str) -> bool:
+    needle = normalize_entity(entity).casefold()
+    return bool(needle) and needle in haystack
+
+
 def trace_entity(entity: str, batch: list[ArticleDoc]) -> bool:
     """True iff the entity's normalized surface occurs case-insensitively
     in some article's whitespace-normalized text. Substring match only, no
     fuzzy matching."""
-    needle = normalize_entity(entity).casefold()
-    if not needle:
-        return False
-    return any(
-        needle in normalize_entity(article.text).casefold() for article in batch
-    )
+    return _traces(entity, _haystack(batch))
 
 
 def _triple_conforms(
@@ -92,12 +99,13 @@ def validate_graph(
         if o != s:
             incident[o].append((s, p, o))
 
+    haystack = _haystack(batch)
     verdicts: list[ValidationVerdict] = []
     per_stage = {stage: 0 for stage in FAIL_STAGES}
     for entity in sorted(g_llm.entities):
         cls = g_llm.entities[entity][0]
         stage, evidence = STAGE_NONE, ""
-        if not trace_entity(entity, batch):
+        if not _traces(entity, haystack):
             stage, evidence = STAGE_SOURCE, "absent from batch"
         elif cls not in schema_classes:
             stage, evidence = STAGE_SCHEMA, cls

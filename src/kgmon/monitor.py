@@ -287,10 +287,11 @@ def baseline_row(
     )
 
 
-def append_history(path: str, row: HistoryRow) -> None:
-    """Append one history line; a single write keeps lines atomic."""
+def append_history(path: str, *rows: HistoryRow) -> None:
+    """Append history lines with a single write call, so the rows of one
+    cycle go out together."""
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(row.to_line() + "\n")
+        fh.write("".join(row.to_line() + "\n" for row in rows))
 
 
 def parse_history_line(line: str) -> HistoryRow:

@@ -6,6 +6,7 @@ validation) queries it read-only.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "OntologyError",
@@ -64,17 +65,28 @@ class Ontology:
             parent = self.classes[parent].parent
         return out
 
+    @cached_property
+    def _ancestor_sets(self) -> dict[str, frozenset[str]]:
+        # Derived on first use, so an Ontology built directly answers the
+        # same as one from load_ontology.
+        return {name: frozenset(self.ancestors(name)) for name in self.classes}
+
     def is_subclass(self, name: str, ancestor: str) -> bool:
         """True iff `name` equals `ancestor` or lies below it in the forest."""
         if ancestor not in self.classes:
             raise OntologyError(f"unknown class: {ancestor!r}")
-        return name == ancestor or ancestor in self.ancestors(name)
+        if name == ancestor:
+            return True
+        above = self._ancestor_sets.get(name)
+        if above is None:
+            raise OntologyError(f"unknown class: {name!r}")
+        return ancestor in above
 
     def descendants(self, name: str) -> list[str]:
         """All classes strictly below `name`, sorted."""
         if name not in self.classes:
             raise OntologyError(f"unknown class: {name!r}")
-        out = [c for c in self.classes if c != name and name in self.ancestors(c)]
+        out = [c for c, above in self._ancestor_sets.items() if name in above]
         out.sort()
         return out
 

@@ -266,9 +266,19 @@ def test_evaluate_candidate_parse_errors(ws, capsys):
 
 def test_evaluate_all_candidates_failed(ws, capsys):
     config = _write_config(ws)
-    rc = _evaluate(ws, config, f"probe={ws / 'missing.rec'}", 1)
+    assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 1) == 0
+    before = (ws / "history.jsonl").read_bytes()
+    rc = _evaluate(ws, config, f"probe={ws / 'missing.rec'}", 2)
     assert rc == 1
     assert "ERROR every candidate extraction failed" in capsys.readouterr().err
+    assert (ws / "history.jsonl").read_bytes() == before
+
+
+def test_evaluate_all_candidates_failed_creates_no_history(ws, capsys):
+    config = _write_config(ws)
+    assert _evaluate(ws, config, f"probe={ws / 'missing.rec'}", 1) == 1
+    capsys.readouterr()
+    assert not (ws / "history.jsonl").exists()
 
 
 def test_evaluate_live_without_endpoint_config(ws, capsys):
@@ -281,9 +291,12 @@ def test_evaluate_live_without_endpoint_config(ws, capsys):
 def test_evaluate_non_monotone_timestamp_is_operational_error(ws, capsys):
     config = _write_config(ws)
     assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 5) == 0
+    before = (ws / "history.jsonl").read_bytes()
     rc = _evaluate(ws, config, f"probe={ws / 'good.rec'}", 5)
     assert rc == 1
     assert "non-monotone" in capsys.readouterr().err
+    # The rejected cycle's baseline row is not left behind.
+    assert (ws / "history.jsonl").read_bytes() == before
 
 
 def test_simulate_flag_assertion_passes(ws, capsys):

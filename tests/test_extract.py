@@ -306,3 +306,125 @@ def test_build_baseline_empty_batch(onto, dictionary, rules):
     graph, diags = build_baseline([], dictionary, rules, onto)
     assert len(graph) == 0
     assert diags.malformed_lines == 0
+
+
+def reference_rules(text, surface_class, rules, onto):
+    # Every rule at every token of every sentence, the plain R x T loop.
+    # Returns (triples, rejected) in emission order.
+    def below(cls, ancestor):
+        return cls == ancestor or ancestor in onto.ancestors(cls)
+
+    texts = [t for t, _ in oracle_tokenize(text)]
+    match_at = {
+        start: (count, surface)
+        for start, count, surface in oracle_ner(text, surface_class)
+    }
+    sentences, start = [], 0
+    for idx, tok in enumerate(texts):
+        if tok in ".!?":
+            sentences.append((start, idx + 1))
+            start = idx + 1
+    if start < len(texts):
+        sentences.append((start, len(texts)))
+
+    triples, rejected = [], 0
+    for rule in rules:
+        for start, end in sentences:
+            for pos in range(start, end):
+                cursor, bound = pos, {}
+                for item in rule.items:
+                    if isinstance(item, LiteralItem):
+                        k = len(item.tokens)
+                        span = [t.casefold() for t in texts[cursor:cursor + k]]
+                        if cursor + k > end or span != list(item.tokens):
+                            break
+                        cursor += k
+                    else:
+                        hit = match_at.get(cursor)
+                        if hit is None or cursor + hit[0] > end:
+                            break
+                        cls = surface_class[hit[1]]
+                        if not below(cls, item.cls):
+                            break
+                        bound[item.role] = (hit[1], cls)
+                        cursor += hit[0]
+                else:
+                    (subj, s_cls), (obj, o_cls) = bound["subject"], bound["object"]
+                    prop = onto.properties[rule.predicate]
+                    if below(s_cls, prop.domain) and below(o_cls, prop.range):
+                        triples.append((subj, rule.predicate, obj))
+                    else:
+                        rejected += 1
+    return triples, rejected
+
+
+def _random_rule(rng, i, onto, literals):
+    # One subject and one object slot in either order, up to two literals
+    # anywhere, so some rules start with a literal. Slot classes mostly
+    # follow the predicate's domain and range; the rule is built directly,
+    # so an impermissible one survives to exercise the rejected count.
+    # Returns the rule and, per item, its literal's source or slot class.
+    prop = onto.properties[rng.choice(sorted(onto.properties))]
+    classes = sorted(onto.classes)
+    subject_cls = prop.domain if rng.random() < 0.6 else rng.choice(classes)
+    object_cls = prop.range if rng.random() < 0.6 else rng.choice(classes)
+    items = [
+        (SlotItem("subject", subject_cls), subject_cls),
+        (SlotItem("object", object_cls), object_cls),
+    ]
+    rng.shuffle(items)
+    for _ in range(rng.randrange(0, 3)):
+        piece = rng.choice(literals)
+        toks = tuple(t.casefold() for t, _ in oracle_tokenize(piece))
+        items.insert(rng.randrange(0, len(items) + 1), (LiteralItem(toks), piece))
+    rule = PatternRule(
+        rule_id=f"g{i}", items=tuple(item for item, _ in items), predicate=prop.name
+    )
+    return rule, [(isinstance(item, SlotItem), src) for item, src in items]
+
+
+def _render(rng, pieces, surface_class, onto, noise):
+    # Text that nearly fits a rule: literals in random case, slots mostly
+    # filled with a surface of a fitting class, and now and then a noise
+    # word or a sentence end.
+    words = []
+    for is_slot, src in pieces:
+        if rng.random() < 0.15:
+            words.append(rng.choice(noise))
+        if not is_slot:
+            words.append(rng.choice((src, src.upper(), src.lower(), src.title())))
+            continue
+        fitting = [s for s, c in surface_class.items() if onto.is_subclass(c, src)]
+        if fitting and rng.random() < 0.8:
+            words.append(rng.choice(fitting))
+        else:
+            words.append(rng.choice(list(surface_class)))
+    return " ".join(words)
+
+
+def test_extract_article_rules_match_reference(onto):
+    # "St. Louis" runs past the sentence end its "." makes, so a slot bound
+    # to it never fits inside one sentence.
+    surface_class = dict(line.split("\t") for line in DICTIONARY_TEXT.splitlines())
+    surface_class["St. Louis"] = "City"
+    dictionary = load_dictionary(
+        "".join(f"{s}\t{c}\n" for s, c in surface_class.items()), onto
+    )
+    literals = ["works", "for", "based in", "Co-Founded", "Ms.", "!", "IS"]
+    noise = ["the", "board", "said", ".", "?", "in"]
+    rng = random.Random(7)
+    triples_seen = rejected_seen = 0
+    for n in range(300):
+        drawn = [_random_rule(rng, i, onto, literals) for i in range(rng.randrange(1, 5))]
+        rules = [rule for rule, _ in drawn]
+        text = " ".join(
+            _render(rng, rng.choice(drawn)[1], surface_class, onto, noise)
+            for _ in range(rng.randrange(0, 8))
+        )
+        doc = ArticleDoc(id=f"d{n}", published_at=n, text=text)
+        _, triples, rejected = extract_article(doc, dictionary, rules, onto)
+        got = [(t.subject, t.predicate, t.object) for t in triples]
+        assert (got, rejected) == reference_rules(text, surface_class, rules, onto)
+        triples_seen += len(got)
+        rejected_seen += rejected
+    assert triples_seen > 100 and rejected_seen > 100

@@ -1,7 +1,10 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from kgmon.extract import ArticleDoc
-from kgmon.graph import parse_records
+from kgmon.graph import KnowledgeGraph, normalize_entity, parse_records
 from kgmon.hallucination import (
     STAGE_NONE,
     STAGE_RULES,
@@ -28,6 +31,54 @@ def test_trace_entity_normalized_casefold():
     assert not trace_entity("Globex", batch)
     assert not trace_entity("   ", batch)
     assert not trace_entity("Berlin", [])
+
+
+def test_trace_never_spans_two_articles(onto):
+    batch = _batch("Shares rose at Acme", "Corp said nothing.")
+    assert not trace_entity("Acme Corp", batch)
+    graph = KnowledgeGraph(
+        entities={"Acme": ("Company", "a0"), "Acme Corp": ("Company", "a0")}
+    )
+    report = validate_graph(graph, batch, onto)
+    assert [(v.entity, v.failed_stage) for v in report.verdicts] == [
+        ("Acme", STAGE_NONE),
+        ("Acme Corp", STAGE_SOURCE),
+    ]
+
+
+# Whitespace that str.split() breaks on (newline, \x1c, \x85, U+3000) and
+# letters whose casefold changes length or depends on context.
+_TRACE_ALPHABET = "aAcC \n\x1c\x85\u3000ßẞΣσςİi."
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(st.text(alphabet=_TRACE_ALPHABET, max_size=12), max_size=4),
+    data=st.data(),
+)
+def test_source_trace_matches_per_article_reference(onto, texts, data):
+    # Needles are cut from the articles joined end to end, so many of them
+    # straddle two articles, plus free strings over the same alphabet.
+    joined = " ".join(texts)
+    cuts = data.draw(
+        st.lists(st.tuples(st.integers(0, len(joined)), st.integers(0, 8)), max_size=6)
+    )
+    free = data.draw(st.lists(st.text(alphabet=_TRACE_ALPHABET, max_size=6), max_size=3))
+    entities = {joined[i:i + k] for i, k in cuts} | set(free)
+    batch = _batch(*texts)
+    graph = KnowledgeGraph(entities={e: ("Person", "a0") for e in entities})
+
+    def reference(entity):
+        needle = normalize_entity(entity).casefold()
+        return bool(needle) and any(
+            needle in normalize_entity(a.text).casefold() for a in batch
+        )
+
+    report = validate_graph(graph, batch, onto)
+    for verdict in report.verdicts:
+        traced = reference(verdict.entity)
+        assert (verdict.failed_stage == STAGE_SOURCE) is not traced
+        assert trace_entity(verdict.entity, batch) is traced
 
 
 def test_all_stages_pass(onto):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kgmon.ontology import (
+    Ontology,
     OntologyError,
     class_depth,
     is_permissible,
@@ -55,6 +56,27 @@ def test_is_subclass_reflexive_and_transitive(onto):
     assert not onto.is_subclass("Person", "Organization")
 
 
+def test_directly_constructed_ontology_agrees_with_loaded():
+    text = (
+        "CLASS A\nCLASS B SUBCLASS_OF A\nCLASS C SUBCLASS_OF B\n"
+        "CLASS D SUBCLASS_OF A\nCLASS E\nCLASS F SUBCLASS_OF E\n"
+    )
+    loaded = load_ontology(text)
+    direct = Ontology(
+        classes=dict(loaded.classes),
+        properties={},
+        ner_map={},
+        depths=dict(loaded.depths),
+    )
+    names = sorted(loaded.classes)
+    for name in names:
+        assert direct.descendants(name) == loaded.descendants(name)
+        for ancestor in names:
+            expected = name == ancestor or ancestor in loaded.ancestors(name)
+            assert direct.is_subclass(name, ancestor) is expected
+            assert loaded.is_subclass(name, ancestor) is expected
+
+
 def test_descendants_strict_and_sorted():
     onto = load_ontology(
         "CLASS A\nCLASS C SUBCLASS_OF A\nCLASS B SUBCLASS_OF A\nCLASS D SUBCLASS_OF B\n"
@@ -70,6 +92,8 @@ def test_unknown_class_queries_raise(onto):
         onto.descendants("Nope")
     with pytest.raises(OntologyError):
         onto.is_subclass("Person", "Nope")
+    with pytest.raises(OntologyError):
+        onto.is_subclass("Nope", "Person")
     with pytest.raises(OntologyError):
         class_depth(onto, "Nope")
 

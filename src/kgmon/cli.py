@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import signal
 import sys
 import threading
@@ -251,24 +252,15 @@ def _escape_text(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
+# Escapes are read left to right without overlap: an escaped backslash
+# followed by "n" is a backslash and a letter n. Any other backslash, a
+# lone trailing one included, stays as it is.
+_ESCAPE_RE = re.compile(r"\\(n|\\)")
+_UNESCAPED = {"n": "\n", "\\": "\\"}
+
+
 def _unescape_text(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPED[m.group(1)], text)
 
 
 def _parse_batch_text(text: str) -> list[ArticleDoc]:
@@ -555,8 +547,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         raise CliError("monitor needs feed_url in the run config")
     if not config.models:
         raise CliError("config lists no models to monitor")
-    if args.interval <= 0:
-        raise CliError("interval must be positive")
+    # Cycles are stamped with whole seconds and history timestamps must
+    # increase, so cycles less than a second apart would be rejected (and
+    # their articles, already marked seen, lost).
+    if args.interval < 1:
+        raise CliError("interval must be at least 1 second")
     ontology, dictionary, rules = _load_pipeline(config)
     _load_endpoint(config)  # fail on config problems before the loop starts
     candidates = {model: "live" for model in config.models}

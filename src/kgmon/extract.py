@@ -71,8 +71,11 @@ class PatternRule:
 @dataclass(frozen=True)
 class NerDictionary:
     surface_class: dict[str, str]
-    # first token -> candidates, longest first; consumed by kernels.find_matches
-    index: dict[str, list[tuple[tuple[str, ...], str]]]
+    # Scan index consumed by kernels.find_matches: token tuple -> surface
+    # (the lexicographically smallest when two surfaces tokenize alike), and
+    # first token -> distinct surface lengths in tokens, longest first.
+    surfaces: dict[tuple[str, ...], str]
+    lengths: dict[str, tuple[int, ...]]
 
     def __len__(self) -> int:
         return len(self.surface_class)
@@ -92,7 +95,8 @@ def load_dictionary(text: str, ontology: Ontology) -> NerDictionary:
     classes is an error, to the same class a harmless repeat.
     """
     surface_class: dict[str, str] = {}
-    surface_tokens: dict[str, tuple[str, ...]] = {}
+    surfaces: dict[tuple[str, ...], str] = {}
+    by_first: dict[str, set[int]] = {}
     for lineno, raw in _iter_data_lines(text):
         fields = raw.split("\t")
         if len(fields) != 2:
@@ -103,7 +107,7 @@ def load_dictionary(text: str, ontology: Ontology) -> NerDictionary:
             raise ExtractError(f"dictionary line {lineno}: empty field")
         if cls not in ontology.classes:
             raise ExtractError(f"dictionary line {lineno}: unknown class {cls!r}")
-        toks = tuple(t for t, _ in kernels.tokenize(surface))
+        toks = tuple(kernels.TOKEN_RE.findall(surface))
         if not toks:
             raise ExtractError(f"dictionary line {lineno}: surface has no tokens")
         if surface in surface_class:
@@ -114,14 +118,17 @@ def load_dictionary(text: str, ontology: Ontology) -> NerDictionary:
                 )
             continue
         surface_class[surface] = cls
-        surface_tokens[surface] = toks
+        held = surfaces.get(toks)
+        if held is None or surface < held:
+            surfaces[toks] = surface
+        by_first.setdefault(toks[0], set()).add(len(toks))
 
-    index: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-    for surface, toks in surface_tokens.items():
-        index.setdefault(toks[0], []).append((toks, surface))
-    for candidates in index.values():
-        candidates.sort(key=lambda c: (-len(c[0]), c[1]))
-    return NerDictionary(surface_class=surface_class, index=index)
+    lengths = {
+        first: tuple(sorted(counts, reverse=True)) for first, counts in by_first.items()
+    }
+    return NerDictionary(
+        surface_class=surface_class, surfaces=surfaces, lengths=lengths
+    )
 
 
 def load_rules(text: str, ontology: Ontology) -> list[PatternRule]:
@@ -203,7 +210,9 @@ def _scan_tokens(
     dictionary: NerDictionary,
 ) -> list[NerMatch]:
     out: list[NerMatch] = []
-    for start, count, surface in kernels.find_matches(token_texts, dictionary.index):
+    for start, count, surface in kernels.find_matches(
+        token_texts, dictionary.surfaces, dictionary.lengths
+    ):
         out.append(
             NerMatch(
                 surface=surface,
@@ -257,7 +266,9 @@ def _match_rule_at(
             m = match_at.get(cursor)
             if m is None or cursor + m.token_count > end:
                 return None
-            if not ontology.is_subclass(m.cls, item.cls):
+            # A slot at `pos` is a slot-first rule's first item, tried only
+            # where the caller found its class admitted.
+            if cursor != pos and not ontology.is_subclass(m.cls, item.cls):
                 return None
             bound[item.role] = m
             cursor += m.token_count
@@ -287,24 +298,34 @@ def extract_article(
     match_at = {m.token_start: m for m in matches}
 
     # A rule can only match where its first item does: at a token equal to
-    # a literal's first token, or at a dictionary match for a slot. Trying
-    # those positions in ascending order, rule by rule, keeps the output
-    # order of trying every rule at every token.
+    # a literal's first token, or at a dictionary match whose class the
+    # slot admits. Trying those positions in ascending order, rule by rule,
+    # keeps the output order of trying every rule at every token. Each
+    # list of positions is computed once per article, when a rule needs it.
     folded = [t.casefold() for t in token_texts]
     sentence_end = _sentence_ends(folded)
-    positions: dict[str, list[int]] = {}
-    for pos, tok in enumerate(folded):
-        positions.setdefault(tok, []).append(pos)
-    match_starts = sorted(match_at)
+    match_classes = {m.cls for m in matches}
+    literal_starts: dict[str, list[int]] = {}
+    slot_starts: dict[str, list[int]] = {}
 
     triples: list[TripleAssertion] = []
     rejected = 0
     for rule in rules:
         first = rule.items[0]
         if isinstance(first, LiteralItem):
-            starts = positions.get(first.tokens[0], [])
+            tok = first.tokens[0]
+            starts = literal_starts.get(tok)
+            if starts is None:
+                starts = literal_starts[tok] = [
+                    pos for pos, t in enumerate(folded) if t == tok
+                ]
         else:
-            starts = match_starts
+            starts = slot_starts.get(first.cls)
+            if starts is None:
+                fits = {c for c in match_classes if ontology.is_subclass(c, first.cls)}
+                starts = slot_starts[first.cls] = [
+                    m.token_start for m in matches if m.cls in fits
+                ]
         for pos in starts:
             bound = _match_rule_at(
                 rule, pos, sentence_end[pos], folded, match_at, ontology

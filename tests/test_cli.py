@@ -3,6 +3,8 @@ import random
 import signal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgmon import cli, llm
 from kgmon.cli import (
@@ -114,6 +116,35 @@ def test_escape_round_trip():
         escaped = _escape_text(s)
         assert "\n" not in escaped
         assert _unescape_text(escaped) == s
+
+
+def _reference_unescape(text):
+    # The character loop _unescape_text replaced, kept as its oracle.
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            if nxt == "n":
+                out.append("\n")
+                i += 2
+                continue
+            if nxt == "\\":
+                out.append("\\")
+                i += 2
+                continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="\\nx\t\n", max_size=24))
+@example("tail\\")
+@example("\\\\n")
+def test_unescape_matches_reference(text):
+    assert _unescape_text(text) == _reference_unescape(text)
 
 
 def test_load_batch_file_unescapes(tmp_path):
@@ -503,7 +534,7 @@ def _monitor_workspace(ws, monkeypatch):
 def test_monitor_cycles_and_seen_dedupe(ws, monkeypatch):
     config = _monitor_workspace(ws, monkeypatch)
     before = signal.getsignal(signal.SIGINT)
-    rc = main(["monitor", "--config", config, "--interval", "0.01", "--cycles", "2"])
+    rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
     assert rc == 0
     assert signal.getsignal(signal.SIGINT) is before
     rows = read_history(str(ws / "history.jsonl"))
@@ -514,6 +545,36 @@ def test_monitor_cycles_and_seen_dedupe(ws, monkeypatch):
     assert rows[1].score == 0.0
     seen = (ws / "history.jsonl.seen").read_text(encoding="utf-8")
     assert seen == "f1\nf2\n"
+
+
+def test_monitor_rejects_sub_second_interval(ws, monkeypatch, capsys):
+    # Cycles are stamped with whole seconds, so two cycles in one second
+    # would share a timestamp and the second batch would be lost.
+    config = _monitor_workspace(ws, monkeypatch)
+    for interval in ("0.01", "0.999"):
+        argv = ["monitor", "--config", config, "--interval", interval, "--cycles", "2"]
+        rc = main(argv)
+        assert rc == 1
+        assert "interval" in capsys.readouterr().err
+    assert not (ws / "history.jsonl").exists()
+
+
+def test_monitor_shortest_interval_stamps_each_cycle_apart(ws, monkeypatch, caplog):
+    config = _monitor_workspace(ws, monkeypatch)
+    fetches = iter(
+        [
+            "f1\t10\tAlice Chen works for Acme Corp.\n",
+            "f2\t11\tGlobex is based in Geneva.\n",
+        ]
+    )
+    monkeypatch.setattr(cli, "_feed_get", lambda url: next(fetches))
+    with caplog.at_level("WARNING"):
+        rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
+    assert rc == 0
+    assert not [r for r in caplog.records if "cycle failed" in r.getMessage()]
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [r.model for r in rows] == ["GT", "probe", "GT", "probe"]
+    assert rows[0].timestamp < rows[2].timestamp
 
 
 def test_monitor_requires_feed_url(ws, capsys):

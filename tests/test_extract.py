@@ -58,8 +58,11 @@ def oracle_ner(text, surface_class):
 def test_load_dictionary_happy_path(onto, dictionary):
     assert len(dictionary) == 9
     assert dictionary.surface_class["Acme Corp"] == "Company"
-    cands = dictionary.index["Acme"]
-    assert cands == [(("Acme", "Corp"), "Acme Corp")]
+    # "Acme" only starts "Acme Corp": alone it is no match.
+    matches = dict_ner("Acme hired Acme Corp", dictionary)
+    assert [(m.token_start, m.token_count, m.surface, m.cls) for m in matches] == [
+        (2, 2, "Acme Corp", "Company")
+    ]
 
 
 def test_load_dictionary_normalization_and_repeats(onto):
@@ -72,7 +75,12 @@ def test_load_dictionary_longest_first_index(onto):
     d = load_dictionary(
         "Acme\tOrganization\nAcme Corp\tCompany\nAcme Corp Ltd\tCompany\n", onto
     )
-    assert [s for _, s in d.index["Acme"]] == ["Acme Corp Ltd", "Acme Corp", "Acme"]
+    matches = dict_ner("Acme Corp Ltd hired Acme Corp and Acme", d)
+    assert [(m.token_start, m.token_count, m.surface, m.cls) for m in matches] == [
+        (0, 3, "Acme Corp Ltd", "Company"),
+        (4, 2, "Acme Corp", "Company"),
+        (7, 1, "Acme", "Organization"),
+    ]
 
 
 def test_load_dictionary_errors(onto):
@@ -170,6 +178,28 @@ def test_dict_ner_greedy_longest(onto):
     d = load_dictionary("Acme\tOrganization\nAcme Corp\tCompany\n", onto)
     matches = dict_ner("Acme Corp and Acme", d)
     assert [(m.surface,) for m in matches] == [("Acme Corp",), ("Acme",)]
+
+
+def test_dict_ner_token_tuple_tie_takes_smallest_surface(onto):
+    # Both surfaces tokenize to ("St", ".", "Louis"); the smaller one,
+    # "St . Louis", wins with its own class, in either line order.
+    for text in (
+        "St.Louis\tCity\nSt . Louis\tLocation\n",
+        "St . Louis\tLocation\nSt.Louis\tCity\n",
+    ):
+        d = load_dictionary(text, onto)
+        matches = dict_ner("Flights to St.Louis.", d)
+        assert [(m.surface, m.cls, m.char_offset) for m in matches] == [
+            ("St . Louis", "Location", 11)
+        ]
+
+
+def test_dict_ner_candidate_longer_than_remaining_tokens(onto):
+    d = load_dictionary("Acme Corp Ltd\tCompany\nCorp\tOrganization\n", onto)
+    assert [(m.token_start, m.surface) for m in dict_ner("hired Acme Corp", d)] == [
+        (2, "Corp")
+    ]
+    assert dict_ner("Acme", d) == []
 
 
 def test_dict_ner_matches_oracle(dictionary):

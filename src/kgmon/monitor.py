@@ -9,8 +9,9 @@ decision bit-exactly.
 
 import json
 import logging
+import math
+import operator
 from dataclasses import dataclass, field
-from statistics import fmean, stdev
 
 from kgmon.metrics import MetricDelta, MetricVector, metric_delta
 
@@ -40,6 +41,11 @@ _HISTORY_FIELDS = (
     "hall_total",
     "hall_failed",
 )
+_history_values = operator.itemgetter(*_HISTORY_FIELDS)
+
+# Every finite double is an integer multiple of 2**-1074, so x * 2**_SCALE
+# is an exact integer and window sums over it are exact.
+_SCALE = 1074
 
 
 class MonitorError(ValueError):
@@ -75,15 +81,28 @@ def normalize_weights(
 DEFAULT_WEIGHTS = normalize_weights(1.0, 1.0, 1.0)
 
 
+def _scaled(score: float) -> int:
+    """score * 2**_SCALE as an exact integer; the score must be finite."""
+    num, den = score.as_integer_ratio()
+    return num << (_SCALE + 1 - den.bit_length())
+
+
 @dataclass
 class ThresholdState:
-    """Rolling window of past anomaly scores for one monitored model."""
+    """Rolling window of past anomaly scores for one monitored model.
+
+    `scores` is the window, oldest first. Seed it through the constructor
+    and grow it with `push`, which keeps the exact sums of the scaled
+    scores and of their squares that `update_threshold` reads.
+    """
 
     scores: list[float] = field(default_factory=list)
     capacity: int = DEFAULT_WINDOW
     lam: float = DEFAULT_LAMBDA
     warmup_min: int = DEFAULT_WARMUP
     last_timestamp: int | None = None
+    _sum: int = field(default=0, init=False, repr=False, compare=False)
+    _sum_sq: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -92,6 +111,22 @@ class ThresholdState:
             raise MonitorError("lambda must be positive")
         if self.warmup_min < 1:
             raise MonitorError("warmup_min must be positive")
+        seed, self.scores = self.scores, []
+        for score in seed:
+            self.push(score)
+
+    def push(self, score: float) -> None:
+        """Append a finite score, evicting the oldest past `capacity`."""
+        if not math.isfinite(score):
+            raise MonitorError(f"non-finite anomaly score {score!r}")
+        k = _scaled(score)
+        self.scores.append(score)
+        self._sum += k
+        self._sum_sq += k * k
+        if len(self.scores) > self.capacity:
+            k = _scaled(self.scores.pop(0))
+            self._sum -= k
+            self._sum_sq -= k * k
 
 
 @dataclass(frozen=True)
@@ -158,13 +193,39 @@ def anomaly_score(delta: MetricDelta, weights: AnomalyWeights) -> float:
     return score
 
 
+def _sqrt_of_frac(num: int, den: int) -> float:
+    """Correctly rounded sqrt(num / den) for num >= 0 and den > 0.
+
+    The integer root carries at least 55 bits and is rounded to odd, so the
+    one correctly rounded int/int division at the end rounds only once.
+    """
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def update_threshold(state: ThresholdState) -> float | None:
-    """mean + lambda * sample stddev of the window; None during warmup."""
+    """mean + lambda * sample stddev of the window; None during warmup.
+
+    Both are computed exactly from the window sums and rounded once, so
+    the result equals statistics.fmean + lambda * statistics.stdev on
+    Python 3.11+ without depending on that module.
+    """
     n = len(state.scores)
     if n < state.warmup_min:
         return None
-    sigma = stdev(state.scores) if n > 1 else 0.0
-    return fmean(state.scores) + state.lam * sigma
+    mean = (state._sum / (1 << _SCALE)) / n
+    if n == 1:
+        sigma = 0.0
+    else:
+        spread = n * state._sum_sq - state._sum * state._sum
+        sigma = _sqrt_of_frac(spread, n * (n - 1) << 2 * _SCALE)
+    return mean + state.lam * sigma
 
 
 def _top_metric(delta: MetricDelta, weights: AnomalyWeights) -> str:
@@ -200,7 +261,8 @@ def observe(
     The threshold is computed from the window before the current score
     joins it; flagging is strict (score > threshold). Pass `delta` to
     override the computed one (the simulator uses this for noise
-    injection); the record keeps whatever delta was scored.
+    injection); the record keeps whatever delta was scored. A non-finite
+    score raises MonitorError and leaves the state unchanged.
     """
     if state.last_timestamp is not None and timestamp <= state.last_timestamp:
         raise MonitorError(
@@ -213,9 +275,7 @@ def observe(
     threshold = update_threshold(state)
     flagged = threshold is not None and score > threshold
 
-    state.scores.append(score)
-    while len(state.scores) > state.capacity:
-        del state.scores[0]
+    state.push(score)
     state.last_timestamp = timestamp
 
     record = AnomalyRecord(
@@ -301,10 +361,13 @@ def parse_history_line(line: str) -> HistoryRow:
         raise MonitorError(f"bad history line: {exc}") from exc
     if not isinstance(payload, dict):
         raise MonitorError("bad history line: not a key-value record")
-    missing = [name for name in _HISTORY_FIELDS if name not in payload]
-    if missing:
-        raise MonitorError(f"history line missing fields: {', '.join(missing)}")
-    return HistoryRow(**{name: payload[name] for name in _HISTORY_FIELDS})
+    try:
+        return HistoryRow(*_history_values(payload))
+    except KeyError:
+        missing = [name for name in _HISTORY_FIELDS if name not in payload]
+        raise MonitorError(
+            f"history line missing fields: {', '.join(missing)}"
+        ) from None
 
 
 def read_history(path: str) -> list[HistoryRow]:
@@ -336,32 +399,7 @@ def replay_history(
             states[row.model] = state
         threshold = update_threshold(state)
         flagged = threshold is not None and row.score > threshold
-        state.scores.append(row.score)
-        while len(state.scores) > state.capacity:
-            del state.scores[0]
+        state.push(row.score)
         out.append((row, threshold, flagged))
     return out
 
-
-def drift_series(
-    rows: list[HistoryRow], metric: str, window: int
-) -> tuple[list[tuple[int, float]], float | None]:
-    """Per-timestamp deltas for one metric plus the least-squares slope of
-    the trailing `window` points (delta units per observation). Slope is
-    None with fewer than 2 points."""
-    if metric not in ("icr", "ipr", "ci"):
-        raise MonitorError(f"unknown drift metric {metric!r}")
-    if window < 1:
-        raise MonitorError("drift window must be positive")
-    attr = f"d_{metric}"
-    series = [(row.timestamp, getattr(row, attr)) for row in rows]
-    tail = series[-window:]
-    if len(tail) < 2:
-        return series, None
-    ys = [y for _, y in tail]
-    n = len(ys)
-    x_bar = (n - 1) / 2
-    y_bar = fmean(ys)
-    sxy = sum((i - x_bar) * (y - y_bar) for i, y in enumerate(ys))
-    sxx = sum((i - x_bar) ** 2 for i in range(n))
-    return series, sxy / sxx

@@ -6,6 +6,7 @@ scenarios through the monitor, optionally with Gaussian noise on the
 metric deltas to exercise threshold calibration.
 """
 
+import contextlib
 import json
 import logging
 import random
@@ -28,7 +29,6 @@ from kgmon.monitor import (
     AnomalyRecord,
     AnomalyWeights,
     ThresholdState,
-    append_history,
     observe,
     record_to_row,
 )
@@ -236,7 +236,9 @@ def run_scenario(
     configured sigma for that step only. Three Gaussian draws are consumed
     every step regardless of sigma, so a given noise_seed yields the same
     noise stream under any schedule. False positives are counted on steps
-    with no schedule entry.
+    with no schedule entry. With a history path, each step's row is
+    appended through one file handle in step order; if a step raises, the
+    rows of the steps before it stay in the file.
     """
     state = ThresholdState(
         capacity=config.capacity, lam=config.lam, warmup_min=config.warmup_min
@@ -247,59 +249,65 @@ def run_scenario(
     false_positives = 0
     steps = 0
 
-    for step, (batch, g_base) in enumerate(stream):
-        steps += 1
-        scheduled = schedule.get(step)
-        sigma = config.noise_sigma
-        graph_spec = None
-        if scheduled is not None:
-            if scheduled.kind is PerturbationKind.DELTA_NOISE:
-                sigma = scheduled.magnitude
+    history_file = (
+        open(config.history_path, "a", encoding="utf-8")
+        if config.history_path
+        else contextlib.nullcontext()
+    )
+    with history_file as history:
+        for step, (batch, g_base) in enumerate(stream):
+            steps += 1
+            scheduled = schedule.get(step)
+            sigma = config.noise_sigma
+            graph_spec = None
+            if scheduled is not None:
+                if scheduled.kind is PerturbationKind.DELTA_NOISE:
+                    sigma = scheduled.magnitude
+                else:
+                    graph_spec = scheduled
+
+            if graph_spec is not None:
+                try:
+                    candidate = perturb(g_base, graph_spec, config.ontology)
+                except SimulationError as exc:
+                    raise SimulationError(f"step {step}: {exc}") from exc
+                base_m = metric_vector(g_base, config.ontology)
+                cand_m = metric_vector(candidate, config.ontology)
             else:
-                graph_spec = scheduled
+                base_m = metric_vector(g_base, config.ontology)
+                cand_m = base_m
+            clean = metric_delta(cand_m, base_m)
 
-        if graph_spec is not None:
-            try:
-                candidate = perturb(g_base, graph_spec, config.ontology)
-            except SimulationError as exc:
-                raise SimulationError(f"step {step}: {exc}") from exc
-            base_m = metric_vector(g_base, config.ontology)
-            cand_m = metric_vector(candidate, config.ontology)
-        else:
-            base_m = metric_vector(g_base, config.ontology)
-            cand_m = base_m
-        clean = metric_delta(cand_m, base_m)
+            eps = (
+                noise_rng.gauss(0.0, 1.0),
+                noise_rng.gauss(0.0, 1.0),
+                noise_rng.gauss(0.0, 1.0),
+            )
+            noised = MetricDelta(
+                d_icr=_clamp_unit(clean.d_icr + sigma * eps[0]),
+                d_ipr=_clamp_unit(clean.d_ipr + sigma * eps[1]),
+                d_ci=_clamp_unit(clean.d_ci + sigma * eps[2]),
+                d_hal=clean.d_hal,
+            )
 
-        eps = (
-            noise_rng.gauss(0.0, 1.0),
-            noise_rng.gauss(0.0, 1.0),
-            noise_rng.gauss(0.0, 1.0),
-        )
-        noised = MetricDelta(
-            d_icr=_clamp_unit(clean.d_icr + sigma * eps[0]),
-            d_ipr=_clamp_unit(clean.d_ipr + sigma * eps[1]),
-            d_ci=_clamp_unit(clean.d_ci + sigma * eps[2]),
-            d_hal=clean.d_hal,
-        )
-
-        record, _alert = observe(
-            state,
-            timestamp=step,
-            model=config.model,
-            metrics=cand_m,
-            baseline_metrics=base_m,
-            weights=config.weights,
-            batch_id=g_base.batch_id,
-            delta=noised,
-        )
-        records.append(record)
-        if record.flagged:
-            if first_flag is None:
-                first_flag = step
-            if scheduled is None:
-                false_positives += 1
-        if config.history_path:
-            append_history(config.history_path, record_to_row(record))
+            record, _alert = observe(
+                state,
+                timestamp=step,
+                model=config.model,
+                metrics=cand_m,
+                baseline_metrics=base_m,
+                weights=config.weights,
+                batch_id=g_base.batch_id,
+                delta=noised,
+            )
+            records.append(record)
+            if record.flagged:
+                if first_flag is None:
+                    first_flag = step
+                if scheduled is None:
+                    false_positives += 1
+            if history is not None:
+                history.write(record_to_row(record).to_line() + "\n")
 
     if steps < config.warmup_min + 1:
         raise SimulationError(

@@ -330,6 +330,24 @@ def test_evaluate_non_monotone_timestamp_is_operational_error(ws, capsys):
     assert (ws / "history.jsonl").read_bytes() == before
 
 
+def test_evaluate_rejects_non_finite_history_score(ws, capsys):
+    config = _write_config(ws)
+    assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 5) == 0
+    history = ws / "history.jsonl"
+    lines = history.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[-1])
+    assert row["model"] == "probe"
+    row["score"] = float("nan")
+    lines[-1] = json.dumps(row)
+    assert '"score": NaN' in lines[-1]
+    history.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = history.read_bytes()
+    rc = _evaluate(ws, config, f"probe={ws / 'good.rec'}", 6)
+    assert rc == 1
+    assert "non-finite anomaly score nan" in capsys.readouterr().err
+    assert history.read_bytes() == before
+
+
 def test_simulate_flag_assertion_passes(ws, capsys):
     config = _write_config(ws, warmup_min=5, history="sim.jsonl")
     schedule = ws / "schedule.tsv"

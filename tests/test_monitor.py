@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 import random
 import statistics
+from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgmon.metrics import MetricDelta, MetricVector
 from kgmon.monitor import (
@@ -15,10 +18,10 @@ from kgmon.monitor import (
     HistoryRow,
     MonitorError,
     ThresholdState,
+    _sqrt_of_frac,
     anomaly_score,
     append_history,
     baseline_row,
-    drift_series,
     normalize_weights,
     observe,
     parse_history_line,
@@ -83,14 +86,97 @@ def test_anomaly_score_hal_weight_needs_delta():
 def test_update_threshold_warmup_and_formula():
     state = ThresholdState(capacity=10, lam=2.0, warmup_min=3)
     assert update_threshold(state) is None
-    state.scores = [0.1, 0.2]
+    state = ThresholdState(scores=[0.1, 0.2], capacity=10, lam=2.0, warmup_min=3)
     assert update_threshold(state) is None
-    state.scores = [0.1, 0.2, 0.3]
+    state = ThresholdState(
+        scores=[0.1, 0.2, 0.3], capacity=10, lam=2.0, warmup_min=3
+    )
     expect = statistics.fmean([0.1, 0.2, 0.3]) + 2.0 * statistics.stdev([0.1, 0.2, 0.3])
     assert update_threshold(state) == expect
-    one = ThresholdState(capacity=10, lam=2.0, warmup_min=1)
-    one.scores = [0.4]
+    one = ThresholdState(scores=[0.4], capacity=10, lam=2.0, warmup_min=1)
     assert update_threshold(one) == 0.4
+
+
+def test_threshold_state_seed_keeps_last_capacity_scores():
+    seed = [1.0, 2.0, 3.0, 4.0]
+    state = ThresholdState(scores=seed, capacity=3, lam=1.0, warmup_min=1)
+    assert state.scores == [2.0, 3.0, 4.0]
+    assert seed == [1.0, 2.0, 3.0, 4.0]
+    assert update_threshold(state) == 3.0 + 1.0
+
+
+# Finite doubles with |x| <= 1e6, weighted toward the cases the exact sums
+# must get right: zeros of both signs, subnormals, and repeated values.
+_SCORES = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1]),
+    st.integers(min_value=-(2**52), max_value=2**52).map(
+        lambda j: j * 5e-324
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.lists(_SCORES, min_size=1, max_size=60),
+    capacity=st.integers(min_value=1, max_value=40),
+    lam=st.one_of(
+        st.just(2.0), st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
+    ),
+    warmup_min=st.integers(min_value=1, max_value=5),
+)
+def test_threshold_matches_statistics_bit_for_bit(scores, capacity, lam, warmup_min):
+    state = ThresholdState(capacity=capacity, lam=lam, warmup_min=warmup_min)
+    for i, score in enumerate(scores):
+        state.push(score)
+        window = scores[: i + 1][-capacity:]
+        assert state.scores == window
+        got = update_threshold(state)
+        if len(window) < warmup_min:
+            assert got is None
+            continue
+        sigma = statistics.stdev(window) if len(window) > 1 else 0.0
+        expect = statistics.fmean(window) + lam * sigma
+        assert got.hex() == expect.hex()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    num=st.integers(min_value=0, max_value=2**128),
+    den=st.integers(min_value=1, max_value=2**128),
+    exp=st.integers(min_value=-2250, max_value=1900),
+)
+def test_sqrt_of_frac_is_correctly_rounded(num, den, exp):
+    # 2**exp spreads the roots from below the subnormals to near the top
+    # of the double range, the span window variances can reach.
+    if exp >= 0:
+        num <<= exp
+    else:
+        den <<= -exp
+    got = _sqrt_of_frac(num, den)
+    exact = Fraction(num, den)
+    here = Fraction(got)
+    below = Fraction(math.nextafter(got, 0.0))
+    above = Fraction(math.nextafter(got, math.inf))
+    # sqrt(exact) must lie between the midpoints to the neighbouring
+    # doubles, compared by squares so no rounding enters the check; an
+    # exact tie must go to the even mantissa.
+    low, high = (below + here) / 2, (here + above) / 2
+    assert low * low <= exact <= high * high
+    if exact in (low * low, high * high):
+        assert int(got.hex().split("p")[0][-1], 16) % 2 == 0
+
+
+def test_sqrt_of_frac_exact_and_tie_cases():
+    assert _sqrt_of_frac(0, 7) == 0.0
+    assert _sqrt_of_frac(9, 4) == 1.5
+    assert _sqrt_of_frac(2, 1) == math.sqrt(2.0)
+    assert _sqrt_of_frac(1, 2**2148) == 2.0**-1074
+    assert _sqrt_of_frac(2**2000, 1) == 2.0**1000
+    assert _sqrt_of_frac(1, 2**2152) == 0.0  # 2**-1076 rounds down to zero
+    assert _sqrt_of_frac(1, 2**2150) == 0.0  # 2**-1075 ties to even zero
+    assert _sqrt_of_frac(2**2150 + 1, 2**4300) == 5e-324
 
 
 def test_threshold_state_validation():
@@ -144,6 +230,26 @@ def test_observe_window_eviction():
     for ts in range(10):
         _observe_score(state, ts, float(ts))
     assert state.scores == [7.0, 8.0, 9.0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_scores_rejected_before_state_changes(bad):
+    state = ThresholdState(capacity=5, lam=2.0, warmup_min=1)
+    _observe_score(state, 0, 0.1)
+    before = (list(state.scores), state.last_timestamp, update_threshold(state))
+    with pytest.raises(MonitorError, match="non-finite"):
+        _observe_score(state, 1, bad)
+    assert (state.scores, state.last_timestamp) == before[:2]
+    assert update_threshold(state) == before[2]
+    record, _ = _observe_score(state, 1, 0.1)
+    assert record.threshold == 0.1
+    with pytest.raises(MonitorError, match="non-finite"):
+        ThresholdState(scores=[0.1, bad])
+    with pytest.raises(MonitorError, match="non-finite"):
+        state.push(bad)
+    row = dataclasses.replace(record_to_row(record), score=bad)
+    with pytest.raises(MonitorError, match="non-finite"):
+        replay_history([row], warmup_min=1)
 
 
 def test_observe_rejects_non_monotone_timestamps():
@@ -259,6 +365,23 @@ def test_parse_history_line_errors():
         parse_history_line("[1, 2]")
     with pytest.raises(MonitorError, match="missing fields"):
         parse_history_line('{"timestamp": 1}')
+    full = json.loads(baseline_row(1, "b", _ZERO).to_line())
+    del full["score"], full["hall_total"]
+    with pytest.raises(
+        MonitorError, match=r"^history line missing fields: score, hall_total$"
+    ):
+        parse_history_line(json.dumps(full))
+
+
+def test_parse_history_line_maps_every_field_by_name():
+    # parse_history_line builds the row positionally; give every field a
+    # distinct value so a field-order mismatch cannot go unnoticed.
+    values = {
+        name: i for i, name in enumerate(f.name for f in dataclasses.fields(HistoryRow))
+    }
+    shuffled = dict(sorted(values.items(), reverse=True))
+    row = parse_history_line(json.dumps({**shuffled, "extra": "ignored"}))
+    assert dataclasses.asdict(row) == values
 
 
 def test_record_to_row_copies_fields():
@@ -321,72 +444,6 @@ def test_replay_skips_baseline_rows():
         baseline_row(1, "b", MetricVector(icr=1.0, ipr=1.0, ci=1.0)),
     ]
     assert replay_history(rows) == []
-
-
-def test_drift_series_slope_matches_polyfit():
-    rng = random.Random(29)
-    for _ in range(50):
-        n = rng.randint(2, 40)
-        rows = [
-            HistoryRow(
-                timestamp=i,
-                model="m",
-                batch_id="b",
-                icr=0.0,
-                ipr=0.0,
-                ci=0.0,
-                hal=None,
-                d_icr=rng.random(),
-                d_ipr=rng.random(),
-                d_ci=rng.random(),
-                score=0.0,
-                threshold=None,
-                flagged=False,
-                hall_total=0,
-                hall_failed=0,
-            )
-            for i in range(n)
-        ]
-        window = rng.randint(2, n)
-        series, slope = drift_series(rows, "icr", window)
-        assert len(series) == n
-        tail = [row.d_icr for row in rows[-window:]]
-        expect = np.polyfit(np.arange(len(tail)), np.array(tail), 1)[0]
-        assert math.isclose(slope, float(expect), rel_tol=0, abs_tol=1e-9)
-
-
-def test_drift_series_exact_line_and_degenerate():
-    rows = [
-        HistoryRow(
-            timestamp=i,
-            model="m",
-            batch_id="b",
-            icr=0.0,
-            ipr=0.0,
-            ci=0.0,
-            hal=None,
-            d_icr=0.1 * i,
-            d_ipr=0.5,
-            d_ci=0.0,
-            score=0.0,
-            threshold=None,
-            flagged=False,
-            hall_total=0,
-            hall_failed=0,
-        )
-        for i in range(6)
-    ]
-    series, slope = drift_series(rows, "icr", 6)
-    assert series == [(i, pytest.approx(0.1 * i)) for i in range(6)]
-    assert slope == pytest.approx(0.1)
-    _, flat = drift_series(rows, "ipr", 4)
-    assert flat == 0.0
-    _, none_slope = drift_series(rows[:1], "ci", 5)
-    assert none_slope is None
-    with pytest.raises(MonitorError, match="unknown drift metric"):
-        drift_series(rows, "hal", 3)
-    with pytest.raises(MonitorError, match="window"):
-        drift_series(rows, "icr", 0)
 
 
 def test_observe_score_reconstruction_identity():

@@ -283,6 +283,30 @@ def test_run_scenario_writes_history(onto, tmp_path):
     assert rows[3].score == result.records[3].score
 
 
+def test_run_scenario_keeps_rows_before_a_failing_step(onto, tmp_path):
+    path = tmp_path / "sim.jsonl"
+    config = ScenarioConfig(
+        ontology=onto, warmup_min=5, model="labrun", history_path=str(path)
+    )
+    too_many = len(onto.classes) + 1
+    schedule = {7: PerturbationSpec(PerturbationKind.DROP_CLASSES, too_many, 1)}
+    with pytest.raises(SimulationError, match="step 7"):
+        run_scenario(synthetic_stream(onto, 12), schedule, config)
+    rows = read_history(str(path))
+    assert [row.timestamp for row in rows] == list(range(7))
+
+    def stream_that_breaks():
+        for step, item in enumerate(synthetic_stream(onto, 12)):
+            if step == 4:
+                raise OSError("feed went away")
+            yield item
+
+    path.unlink()
+    with pytest.raises(OSError, match="feed went away"):
+        run_scenario(stream_that_breaks(), {}, config)
+    assert [row.timestamp for row in read_history(str(path))] == list(range(4))
+
+
 def test_summary_line_shape(onto):
     config = ScenarioConfig(ontology=onto, warmup_min=5)
     result = run_scenario(synthetic_stream(onto, 10), {}, config)

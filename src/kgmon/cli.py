@@ -1,10 +1,10 @@
 """Command-line surface: baseline builds, candidate evaluation, feed
-monitoring, perturbation scenarios, and history reports.
+monitoring, perturbation scenarios, history reports and history replay.
 
 Exit codes are a contract: 0 means success with no flags, 2 means an
-anomaly was flagged or a scenario assertion failed, 1 means an
-operational error. Diagnostics go to stderr, one line each, prefixed
-WARN or ALERT.
+anomaly was flagged, a scenario assertion failed or a replayed history
+differs from its stored values, 1 means an operational error. Diagnostics
+go to stderr, one line each, prefixed WARN, ALERT or MISMATCH.
 """
 
 import argparse
@@ -57,6 +57,7 @@ from kgmon.monitor import (
     parse_history_line,
     read_history,
     record_to_row,
+    replay_history,
 )
 from kgmon.ontology import Ontology, OntologyError, load_ontology
 from kgmon.simlab import (
@@ -440,7 +441,9 @@ def _evaluate_once(
         base_metrics = replace(base_metrics, hal=base_report.score)
 
     history_rows = (
-        read_history(config.history) if os.path.exists(config.history) else []
+        read_history(config.history, sorted(candidates), config.window)
+        if os.path.exists(config.history)
+        else []
     )
     new_rows = [baseline_row(timestamp, batch_id, base_metrics)]
     alerts = []
@@ -685,6 +688,39 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _float_bits(value) -> str:
+    """float.hex of a float; anything else (None, or a hand-edited int)
+    by repr, so it never equals a float's bits."""
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+def cmd_replay(args: argparse.Namespace) -> int:
+    config = load_run_config(args.config)
+    if not os.path.isfile(args.history):
+        raise CliError(f"history not found: {args.history}")
+    replayed = replay_history(
+        read_history(args.history),
+        capacity=config.window,
+        lam=config.lam,
+        warmup_min=config.warmup_min,
+    )
+    mismatches = 0
+    for row, threshold, flagged in replayed:
+        if flagged != row.flagged or _float_bits(threshold) != _float_bits(
+            row.threshold
+        ):
+            mismatches += 1
+            print(
+                f"MISMATCH timestamp={row.timestamp} model={row.model} "
+                f"stored_threshold={_float_bits(row.threshold)} "
+                f"replayed_threshold={_float_bits(threshold)} "
+                f"stored_flagged={row.flagged} replayed_flagged={flagged}",
+                file=sys.stderr,
+            )
+    print(f"{len(replayed)} rows replayed, {mismatches} mismatches")
+    return 2 if mismatches else 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgmon",
@@ -734,6 +770,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None)
     p.add_argument("--format", choices=("table", "records"), default="table")
 
+    p = sub.add_parser(
+        "replay", help="recompute every stored threshold and flag of a history"
+    )
+    p.add_argument("--history", required=True)
+    p.add_argument("--config", required=True)
+
     return parser
 
 
@@ -743,6 +785,7 @@ _COMMANDS = {
     "monitor": cmd_monitor,
     "simulate": cmd_simulate,
     "report": cmd_report,
+    "replay": cmd_replay,
 }
 
 

@@ -11,6 +11,9 @@ import json
 import logging
 import math
 import operator
+import os
+import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from kgmon.metrics import MetricDelta, MetricVector, metric_delta
@@ -46,6 +49,11 @@ _history_values = operator.itemgetter(*_HISTORY_FIELDS)
 # Every finite double is an integer multiple of 2**-1074, so x * 2**_SCALE
 # is an exact integer and window sums over it are exact.
 _SCALE = 1074
+
+# Bytes read per step when the history is read backwards from its end.
+_BLOCK_SIZE = 1 << 16
+# Line terminators as text-mode reading knows them (\n, \r\n, \r).
+_LINE_END = re.compile(rb"[\r\n]")
 
 
 class MonitorError(ValueError):
@@ -153,7 +161,7 @@ class Alert:
     top_metric: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HistoryRow:
     """One persisted history line; field names match the wire format."""
 
@@ -370,9 +378,134 @@ def parse_history_line(line: str) -> HistoryRow:
         ) from None
 
 
-def read_history(path: str) -> list[HistoryRow]:
-    with open(path, encoding="utf-8") as fh:
-        return [parse_history_line(line) for line in fh if line.strip()]
+def _runs_backward(fh) -> Iterator[bytes]:
+    r"""Yield a binary file in runs of whole lines, last run first.
+
+    Blocks are read from the end; the partial first line of each block is
+    carried over to the block before it, so a run never cuts a line (nor,
+    since a terminator byte never falls inside a multi-byte character, a
+    UTF-8 character). A run may start or end inside a \r\n pair; see
+    _split_lines.
+    """
+    end = fh.seek(0, os.SEEK_END)
+    carry = b""
+    while end > 0:
+        start = max(0, end - _BLOCK_SIZE)
+        fh.seek(start)
+        data = fh.read(end - start) + carry
+        end = start
+        if start:
+            first_end = _LINE_END.search(data)
+            if first_end is None:
+                carry = data
+                continue
+            cut = first_end.start()
+            carry, data = data[:cut], data[cut:]
+        yield data
+
+
+def _split_lines(run: bytes) -> list[bytes]:
+    r"""Lines of a run in file order, without terminators. Splitting at
+    every \r and at every \n yields text mode's lines plus an empty line
+    inside each \r\n pair; callers skip blank lines anyway."""
+    return run.replace(b"\r", b"\n").split(b"\n")
+
+
+def _read_all(fh) -> list[HistoryRow]:
+    rows: list[HistoryRow] = []
+    for run in _runs_backward(fh):
+        text = run.decode("utf-8")
+        for line in reversed(text.replace("\r", "\n").split("\n")):
+            if line.strip():
+                rows.append(parse_history_line(line))
+    rows.reverse()
+    return rows
+
+
+def _row_of(models: Iterable[str]) -> re.Pattern:
+    """A search that finds every line holding a row of one of `models`
+    unless the line has a backslash.
+
+    Without a backslash a line has no escapes, so the key and the model
+    name of a row stand in it literally: "model", blanks, a colon, blanks,
+    then the name's UTF-8 bytes between quotes. It may also find lines
+    that hold no such row; those are parsed to tell.
+    """
+    names = b"|".join(re.escape(model.encode("utf-8")) for model in models)
+    return re.compile(rb'"model"[ \t]*:[ \t]*"(?:' + names + rb')"')
+
+
+def _read_tail(fh, models: Iterable[str], window: int) -> list[HistoryRow]:
+    """The shortest suffix of the rows that holds the last `window` rows of
+    every listed model (all of its rows when it has fewer); see
+    read_history."""
+    left = dict.fromkeys(models, window)
+    if not left:
+        return []
+    short = _row_of(left)
+    rows: list[HistoryRow] = []  # the suffix found so far, newest first
+    older: list[bytes] = []  # unparsed runs before rows[-1], newest first
+
+    def take(run: bytes) -> None:
+        for line in reversed(_split_lines(run)):
+            text = line.decode("utf-8")
+            if text.strip():
+                rows.append(parse_history_line(text))
+
+    for run in _runs_backward(fh):
+        if b"\\" not in run and not short.search(run):
+            older.append(run)
+            continue
+        lines = _split_lines(run)
+        top = len(lines)  # lines[top:] are in rows already
+        for i in range(top - 1, -1, -1):
+            line = lines[i]
+            if b"\\" not in line and not short.search(line):
+                continue
+            row = parse_history_line(line.decode("utf-8"))
+            needed = left.get(row.model)
+            if not needed:
+                continue
+            # Everything between this row and the suffix found so far joins
+            # the suffix, and is parsed and checked.
+            for skipped in older:
+                take(skipped)
+            older.clear()
+            take(b"\n".join(lines[i + 1 : top]))
+            rows.append(row)
+            top = i
+            if needed > 1:
+                left[row.model] = needed - 1
+                continue
+            del left[row.model]
+            if not left:
+                rows.reverse()
+                return rows
+            short = _row_of(left)
+        older.append(b"\n".join(lines[:top]))
+    rows.reverse()
+    return rows
+
+
+def read_history(
+    path: str, models: Iterable[str] | None = None, window: int | None = None
+) -> list[HistoryRow]:
+    """Parse the history rows of `path`, returned in file order; lines
+    split where text mode splits them, and blank lines are skipped.
+
+    The file is read backwards from its end. Without `models` and `window`
+    every row is parsed and returned. With both, the result is the shortest
+    suffix of the rows that holds the last `window` rows of every listed
+    model, or all of its rows when it has fewer (none when it is absent).
+    Every line of that suffix is parsed and checked. An older line is
+    parsed only when its bytes may hold a row of a listed model that is
+    still short of `window` rows; the others are passed over unparsed, so a
+    short model costs a byte search of the file, not a parse of it.
+    """
+    with open(path, "rb") as fh:
+        if models is None or window is None:
+            return _read_all(fh)
+        return _read_tail(fh, models, window)
 
 
 def replay_history(

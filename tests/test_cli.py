@@ -348,6 +348,50 @@ def test_evaluate_rejects_non_finite_history_score(ws, capsys):
     assert history.read_bytes() == before
 
 
+@pytest.mark.parametrize("position, evaluate_rc", [("head", 0), ("tail", 1)])
+def test_evaluate_parses_only_the_history_tail(ws, capsys, position, evaluate_rc):
+    config = _write_config(ws, window=2)
+    for ts in (1, 2):
+        assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", ts) == 0
+    history = ws / "history.jsonl"
+    lines = history.read_text(encoding="utf-8").splitlines(keepends=True)
+    # "head" is older than probe's last two rows; "tail" sits between them.
+    lines.insert(0 if position == "head" else len(lines) - 1, "not json\n")
+    history.write_text("".join(lines), encoding="utf-8")
+    before = history.read_bytes()
+    capsys.readouterr()
+    rc = _evaluate(ws, config, f"probe={ws / 'good.rec'}", 3)
+    assert rc == evaluate_rc
+    if evaluate_rc:
+        assert "ERROR bad history line" in capsys.readouterr().err
+        assert history.read_bytes() == before
+    assert main(["replay", "--history", str(history), "--config", config]) == 1
+    assert "ERROR bad history line" in capsys.readouterr().err
+
+
+def test_replay_verifies_stored_thresholds(ws, capsys):
+    config = _write_config(ws)
+    history = ws / "history.jsonl"
+    assert main(["replay", "--history", str(history), "--config", config]) == 1
+    assert "ERROR history not found" in capsys.readouterr().err
+    for ts in (1, 2, 3):
+        assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", ts) == 0
+    assert main(["replay", "--history", str(history), "--config", config]) == 0
+    assert "3 rows replayed, 0 mismatches" in capsys.readouterr().out
+
+    lines = history.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[-1])
+    assert row["model"] == "probe" and row["threshold"] == 0.0
+    row["threshold"] = 0.5
+    lines[-1] = json.dumps(row)
+    history.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["replay", "--history", str(history), "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("MISMATCH timestamp=3 model=probe ")
+    assert len(captured.err.splitlines()) == 1
+    assert "3 rows replayed, 1 mismatches" in captured.out
+
+
 def test_simulate_flag_assertion_passes(ws, capsys):
     config = _write_config(ws, warmup_min=5, history="sim.jsonl")
     schedule = ws / "schedule.tsv"

@@ -4,11 +4,14 @@ import math
 import random
 import statistics
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgmon import monitor
+from kgmon.cli import RunConfig, _bootstrap_state
 from kgmon.metrics import MetricDelta, MetricVector
 from kgmon.monitor import (
     BASELINE_MODEL,
@@ -334,6 +337,131 @@ def test_history_row_round_trip(tmp_path):
     assert rows[1].model == BASELINE_MODEL
     assert rows[1].threshold is None
     assert rows[1].score == 0.0 and rows[1].flagged is False
+
+
+def _read_history_forward(path):
+    """The reader read_history replaced: text mode, front to back."""
+    with open(path, encoding="utf-8") as fh:
+        return [parse_history_line(line) for line in fh if line.strip()]
+
+
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+_BLANK_LINES = st.sampled_from(["", "\n", " \n", "\u3000\r\n", "\t\r", "\r\n"])
+_TAIL_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from([BASELINE_MODEL, "a", "b", "few"]),
+        st.text(
+            st.sampled_from("e\u00e9\u20ac\U0001f600\u2028\x85\u3000")
+            | st.characters(blacklist_categories=("Cs",)),
+            max_size=6,
+        ),
+        st.floats(allow_nan=False, allow_infinity=False),
+        _BLANK_LINES,
+        _LINE_ENDS,
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    items=_TAIL_ROWS,
+    window=st.integers(1, 4),
+    requested=st.lists(
+        st.sampled_from(["a", "b", "few", "absent"]), min_size=1, unique=True
+    ),
+    trailing=st.sampled_from(["", "\n", " ", "\u3000", "\t\r\n"]),
+    final_newline=st.booleans(),
+    # A few bytes puts lines and CRLF pairs across block boundaries; larger
+    # blocks put several lines in one decoded run.
+    block=st.integers(1, 16) | st.integers(17, 4096),
+)
+def test_tail_read_matches_full_read(
+    tmp_path_factory, items, window, requested, trailing, final_newline, block
+):
+    path = tmp_path_factory.getbasetemp() / "tail_history.jsonl"
+    parts = []
+    few_left = window - 1  # "few" always has fewer than `window` rows
+    for ts, (model, batch_id, score, blank, end) in enumerate(items):
+        if model == "few":
+            if not few_left:
+                continue
+            few_left -= 1
+        row = dataclasses.replace(
+            baseline_row(ts, batch_id, _ZERO), model=model, score=score
+        )
+        # ensure_ascii=False puts multi-byte UTF-8 into the file, and raw
+        # U+2028 and U+0085, at which text mode does not split.
+        line = json.dumps(dataclasses.asdict(row), ensure_ascii=False)
+        parts += [blank, line, end]
+    if parts and not final_newline:
+        parts.pop()
+    else:
+        parts.append(trailing)
+    path.write_bytes("".join(parts).encode("utf-8"))
+
+    with mock.patch.object(monitor, "_BLOCK_SIZE", block):
+        full = read_history(str(path))
+        tail = read_history(str(path), requested, window)
+    assert full == _read_history_forward(path)
+    assert tail == full[len(full) - len(tail) :]
+
+    need = {m: min(window, sum(r.model == m for r in full)) for m in requested}
+
+    def holds(rows):
+        return all(sum(r.model == m for r in rows) >= need[m] for m in requested)
+
+    assert holds(tail) and (not tail or not holds(tail[1:]))
+    config = RunConfig(
+        ontology="",
+        dictionary="",
+        rules="",
+        history=str(path),
+        models=requested,
+        weights=DEFAULT_WEIGHTS,
+        window=window,
+    )
+    for model in requested:
+        from_tail = _bootstrap_state(tail, model, config)
+        from_full = _bootstrap_state(full, model, config)
+        assert from_tail.scores == from_full.scores
+        assert from_tail.last_timestamp == from_full.last_timestamp
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+@pytest.mark.parametrize(
+    "oldest, parsed",
+    [
+        ("not json", False),
+        ('{"batch_id": "few", "model": "other"', False),
+        # Lines that may hold a row of "few" are parsed, in any spacing,
+        # and so is any line with a backslash: it may hide the name.
+        ('{"timestamp": 0, "model": "few"', True),
+        ('{"model"\t :"few"', True),
+        ('{"model": "\\u0066ew"', True),
+        ('{"batch_id": "\\u0062"', True),
+    ],
+)
+def test_tail_read_passes_over_old_lines_of_other_models(
+    tmp_path, block, oldest, parsed
+):
+    path = tmp_path / "history.jsonl"
+    old = [baseline_row(ts, "b", _ZERO) for ts in range(3)]
+    few = dataclasses.replace(baseline_row(3, "b", _ZERO), model="few")
+    newest = baseline_row(4, "b", _ZERO)
+    lines = [oldest, *(r.to_line() for r in old), few.to_line(), newest.to_line()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with mock.patch.object(monitor, "_BLOCK_SIZE", block):
+        assert read_history(str(path), [], 3) == []
+        # "few" has one row of the three wanted and "absent" none, so the
+        # suffix starts at few's row.
+        if parsed:
+            with pytest.raises(MonitorError, match="bad history line"):
+                read_history(str(path), ["few", "absent"], 3)
+        else:
+            assert read_history(str(path), ["few", "absent"], 3) == [few, newest]
+        with pytest.raises(MonitorError, match="bad history line"):
+            read_history(str(path))
 
 
 def test_history_line_key_order_fixed():

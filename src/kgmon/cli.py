@@ -249,10 +249,6 @@ def _load_endpoint(config: RunConfig) -> tuple[dict, PromptTemplate]:
     return fields, template
 
 
-def _escape_text(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
 # Escapes are read left to right without overlap: an escaped backslash
 # followed by "n" is a backslash and a letter n. Any other backslash, a
 # lone trailing one included, stays as it is.
@@ -365,11 +361,11 @@ def _batch_label(source: str) -> str:
 
 
 def _load_pipeline(
-    config: RunConfig,
+    ontology_path: str, dictionary_path: str, rules_path: str
 ) -> tuple[Ontology, NerDictionary, list[PatternRule]]:
-    ontology = load_ontology(_read_text(config.ontology))
-    dictionary = load_dictionary(_read_text(config.dictionary), ontology)
-    rules = load_rules(_read_text(config.rules), ontology)
+    ontology = load_ontology(_read_text(ontology_path))
+    dictionary = load_dictionary(_read_text(dictionary_path), ontology)
+    rules = load_rules(_read_text(rules_path), ontology)
     return ontology, dictionary, rules
 
 
@@ -507,9 +503,9 @@ def _evaluate_once(
 
 
 def cmd_build_baseline(args: argparse.Namespace) -> int:
-    ontology = load_ontology(_read_text(args.ontology))
-    dictionary = load_dictionary(_read_text(args.dictionary), ontology)
-    rules = load_rules(_read_text(args.rules), ontology)
+    ontology, dictionary, rules = _load_pipeline(
+        args.ontology, args.dictionary, args.rules
+    )
     batch = load_batch(args.batch)
     graph, diags = build_baseline(
         batch, dictionary, rules, ontology, batch_id=_batch_label(args.batch)
@@ -528,7 +524,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not config.models:
         raise CliError("config lists no models to evaluate")
     candidates = _parse_candidates(args.candidate, config)
-    ontology, dictionary, rules = _load_pipeline(config)
+    ontology, dictionary, rules = _load_pipeline(
+        config.ontology, config.dictionary, config.rules
+    )
     timestamp = args.timestamp if args.timestamp is not None else int(time.time())
     batch = load_batch(args.batch)
     flagged = _evaluate_once(
@@ -555,7 +553,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     # their articles, already marked seen, lost).
     if args.interval < 1:
         raise CliError("interval must be at least 1 second")
-    ontology, dictionary, rules = _load_pipeline(config)
+    ontology, dictionary, rules = _load_pipeline(
+        config.ontology, config.dictionary, config.rules
+    )
     _load_endpoint(config)  # fail on config problems before the loop starts
     candidates = {model: "live" for model in config.models}
     seen_path = config.history + ".seen"
@@ -779,6 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process; parse_args returns a fresh namespace every call.
+_PARSER = build_parser()
+
 _COMMANDS = {
     "build-baseline": cmd_build_baseline,
     "evaluate": cmd_evaluate,
@@ -791,7 +794,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (
@@ -802,10 +805,10 @@ def main(argv=None) -> int:
         MonitorError,
         SimulationError,
         LlmError,
+        UnicodeDecodeError,
+        OSError,
+        requests.RequestException,
     ) as exc:
-        print(f"ERROR {exc}", file=sys.stderr)
-        return 1
-    except (OSError, requests.RequestException) as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return 1
 

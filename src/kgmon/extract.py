@@ -8,7 +8,6 @@ broken lexicographically.
 
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from kgmon import kernels
@@ -361,30 +360,21 @@ def build_baseline(
     ontology: Ontology,
     batch_id: str = "",
     timestamp: int = 0,
-    workers: int | None = None,
 ) -> tuple[KnowledgeGraph, GraphDiagnostics]:
     """Extract each article and union the fragments into one batch graph.
 
-    The result is independent of article order and of the worker count.
+    The result is independent of article order.
     """
     ids = [a.id for a in articles]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise ExtractError(f"duplicate article ids in batch: {', '.join(dupes)}")
 
-    def work(article: ArticleDoc):
-        return extract_article(article, dictionary, rules, ontology)
-
-    if workers is not None and workers > 1 and len(articles) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fragments = list(pool.map(work, articles))
-    else:
-        fragments = [work(a) for a in articles]
-
     entity_records: list[EntityAssertion] = []
     triple_records: list[TripleAssertion] = []
     rejected = 0
-    for ents, trips, rej in fragments:
+    for article in articles:
+        ents, trips, rej = extract_article(article, dictionary, rules, ontology)
         entity_records.extend(ents)
         triple_records.extend(trips)
         rejected += rej

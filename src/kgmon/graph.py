@@ -27,7 +27,6 @@ __all__ = [
     "merge",
     "instantiated_classes",
     "instantiated_properties",
-    "entities_of_type",
     "canonical_serialize",
 ]
 
@@ -68,18 +67,6 @@ class KnowledgeGraph:
     triples: dict[tuple[str, str, str], str] = field(default_factory=dict)
     batch_id: str = field(default="", compare=False)
     timestamp: int = field(default=0, compare=False)
-
-    def entity_assertions(self) -> list[EntityAssertion]:
-        return [
-            EntityAssertion(e, c, p)
-            for e, (c, p) in sorted(self.entities.items())
-        ]
-
-    def triple_assertions(self) -> list[TripleAssertion]:
-        return [
-            TripleAssertion(s, p, o, prov)
-            for (s, p, o), prov in sorted(self.triples.items())
-        ]
 
     def __len__(self) -> int:
         return len(self.entities)
@@ -225,20 +212,6 @@ def instantiated_classes(g: KnowledgeGraph) -> set[str]:
 def instantiated_properties(g: KnowledgeGraph) -> set[str]:
     """Properties used by at least one triple."""
     return {pred for (_, pred, _) in g.triples}
-
-
-def entities_of_type(
-    g: KnowledgeGraph, class_filter: set[str]
-) -> list[tuple[str, str]]:
-    """All (entity, class) assertions whose class is in the filter, sorted.
-
-    Unknown classes in the filter simply match nothing.
-    """
-    return sorted(
-        (entity, cls)
-        for entity, (cls, _) in g.entities.items()
-        if cls in class_filter
-    )
 
 
 def canonical_serialize(g: KnowledgeGraph) -> str:

@@ -48,15 +48,9 @@ def _haystack(batch: list[ArticleDoc]) -> str:
 
 
 def _traces(entity: str, haystack: str) -> bool:
+    # Substring match of the normalized, casefolded surface; no fuzzy matching.
     needle = normalize_entity(entity).casefold()
     return bool(needle) and needle in haystack
-
-
-def trace_entity(entity: str, batch: list[ArticleDoc]) -> bool:
-    """True iff the entity's normalized surface occurs case-insensitively
-    in some article's whitespace-normalized text. Substring match only, no
-    fuzzy matching."""
-    return _traces(entity, _haystack(batch))
 
 
 def _triple_conforms(
@@ -134,7 +128,3 @@ def validate_graph(
         per_stage=per_stage,
         verdicts=verdicts,
     )
-
-
-def hallucination_score(report: HallucinationReport) -> float:
-    return report.score

@@ -45,6 +45,9 @@ _HISTORY_FIELDS = (
     "hall_failed",
 )
 _history_values = operator.itemgetter(*_HISTORY_FIELDS)
+# JSON numbers as json.loads returns them; bool is not a number here.
+_NUMBER = frozenset((int, float))
+_NUMBER_OR_NULL = frozenset((int, float, type(None)))
 
 # Every finite double is an integer multiple of 2**-1074, so x * 2**_SCALE
 # is an exact integer and window sums over it are exact.
@@ -370,12 +373,35 @@ def parse_history_line(line: str) -> HistoryRow:
     if not isinstance(payload, dict):
         raise MonitorError("bad history line: not a key-value record")
     try:
-        return HistoryRow(*_history_values(payload))
+        row = HistoryRow(*_history_values(payload))
     except KeyError:
         missing = [name for name in _HISTORY_FIELDS if name not in payload]
         raise MonitorError(
             f"history line missing fields: {', '.join(missing)}"
         ) from None
+    # One chained test rather than a loop over a table of field types: it
+    # runs on every parsed row.
+    if not (
+        type(row.timestamp) is int
+        and type(row.hall_total) is int
+        and type(row.hall_failed) is int
+        and type(row.model) is str
+        and type(row.batch_id) is str
+        and type(row.flagged) is bool
+        and type(row.icr) in _NUMBER
+        and type(row.ipr) in _NUMBER
+        and type(row.ci) in _NUMBER
+        and type(row.d_icr) in _NUMBER
+        and type(row.d_ipr) in _NUMBER
+        and type(row.d_ci) in _NUMBER
+        and type(row.score) in _NUMBER
+        and type(row.hal) in _NUMBER_OR_NULL
+        and type(row.threshold) in _NUMBER_OR_NULL
+    ):
+        raise MonitorError(
+            f"bad history line: a field has the wrong type: {line.strip()}"
+        )
+    return row
 
 
 def _runs_backward(fh) -> Iterator[bytes]:
@@ -409,17 +435,6 @@ def _split_lines(run: bytes) -> list[bytes]:
     every \r and at every \n yields text mode's lines plus an empty line
     inside each \r\n pair; callers skip blank lines anyway."""
     return run.replace(b"\r", b"\n").split(b"\n")
-
-
-def _read_all(fh) -> list[HistoryRow]:
-    rows: list[HistoryRow] = []
-    for run in _runs_backward(fh):
-        text = run.decode("utf-8")
-        for line in reversed(text.replace("\r", "\n").split("\n")):
-            if line.strip():
-                rows.append(parse_history_line(line))
-    rows.reverse()
-    return rows
 
 
 def _row_of(models: Iterable[str]) -> re.Pattern:
@@ -493,18 +508,19 @@ def read_history(
     """Parse the history rows of `path`, returned in file order; lines
     split where text mode splits them, and blank lines are skipped.
 
-    The file is read backwards from its end. Without `models` and `window`
-    every row is parsed and returned. With both, the result is the shortest
-    suffix of the rows that holds the last `window` rows of every listed
-    model, or all of its rows when it has fewer (none when it is absent).
-    Every line of that suffix is parsed and checked. An older line is
-    parsed only when its bytes may hold a row of a listed model that is
+    Without `models` and `window` every row is parsed and returned. With
+    both, the file is read backwards from its end, and the result is the
+    shortest suffix of the rows that holds the last `window` rows of every
+    listed model, or all of its rows when it has fewer (none when it is
+    absent). Every line of that suffix is parsed and checked. An older line
+    is parsed only when its bytes may hold a row of a listed model that is
     still short of `window` rows; the others are passed over unparsed, so a
     short model costs a byte search of the file, not a parse of it.
     """
+    if models is None or window is None:
+        with open(path, encoding="utf-8") as fh:
+            return [parse_history_line(line) for line in fh if line.strip()]
     with open(path, "rb") as fh:
-        if models is None or window is None:
-            return _read_all(fh)
         return _read_tail(fh, models, window)
 
 

@@ -14,7 +14,6 @@ __all__ = [
     "PropertyDef",
     "Ontology",
     "load_ontology",
-    "class_depth",
     "is_permissible",
 ]
 
@@ -38,7 +37,7 @@ class PropertyDef:
 
 @dataclass(frozen=True)
 class Ontology:
-    """Validated schema. Treat as immutable; safe to share across workers."""
+    """Validated schema. Treat as immutable; safe to share across threads."""
 
     classes: dict[str, ClassDef]
     properties: dict[str, PropertyDef]
@@ -185,13 +184,6 @@ def _compute_depths(classes: dict[str, ClassDef]) -> dict[str, int]:
         for i, cls in enumerate(reversed(chain)):
             depths[cls] = base + 1 + i
     return depths
-
-
-def class_depth(ontology: Ontology, name: str) -> int:
-    """Number of subclass-of edges from `name` to its root; roots are 0."""
-    if name not in ontology.classes:
-        raise OntologyError(f"unknown class: {name!r}")
-    return ontology.depths[name]
 
 
 def is_permissible(

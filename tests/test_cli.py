@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kgmon import cli, llm
 from kgmon.cli import (
     CliError,
-    _escape_text,
     _unescape_text,
     load_batch,
     load_run_config,
@@ -106,6 +105,11 @@ def test_load_run_config_hal_weight(ws):
         _write_config(ws, weights={"icr": 1, "ipr": 1, "ci": 1, "hal": 1})
     )
     assert config.weights.w_hal == 0.25
+
+
+def _escape_text(text):
+    # The batch-file escaping that _unescape_text undoes.
+    return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
 def test_escape_round_trip():
@@ -367,6 +371,51 @@ def test_evaluate_parses_only_the_history_tail(ws, capsys, position, evaluate_rc
         assert history.read_bytes() == before
     assert main(["replay", "--history", str(history), "--config", config]) == 1
     assert "ERROR bad history line" in capsys.readouterr().err
+
+
+def test_ill_typed_history_score_is_an_error(ws, capsys):
+    config = _write_config(ws)
+    for ts in (1, 2):
+        assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", ts) == 0
+    history = ws / "history.jsonl"
+    lines = history.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[-1])
+    assert row["model"] == "probe"
+    row["score"] = "0.5"
+    lines[-1] = json.dumps(row)
+    history.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = history.read_bytes()
+    capsys.readouterr()
+    assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 3) == 1
+    assert "ERROR bad history line" in capsys.readouterr().err
+    assert history.read_bytes() == before
+    assert main(["replay", "--history", str(history), "--config", config]) == 1
+    assert "ERROR bad history line" in capsys.readouterr().err
+    assert main(["report", "--history", str(history)]) == 1
+    assert "ERROR bad history line" in capsys.readouterr().err
+
+
+def test_undecodable_config_is_an_error(ws, capsys):
+    bad = ws / "bad.json"
+    bad.write_bytes(b"\xff" + json.dumps({"models": []}).encode("utf-8"))
+    rc = main(["replay", "--config", str(bad), "--history", str(ws / "h.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ")
+    assert "Traceback" not in err
+
+
+def test_main_keeps_no_arguments_between_calls(ws):
+    config = _write_config(ws, models=["probe", "other"])
+    assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 1) == 0
+    assert _evaluate(ws, config, f"other={ws / 'good.rec'}", 2) == 0
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [(r.timestamp, r.model) for r in rows] == [
+        (1, "GT"),
+        (1, "probe"),
+        (2, "GT"),
+        (2, "other"),
+    ]
 
 
 def test_replay_verifies_stored_thresholds(ws, capsys):

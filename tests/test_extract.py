@@ -306,14 +306,11 @@ def test_build_baseline_deterministic(onto, dictionary, rules):
     ref_graph, _ = build_baseline(articles, dictionary, rules, onto, batch_id="b")
     ref = canonical_serialize(ref_graph)
     assert ref
-    for workers in (None, 1, 4):
-        for _ in range(3):
-            shuffled = articles[:]
-            rng.shuffle(shuffled)
-            g, _ = build_baseline(
-                shuffled, dictionary, rules, onto, batch_id="b", workers=workers
-            )
-            assert canonical_serialize(g) == ref
+    for _ in range(9):
+        shuffled = articles[:]
+        rng.shuffle(shuffled)
+        g, _ = build_baseline(shuffled, dictionary, rules, onto, batch_id="b")
+        assert canonical_serialize(g) == ref
 
 
 def test_build_baseline_provenance_and_metadata(onto, dictionary, rules, article):

@@ -6,7 +6,6 @@ from kgmon.graph import (
     TripleAssertion,
     build_graph,
     canonical_serialize,
-    entities_of_type,
     instantiated_classes,
     instantiated_properties,
     merge,
@@ -176,11 +175,6 @@ def test_instantiation_views():
     )
     assert instantiated_classes(graph) == {"Person", "Company", "City"}
     assert instantiated_properties(graph) == {"worksFor"}
-    assert entities_of_type(graph, {"Person", "City", "Ghost"}) == [
-        ("Alice", "Person"),
-        ("Berlin", "City"),
-    ]
-    assert entities_of_type(graph, set()) == []
 
 
 def test_canonical_serialize_round_trip_and_stability():

@@ -10,8 +10,6 @@ from kgmon.hallucination import (
     STAGE_RULES,
     STAGE_SCHEMA,
     STAGE_SOURCE,
-    hallucination_score,
-    trace_entity,
     validate_graph,
 )
 
@@ -22,20 +20,33 @@ def _batch(*texts):
     ]
 
 
-def test_trace_entity_normalized_casefold():
+def _source_traced(onto, entities, batch):
+    graph = KnowledgeGraph(entities={e: ("Person", "a0") for e in entities})
+    return {
+        v.entity: v.failed_stage != STAGE_SOURCE
+        for v in validate_graph(graph, batch, onto).verdicts
+    }
+
+
+def test_source_trace_normalized_casefold(onto):
     batch = _batch("The  ACME   Corp board met in\nBerlin today.")
-    assert trace_entity("acme corp", batch)
-    assert trace_entity("Acme   Corp", batch)
-    assert trace_entity("berlin", batch)
-    assert trace_entity("ACME CORP BOARD", batch)
-    assert not trace_entity("Globex", batch)
-    assert not trace_entity("   ", batch)
-    assert not trace_entity("Berlin", [])
+    assert _source_traced(
+        onto,
+        ["acme corp", "Acme   Corp", "berlin", "ACME CORP BOARD", "Globex", "   "],
+        batch,
+    ) == {
+        "acme corp": True,
+        "Acme   Corp": True,
+        "berlin": True,
+        "ACME CORP BOARD": True,
+        "Globex": False,
+        "   ": False,
+    }
+    assert _source_traced(onto, ["Berlin"], []) == {"Berlin": False}
 
 
 def test_trace_never_spans_two_articles(onto):
     batch = _batch("Shares rose at Acme", "Corp said nothing.")
-    assert not trace_entity("Acme Corp", batch)
     graph = KnowledgeGraph(
         entities={"Acme": ("Company", "a0"), "Acme Corp": ("Company", "a0")}
     )
@@ -78,7 +89,6 @@ def test_source_trace_matches_per_article_reference(onto, texts, data):
     for verdict in report.verdicts:
         traced = reference(verdict.entity)
         assert (verdict.failed_stage == STAGE_SOURCE) is not traced
-        assert trace_entity(verdict.entity, batch) is traced
 
 
 def test_all_stages_pass(onto):
@@ -210,6 +220,5 @@ def test_verdicts_sorted_and_score_is_fraction(onto):
         assert [v.entity for v in report.verdicts] == sorted(graph.entities)
         assert report.hallucinated == sum(report.per_stage.values())
         assert report.score == report.hallucinated / report.total
-        assert hallucination_score(report) == report.score
         failed = sum(1 for v in report.verdicts if v.failed_stage != STAGE_NONE)
         assert failed == report.hallucinated

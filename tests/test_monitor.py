@@ -340,7 +340,7 @@ def test_history_row_round_trip(tmp_path):
 
 
 def _read_history_forward(path):
-    """The reader read_history replaced: text mode, front to back."""
+    """The whole-file read written out: text mode, front to back."""
     with open(path, encoding="utf-8") as fh:
         return [parse_history_line(line) for line in fh if line.strip()]
 
@@ -501,12 +501,45 @@ def test_parse_history_line_errors():
         parse_history_line(json.dumps(full))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timestamp", 1.0),
+        ("timestamp", True),
+        ("model", 7),
+        ("batch_id", None),
+        ("score", "0.5"),
+        ("score", False),
+        ("icr", "1"),
+        ("d_ci", None),
+        ("hal", "0.1"),
+        ("threshold", True),
+        ("flagged", 0),
+        ("hall_total", 2.0),
+        ("hall_failed", False),
+    ],
+)
+def test_parse_history_line_rejects_ill_typed_fields(field, value):
+    payload = json.loads(baseline_row(1, "b", _ZERO).to_line())
+    payload[field] = value
+    with pytest.raises(MonitorError, match="^bad history line: a field has the wrong"):
+        parse_history_line(json.dumps(payload))
+
+
+def test_parse_history_line_accepts_ints_and_nulls_for_numbers():
+    payload = json.loads(baseline_row(1, "b", _ZERO).to_line())
+    payload.update(icr=1, score=0, hal=None, threshold=2)
+    row = parse_history_line(json.dumps(payload))
+    assert (row.icr, row.score, row.hal, row.threshold) == (1, 0, None, 2)
+
+
 def test_parse_history_line_maps_every_field_by_name():
     # parse_history_line builds the row positionally; give every field a
-    # distinct value so a field-order mismatch cannot go unnoticed.
+    # distinct value of its type so a field-order mismatch cannot go unnoticed.
     values = {
         name: i for i, name in enumerate(f.name for f in dataclasses.fields(HistoryRow))
     }
+    values.update(model="m", batch_id="b", icr=3.5, flagged=True)
     shuffled = dict(sorted(values.items(), reverse=True))
     row = parse_history_line(json.dumps({**shuffled, "extra": "ignored"}))
     assert dataclasses.asdict(row) == values

@@ -5,7 +5,6 @@ import pytest
 from kgmon.ontology import (
     Ontology,
     OntologyError,
-    class_depth,
     is_permissible,
     load_ontology,
 )
@@ -32,14 +31,14 @@ def test_comments_and_blank_lines_ignored():
 def test_forward_reference_to_parent():
     onto = load_ontology("CLASS Child SUBCLASS_OF Parent\nCLASS Parent\n")
     assert onto.classes["Child"].parent == "Parent"
-    assert class_depth(onto, "Child") == 1
+    assert onto.depths["Child"] == 1
 
 
 def test_depths_along_chain():
     onto = load_ontology(
         "CLASS A\nCLASS B SUBCLASS_OF A\nCLASS C SUBCLASS_OF B\nCLASS D SUBCLASS_OF C\n"
     )
-    assert [class_depth(onto, c) for c in "ABCD"] == [0, 1, 2, 3]
+    assert [onto.depths[c] for c in "ABCD"] == [0, 1, 2, 3]
 
 
 def test_ancestors_nearest_first(onto):
@@ -94,8 +93,6 @@ def test_unknown_class_queries_raise(onto):
         onto.is_subclass("Person", "Nope")
     with pytest.raises(OntologyError):
         onto.is_subclass("Nope", "Person")
-    with pytest.raises(OntologyError):
-        class_depth(onto, "Nope")
 
 
 def test_duplicate_declarations_rejected():
@@ -181,5 +178,5 @@ def test_random_forests_depth_consistency():
             while cur is not None:
                 expect += 1
                 cur = parent_of[cur]
-            assert class_depth(onto, name) == expect
+            assert onto.depths[name] == expect
             assert len(onto.ancestors(name)) == expect

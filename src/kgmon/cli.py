@@ -110,8 +110,11 @@ def _setup_logging() -> None:
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not valid UTF-8: {exc.reason}") from exc
 
 
 def _resolve(base: Path, value: str) -> str:
@@ -313,7 +316,7 @@ def load_batch(
     elif os.path.isdir(source):
         articles = []
         for path in sorted(Path(source).glob("*.txt")):
-            text = path.read_text(encoding="utf-8")
+            text = _read_text(str(path))
             if not text.strip():
                 log.warning("skipping empty article file %s", path.name)
                 continue
@@ -341,8 +344,8 @@ def load_batch(
 def _dedupe_seen(articles: list[ArticleDoc], seen_path: str) -> list[ArticleDoc]:
     seen: set[str] = set()
     if os.path.exists(seen_path):
-        with open(seen_path, encoding="utf-8") as fh:
-            seen = {line.strip() for line in fh if line.strip()}
+        lines = _read_text(seen_path).split("\n")
+        seen = {line.strip() for line in lines if line.strip()}
     fresh = [a for a in articles if a.id not in seen]
     merged = seen | {a.id for a in articles}
     if merged != seen:
@@ -656,8 +659,8 @@ def _render_table(
 def cmd_report(args: argparse.Namespace) -> int:
     if not os.path.isfile(args.history):
         raise CliError(f"history not found: {args.history}")
-    with open(args.history, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    # The lines of a text-mode read: \r and \r\n arrive as \n.
+    lines = [line for line in _read_text(args.history).split("\n") if line.strip()]
     pairs = [(parse_history_line(line), line) for line in lines]
     if args.timestamp is not None:
         pairs = [(r, l) for r, l in pairs if r.timestamp == args.timestamp]

@@ -9,6 +9,7 @@ broken lexicographically.
 import logging
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from kgmon import kernels
 from kgmon.graph import (
@@ -17,7 +18,6 @@ from kgmon.graph import (
     KnowledgeGraph,
     TripleAssertion,
     build_graph,
-    normalize_entity,
 )
 from kgmon.ontology import Ontology, is_permissible
 
@@ -25,6 +25,9 @@ log = logging.getLogger(__name__)
 
 _SLOT_RE = re.compile(r"^\{(subject|object):([^{}\s]+)\}$")
 _SENTENCE_END = frozenset(".!?")
+
+# A dictionary match in extract_article: (token_count, surface, class).
+_Hit = tuple[int, str, str]
 
 
 class ExtractError(ValueError):
@@ -38,8 +41,7 @@ class ArticleDoc:
     text: str
 
 
-@dataclass(frozen=True)
-class NerMatch:
+class NerMatch(NamedTuple):
     surface: str
     cls: str
     token_start: int
@@ -93,34 +95,45 @@ def load_dictionary(text: str, ontology: Ontology) -> NerDictionary:
     Surfaces are whitespace-normalized; the same surface mapped to two
     classes is an error, to the same class a harmless repeat.
     """
+    classes = ontology.classes
+    has_punct = kernels.PUNCT_RE.search
+    find_tokens = kernels.TOKEN_RE.findall
     surface_class: dict[str, str] = {}
     surfaces: dict[tuple[str, ...], str] = {}
     by_first: dict[str, set[int]] = {}
-    for lineno, raw in _iter_data_lines(text):
+    # Skips what _iter_data_lines skips, inline: a generator costs per line.
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip() or raw.startswith("#"):
+            continue
         fields = raw.split("\t")
         if len(fields) != 2:
             raise ExtractError(f"dictionary line {lineno}: expected 2 fields")
-        surface = normalize_entity(fields[0])
+        words = fields[0].split()
         cls = fields[1].strip()
-        if not surface or not cls:
+        if not words or not cls:
             raise ExtractError(f"dictionary line {lineno}: empty field")
-        if cls not in ontology.classes:
+        if cls not in classes:
             raise ExtractError(f"dictionary line {lineno}: unknown class {cls!r}")
-        toks = tuple(kernels.TOKEN_RE.findall(surface))
-        if not toks:
-            raise ExtractError(f"dictionary line {lineno}: surface has no tokens")
-        if surface in surface_class:
-            if surface_class[surface] != cls:
+        surface = " ".join(words)
+        held_cls = surface_class.get(surface)
+        if held_cls is not None:
+            if held_cls != cls:
                 raise ExtractError(
                     f"dictionary line {lineno}: surface {surface!r} mapped to both "
-                    f"{surface_class[surface]!r} and {cls!r}"
+                    f"{held_cls!r} and {cls!r}"
                 )
             continue
         surface_class[surface] = cls
+        # Without ASCII punctuation the tokens are exactly the words.
+        toks = tuple(find_tokens(surface)) if has_punct(surface) else tuple(words)
         held = surfaces.get(toks)
         if held is None or surface < held:
             surfaces[toks] = surface
-        by_first.setdefault(toks[0], set()).add(len(toks))
+        counts = by_first.get(toks[0])
+        if counts is None:
+            by_first[toks[0]] = {len(toks)}
+        else:
+            counts.add(len(toks))
 
     lengths = {
         first: tuple(sorted(counts, reverse=True)) for first, counts in by_first.items()
@@ -203,31 +216,16 @@ def load_rules(text: str, ontology: Ontology) -> list[PatternRule]:
     return rules
 
 
-def _scan_tokens(
-    tokens: list[tuple[str, int]],
-    token_texts: list[str],
-    dictionary: NerDictionary,
-) -> list[NerMatch]:
-    out: list[NerMatch] = []
-    for start, count, surface in kernels.find_matches(
-        token_texts, dictionary.surfaces, dictionary.lengths
-    ):
-        out.append(
-            NerMatch(
-                surface=surface,
-                cls=dictionary.surface_class[surface],
-                token_start=start,
-                token_count=count,
-                char_offset=tokens[start][1],
-            )
-        )
-    return out
-
-
 def dict_ner(text: str, dictionary: NerDictionary) -> list[NerMatch]:
     """Greedy longest-match dictionary scan; case-sensitive, non-overlapping."""
     tokens = kernels.tokenize(text)
-    return _scan_tokens(tokens, [t for t, _ in tokens], dictionary)
+    surface_class = dictionary.surface_class
+    return [
+        NerMatch(surface, surface_class[surface], start, count, tokens[start][1])
+        for start, count, surface in kernels.find_matches(
+            [t for t, _ in tokens], dictionary.surfaces, dictionary.lengths
+        )
+    ]
 
 
 def _sentence_ends(token_texts: list[str]) -> list[int]:
@@ -247,11 +245,11 @@ def _match_rule_at(
     pos: int,
     end: int,
     folded: list[str],
-    match_at: dict[int, NerMatch],
+    match_at: dict[int, _Hit],
     ontology: Ontology,
-) -> dict[str, NerMatch] | None:
+) -> dict[str, _Hit] | None:
     cursor = pos
-    bound: dict[str, NerMatch] = {}
+    bound: dict[str, _Hit] = {}
     for item in rule.items:
         if isinstance(item, LiteralItem):
             k = len(item.tokens)
@@ -262,15 +260,18 @@ def _match_rule_at(
                     return None
             cursor += k
         else:
-            m = match_at.get(cursor)
-            if m is None or cursor + m.token_count > end:
+            hit = match_at.get(cursor)
+            if hit is None:
+                return None
+            count, _, cls = hit
+            if cursor + count > end:
                 return None
             # A slot at `pos` is a slot-first rule's first item, tried only
             # where the caller found its class admitted.
-            if cursor != pos and not ontology.is_subclass(m.cls, item.cls):
+            if cursor != pos and not ontology.is_subclass(cls, item.cls):
                 return None
-            bound[item.role] = m
-            cursor += m.token_count
+            bound[item.role] = hit
+            cursor += count
     return bound
 
 
@@ -287,14 +288,20 @@ def extract_article(
     token runs. Returns (entities, triples, rejected_triples); rejections
     can only happen if a rule slipped past load-time permissibility checks.
     """
-    tokens = kernels.tokenize(article.text)
-    token_texts = [t for t, _ in tokens]
-    matches = _scan_tokens(tokens, token_texts, dictionary)
+    token_texts = kernels.TOKEN_RE.findall(article.text)
+    surface_class = dictionary.surface_class
+    # token_start -> hit, for each dictionary match in text order.
+    match_at: dict[int, _Hit] = {
+        start: (count, surface, surface_class[surface])
+        for start, count, surface in kernels.find_matches(
+            token_texts, dictionary.surfaces, dictionary.lengths
+        )
+    }
+    article_id = article.id
     entities = [
-        EntityAssertion(entity=m.surface, cls=m.cls, provenance=article.id)
-        for m in matches
+        EntityAssertion(surface, cls, article_id)
+        for _, surface, cls in match_at.values()
     ]
-    match_at = {m.token_start: m for m in matches}
 
     # A rule can only match where its first item does: at a token equal to
     # a literal's first token, or at a dictionary match whose class the
@@ -303,7 +310,7 @@ def extract_article(
     # list of positions is computed once per article, when a rule needs it.
     folded = [t.casefold() for t in token_texts]
     sentence_end = _sentence_ends(folded)
-    match_classes = {m.cls for m in matches}
+    match_classes = {cls for _, _, cls in match_at.values()}
     literal_starts: dict[str, list[int]] = {}
     slot_starts: dict[str, list[int]] = {}
 
@@ -323,7 +330,7 @@ def extract_article(
             if starts is None:
                 fits = {c for c in match_classes if ontology.is_subclass(c, first.cls)}
                 starts = slot_starts[first.cls] = [
-                    m.token_start for m in matches if m.cls in fits
+                    pos for pos, (_, _, cls) in match_at.items() if cls in fits
                 ]
         for pos in starts:
             bound = _match_rule_at(
@@ -331,24 +338,19 @@ def extract_article(
             )
             if bound is None:
                 continue
-            subj, obj = bound["subject"], bound["object"]
-            if not is_permissible(ontology, subj.cls, rule.predicate, obj.cls):
+            (_, subj, subj_cls), (_, obj, obj_cls) = bound["subject"], bound["object"]
+            if not is_permissible(ontology, subj_cls, rule.predicate, obj_cls):
                 rejected += 1
                 log.warning(
                     "rule %s produced impermissible triple (%s, %s, %s)",
                     rule.rule_id,
-                    subj.surface,
+                    subj,
                     rule.predicate,
-                    obj.surface,
+                    obj,
                 )
                 continue
             triples.append(
-                TripleAssertion(
-                    subject=subj.surface,
-                    predicate=rule.predicate,
-                    object=obj.surface,
-                    provenance=article.id,
-                )
+                TripleAssertion(subj, rule.predicate, obj, article_id)
             )
     return entities, triples, rejected
 

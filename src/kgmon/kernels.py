@@ -10,6 +10,8 @@ import string
 
 _PUNCT = re.escape(string.punctuation)
 TOKEN_RE = re.compile(f"[{_PUNCT}]|[^\\s{_PUNCT}]+")
+# Finds ASCII punctuation; a text without any tokenizes to its str.split().
+PUNCT_RE = re.compile(f"[{_PUNCT}]")
 
 # Named on the benchmark's env line; there is no other implementation.
 implementation = "pure"

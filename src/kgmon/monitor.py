@@ -517,11 +517,14 @@ def read_history(
     still short of `window` rows; the others are passed over unparsed, so a
     short model costs a byte search of the file, not a parse of it.
     """
-    if models is None or window is None:
-        with open(path, encoding="utf-8") as fh:
-            return [parse_history_line(line) for line in fh if line.strip()]
-    with open(path, "rb") as fh:
-        return _read_tail(fh, models, window)
+    try:
+        if models is None or window is None:
+            with open(path, encoding="utf-8") as fh:
+                return [parse_history_line(line) for line in fh if line.strip()]
+        with open(path, "rb") as fh:
+            return _read_tail(fh, models, window)
+    except UnicodeDecodeError as exc:
+        raise MonitorError(f"history {path}: not valid UTF-8: {exc.reason}") from exc
 
 
 def replay_history(

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import signal
 
 import pytest
@@ -192,6 +193,9 @@ def test_load_batch_directory(tmp_path, caplog):
         articles = load_batch(str(d))
     assert [a.id for a in articles] == ["a", "c"]
     assert any("empty article file b.txt" in r.message for r in caplog.records)
+    (d / "d.txt").write_bytes(b"\xff")
+    with pytest.raises(CliError, match=f"^{re.escape(str(d / 'd.txt'))}: not valid UTF-8"):
+        load_batch(str(d))
 
 
 def test_load_batch_feed_dedupes_via_seen(tmp_path):
@@ -209,6 +213,10 @@ def test_load_batch_feed_dedupes_via_seen(tmp_path):
         http_get=lambda u: feed_text + "f3\t3\tgamma\n",
     )
     assert [a.id for a in third] == ["f3"]
+    with open(seen, "ab") as fh:
+        fh.write(b"\xff\n")
+    with pytest.raises(CliError, match=f"^{re.escape(seen)}: not valid UTF-8"):
+        load_batch("https://feed.example/x", seen_path=seen, http_get=lambda u: feed_text)
 
 
 def test_build_baseline_command(ws, capsys):
@@ -403,6 +411,45 @@ def test_undecodable_config_is_an_error(ws, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ERROR ")
     assert "Traceback" not in err
+
+
+def test_undecodable_dictionary_names_the_file(ws, capsys):
+    bad = ws / "dictionary.tsv"
+    bad.write_bytes(b"\xff" + DICTIONARY_TEXT.encode("utf-8"))
+    argv = ["build-baseline", "--ontology", str(ws / "ontology.txt")]
+    argv += ["--dict", str(bad), "--rules", str(ws / "rules.tsv")]
+    argv += ["--batch", str(ws / "batch.tsv"), "--out", str(ws / "out.rec")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR {bad}: not valid UTF-8")
+    assert "Traceback" not in err
+    assert not (ws / "out.rec").exists()
+
+
+@pytest.mark.parametrize("command", ["replay", "report", "evaluate"])
+def test_undecodable_history_names_the_file(ws, capsys, command):
+    # replay and report read the whole history forward, evaluate only the
+    # tail that seeds its window; each names the file it could not decode.
+    config = _write_config(ws)
+    for ts in (1, 2):
+        assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", ts) == 0
+    history = ws / "history.jsonl"
+    with open(history, "ab") as fh:
+        fh.write(b'{"model": "\xff"}\n')
+    damaged = history.read_bytes()
+    capsys.readouterr()
+    if command == "evaluate":
+        rc = _evaluate(ws, config, f"probe={ws / 'good.rec'}", 3)
+    elif command == "replay":
+        rc = main(["replay", "--history", str(history), "--config", config])
+    else:
+        rc = main(["report", "--history", str(history)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ")
+    assert f"{history}: not valid UTF-8" in err
+    assert "Traceback" not in err
+    assert history.read_bytes() == damaged
 
 
 def test_main_keeps_no_arguments_between_calls(ws):

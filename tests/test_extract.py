@@ -3,11 +3,15 @@ import re
 import string
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kgmon import kernels
 from kgmon.extract import (
     ArticleDoc,
     ExtractError,
     LiteralItem,
+    NerDictionary,
     PatternRule,
     SlotItem,
     build_baseline,
@@ -16,7 +20,7 @@ from kgmon.extract import (
     load_dictionary,
     load_rules,
 )
-from kgmon.graph import canonical_serialize
+from kgmon.graph import canonical_serialize, normalize_entity
 
 from conftest import DICTIONARY_TEXT
 
@@ -94,6 +98,124 @@ def test_load_dictionary_errors(onto):
         load_dictionary("Acme\tCompany\nAcme\tOrganization\n", onto)
     with pytest.raises(ExtractError, match="line 1"):
         load_dictionary("  # indented comment is data\n", onto)
+
+
+def reference_load_dictionary(text, ontology):
+    # Reference loader: normalize_entity and a findall on every surface,
+    # then the repeat check. Its no-tokens branch is the one load_dictionary
+    # leaves out; test_kernels shows a normalized surface always has a token.
+    surface_class = {}
+    surfaces = {}
+    by_first = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        fields = raw.split("\t")
+        if len(fields) != 2:
+            raise ExtractError(f"dictionary line {lineno}: expected 2 fields")
+        surface = normalize_entity(fields[0])
+        cls = fields[1].strip()
+        if not surface or not cls:
+            raise ExtractError(f"dictionary line {lineno}: empty field")
+        if cls not in ontology.classes:
+            raise ExtractError(f"dictionary line {lineno}: unknown class {cls!r}")
+        toks = tuple(kernels.TOKEN_RE.findall(surface))
+        if not toks:
+            raise ExtractError(f"dictionary line {lineno}: surface has no tokens")
+        if surface in surface_class:
+            if surface_class[surface] != cls:
+                raise ExtractError(
+                    f"dictionary line {lineno}: surface {surface!r} mapped to both "
+                    f"{surface_class[surface]!r} and {cls!r}"
+                )
+            continue
+        surface_class[surface] = cls
+        held = surfaces.get(toks)
+        if held is None or surface < held:
+            surfaces[toks] = surface
+        by_first.setdefault(toks[0], set()).add(len(toks))
+    lengths = {
+        first: tuple(sorted(counts, reverse=True)) for first, counts in by_first.items()
+    }
+    return NerDictionary(
+        surface_class=surface_class, surfaces=surfaces, lengths=lengths
+    )
+
+
+def _load_outcome(load, text, onto):
+    # Everything a loader returns, in dict iteration order, or its error.
+    try:
+        d = load(text, onto)
+    except ExtractError as exc:
+        return "error", str(exc)
+    return (
+        "ok",
+        list(d.surface_class.items()),
+        list(d.surfaces.items()),
+        list(d.lengths.items()),
+    )
+
+
+# Surface words with and without ASCII punctuation (some tokenize alike),
+# the gaps between them (Unicode whitespace included), classes (known,
+# unknown, blank, padded) and the line breaks str.splitlines honours.
+_DICT_WORDS = ["Acme", "Corp", "St.", "St", ".", "Louis", "A.B", "x-y", "\u00e9", "\u4eba", "#1"]
+_DICT_GAPS = ["", " ", "  ", "\xa0", "\u3000", "\x1f"]
+_DICT_CLASSES = ["Company", "City", "Person", "Organization", " City ", "Ghost", ""]
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x1c", "\u2028", "\x85", "\x0b"]
+
+
+@st.composite
+def _dictionary_line(draw, pool):
+    # Mostly entries for the surfaces of a small pool, each spaced its own
+    # way and mostly with the pool's class for it, so that repeats and
+    # surfaces mapped to two classes both occur.
+    kind = draw(st.sampled_from(["entry"] * 12 + ["comment", "indented", "blank", "tabs"]))
+    if kind == "comment":
+        return "#" + draw(st.sampled_from(["", " note", "\tCity", "#"]))
+    if kind == "blank":
+        return draw(st.text(alphabet=" \t\xa0\u3000", max_size=3))
+    words, cls = draw(st.sampled_from(pool))
+    gaps = draw(st.lists(st.sampled_from(_DICT_GAPS), min_size=len(words) + 1,
+                         max_size=len(words) + 1))
+    surface = gaps[0] + "".join(w + g for w, g in zip(words, gaps[1:]))
+    if kind == "indented":
+        surface = draw(st.sampled_from([" ", "\t", "\xa0"])) + "#" + surface
+    if draw(st.integers(0, 9)) == 0:
+        cls = draw(st.sampled_from(_DICT_CLASSES))
+    if kind == "tabs":
+        return draw(st.sampled_from([
+            surface, f"{surface}\t{cls}\tx", f"\t{surface}\t{cls}", f"{gaps[0]}\t{cls}"
+        ]))
+    return f"{surface}\t{cls}"
+
+
+@st.composite
+def _dictionary_texts(draw):
+    pool = draw(st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(_DICT_WORDS), min_size=1, max_size=3),
+            st.sampled_from(_DICT_CLASSES[:4]),
+        ),
+        min_size=1, max_size=6,
+    ))
+    lines = draw(st.lists(_dictionary_line(pool), max_size=12))
+    breaks = draw(st.lists(st.sampled_from(_LINE_BREAKS), min_size=len(lines),
+                           max_size=len(lines)))
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dictionary_texts())
+@example("Acme Corp\tCompany\nAcme\xa0 Corp\tCompany\nSt. Louis\tCity\n")
+@example("A.B\tCompany\nA . B\tCompany\nA\u3000.B\tCompany\n")
+@example("Acme\tCompany\r\n\x1cAcme\tOrganization\u2028")
+@example("# x\n  # indented\tCity\n")
+@example(" \t \nAcme\tGhost\n")
+def test_load_dictionary_matches_reference(onto, text):
+    assert _load_outcome(load_dictionary, text, onto) == _load_outcome(
+        reference_load_dictionary, text, onto
+    )
 
 
 def test_comments_and_blanks_skipped(onto):
@@ -216,6 +338,38 @@ def test_dict_ner_matches_oracle(dictionary):
         text = " ".join(words)
         got = [(m.token_start, m.token_count, m.surface) for m in dict_ner(text, dictionary)]
         assert got == oracle_ner(text, dictionary.surface_class)
+
+
+_SCAN_DICTIONARY_TEXT = DICTIONARY_TEXT + "St. Louis\tCity\nA.B\tCompany\nAcme\tOrganization\n"
+_SCAN_WORDS = [line.split("\t")[0] for line in _SCAN_DICTIONARY_TEXT.splitlines()] + [
+    "Corp", "St.", "Louis", "A", ".", "B", "works", "for", ",", "\u00e9"
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_SCAN_WORDS),
+            st.sampled_from(["", " ", "  ", "\n", "\xa0", "\u3000"]),
+        ),
+        max_size=30,
+    )
+)
+@example([("Acme", " "), ("Corp", ""), (".", "\u3000"), ("St.", " "), ("Louis", "")])
+def test_extract_article_entities_match_dict_ner(onto, rules, pieces):
+    # extract_article scans bare token texts, dict_ner (token, offset)
+    # pairs; both must find the same matches in the same order.
+    dictionary = load_dictionary(_SCAN_DICTIONARY_TEXT, onto)
+    text = "".join(word + gap for word, gap in pieces)
+    entities, _, _ = extract_article(ArticleDoc("d", 0, text), dictionary, rules, onto)
+    matches = dict_ner(text, dictionary)
+    assert [(e.entity, e.cls) for e in entities] == [(m.surface, m.cls) for m in matches]
+    assert all(e.provenance == "d" for e in entities)
+    tokens = oracle_tokenize(text)
+    for m in matches:
+        first = oracle_tokenize(m.surface)[0][0]
+        assert tokens[m.token_start] == (first, m.char_offset)
 
 
 def test_extract_article_fixture(onto, dictionary, rules, article):

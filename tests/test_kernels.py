@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from kgmon import kernels
 from kgmon.extract import load_dictionary
+from kgmon.graph import normalize_entity
 from kgmon.ontology import load_ontology
 
 _PUNCT = frozenset(string.punctuation)
@@ -56,6 +57,22 @@ def _random_text(rng, n):
 @example("a\u2013b \u201cc\u201d d\u3000e.")
 def test_tokenize_matches_reference(text):
     assert kernels.tokenize(text) == _reference_tokenize(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=_TOKEN_ALPHABET, max_size=40) | st.text(max_size=40))
+@example("\u3000a\xa0b\x1c")
+@example("St. Louis")
+def test_normalized_surface_tokens(text):
+    # What load_dictionary relies on: a non-empty normalized surface has a
+    # token, and one without ASCII punctuation tokenizes to its words.
+    surface = normalize_entity(text)
+    tokens = kernels.TOKEN_RE.findall(surface)
+    assert bool(tokens) == bool(surface)
+    has_punct = not _PUNCT.isdisjoint(surface)
+    assert (kernels.PUNCT_RE.search(surface) is not None) == has_punct
+    if not has_punct:
+        assert tokens == surface.split()
 
 
 def test_tokenize_basic():

@@ -50,6 +50,7 @@ from kgmon.monitor import (
     HistoryRow,
     MonitorError,
     ThresholdState,
+    UndecodableFileError,
     append_history,
     baseline_row,
     normalize_weights,
@@ -114,7 +115,7 @@ def _read_text(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not valid UTF-8: {exc.reason}") from exc
+        raise UndecodableFileError(f"{path}: not valid UTF-8: {exc.reason}") from exc
 
 
 def _resolve(base: Path, value: str) -> str:
@@ -808,6 +809,7 @@ def main(argv=None) -> int:
         MonitorError,
         SimulationError,
         LlmError,
+        UndecodableFileError,
         UnicodeDecodeError,
         OSError,
         requests.RequestException,

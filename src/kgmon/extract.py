@@ -95,16 +95,12 @@ def load_dictionary(text: str, ontology: Ontology) -> NerDictionary:
     Surfaces are whitespace-normalized; the same surface mapped to two
     classes is an error, to the same class a harmless repeat.
     """
-    classes = ontology.classes
-    has_punct = kernels.PUNCT_RE.search
-    find_tokens = kernels.TOKEN_RE.findall
+    find_punctuation = kernels.find_punctuation
+    token_texts = kernels.token_texts
     surface_class: dict[str, str] = {}
     surfaces: dict[tuple[str, ...], str] = {}
     by_first: dict[str, set[int]] = {}
-    # Skips what _iter_data_lines skips, inline: a generator costs per line.
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
+    for lineno, raw in _iter_data_lines(text):
         fields = raw.split("\t")
         if len(fields) != 2:
             raise ExtractError(f"dictionary line {lineno}: expected 2 fields")
@@ -112,7 +108,7 @@ def load_dictionary(text: str, ontology: Ontology) -> NerDictionary:
         cls = fields[1].strip()
         if not words or not cls:
             raise ExtractError(f"dictionary line {lineno}: empty field")
-        if cls not in classes:
+        if cls not in ontology.classes:
             raise ExtractError(f"dictionary line {lineno}: unknown class {cls!r}")
         surface = " ".join(words)
         held_cls = surface_class.get(surface)
@@ -125,15 +121,13 @@ def load_dictionary(text: str, ontology: Ontology) -> NerDictionary:
             continue
         surface_class[surface] = cls
         # Without ASCII punctuation the tokens are exactly the words.
-        toks = tuple(find_tokens(surface)) if has_punct(surface) else tuple(words)
+        toks = (
+            tuple(token_texts(surface)) if find_punctuation(surface) else tuple(words)
+        )
         held = surfaces.get(toks)
         if held is None or surface < held:
             surfaces[toks] = surface
-        counts = by_first.get(toks[0])
-        if counts is None:
-            by_first[toks[0]] = {len(toks)}
-        else:
-            counts.add(len(toks))
+        by_first.setdefault(toks[0], set()).add(len(toks))
 
     lengths = {
         first: tuple(sorted(counts, reverse=True)) for first, counts in by_first.items()
@@ -288,7 +282,7 @@ def extract_article(
     token runs. Returns (entities, triples, rejected_triples); rejections
     can only happen if a rule slipped past load-time permissibility checks.
     """
-    token_texts = kernels.TOKEN_RE.findall(article.text)
+    token_texts = kernels.token_texts(article.text)
     surface_class = dictionary.surface_class
     # token_start -> hit, for each dictionary match in text order.
     match_at: dict[int, _Hit] = {

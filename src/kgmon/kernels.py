@@ -10,8 +10,9 @@ import string
 
 _PUNCT = re.escape(string.punctuation)
 TOKEN_RE = re.compile(f"[{_PUNCT}]|[^\\s{_PUNCT}]+")
-# Finds ASCII punctuation; a text without any tokenizes to its str.split().
-PUNCT_RE = re.compile(f"[{_PUNCT}]")
+# The first ASCII punctuation character of a text, or None. A text where it
+# finds none tokenizes to exactly its str.split() words.
+find_punctuation = re.compile(f"[{_PUNCT}]").search
 
 # Named on the benchmark's env line; there is no other implementation.
 implementation = "pure"
@@ -20,6 +21,11 @@ implementation = "pure"
 def tokenize(text: str) -> list[tuple[str, int]]:
     """Split text into (token, char_offset) pairs, left to right."""
     return [(m.group(), m.start()) for m in TOKEN_RE.finditer(text)]
+
+
+def token_texts(text: str) -> list[str]:
+    """The tokens of `tokenize(text)` without their offsets."""
+    return TOKEN_RE.findall(text)
 
 
 def find_matches(

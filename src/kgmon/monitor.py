@@ -63,6 +63,15 @@ class MonitorError(ValueError):
     pass
 
 
+class UndecodableFileError(ValueError):
+    """A file read as text is not valid UTF-8; the message names the file.
+
+    Not a MonitorError: the monitor loop outlives a failed cycle, but a
+    corrupt history or seen-set file would fail every cycle, so it ends
+    the command instead.
+    """
+
+
 @dataclass(frozen=True)
 class AnomalyWeights:
     w_icr: float
@@ -524,7 +533,9 @@ def read_history(
         with open(path, "rb") as fh:
             return _read_tail(fh, models, window)
     except UnicodeDecodeError as exc:
-        raise MonitorError(f"history {path}: not valid UTF-8: {exc.reason}") from exc
+        raise UndecodableFileError(
+            f"history {path}: not valid UTF-8: {exc.reason}"
+        ) from exc
 
 
 def replay_history(

@@ -15,7 +15,7 @@ from kgmon.cli import (
     load_run_config,
     main,
 )
-from kgmon.monitor import read_history
+from kgmon.monitor import UndecodableFileError, read_history
 
 from conftest import DICTIONARY_TEXT, ONTOLOGY_TEXT, RULES_TEXT
 
@@ -194,7 +194,8 @@ def test_load_batch_directory(tmp_path, caplog):
     assert [a.id for a in articles] == ["a", "c"]
     assert any("empty article file b.txt" in r.message for r in caplog.records)
     (d / "d.txt").write_bytes(b"\xff")
-    with pytest.raises(CliError, match=f"^{re.escape(str(d / 'd.txt'))}: not valid UTF-8"):
+    bad = re.escape(str(d / "d.txt"))
+    with pytest.raises(UndecodableFileError, match=f"^{bad}: not valid UTF-8"):
         load_batch(str(d))
 
 
@@ -215,7 +216,8 @@ def test_load_batch_feed_dedupes_via_seen(tmp_path):
     assert [a.id for a in third] == ["f3"]
     with open(seen, "ab") as fh:
         fh.write(b"\xff\n")
-    with pytest.raises(CliError, match=f"^{re.escape(seen)}: not valid UTF-8"):
+    bad = re.escape(seen)
+    with pytest.raises(UndecodableFileError, match=f"^{bad}: not valid UTF-8"):
         load_batch("https://feed.example/x", seen_path=seen, http_get=lambda u: feed_text)
 
 
@@ -733,6 +735,27 @@ def test_monitor_shortest_interval_stamps_each_cycle_apart(ws, monkeypatch, capl
     rows = read_history(str(ws / "history.jsonl"))
     assert [r.model for r in rows] == ["GT", "probe", "GT", "probe"]
     assert rows[0].timestamp < rows[2].timestamp
+
+
+@pytest.mark.parametrize("damaged", ["history.jsonl.seen", "history.jsonl"])
+def test_monitor_exits_on_undecodable_own_file(
+    ws, monkeypatch, capsys, caplog, damaged
+):
+    # A seen-set or history that is not UTF-8 would fail every cycle, so
+    # the loop ends with exit 1 instead of logging and retrying.
+    config = _monitor_workspace(ws, monkeypatch)
+    bad = ws / damaged
+    # A row of the monitored model, so the history's tail read decodes it.
+    damage = b'{"model": "probe", "batch_id": "\xff"}\n'
+    bad.write_bytes(damage)
+    argv = ["monitor", "--config", config, "--interval", "1", "--cycles", "2"]
+    with caplog.at_level("WARNING"):
+        rc = main(argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ERROR " in err and str(bad) in err and "not valid UTF-8" in err
+    assert not [r for r in caplog.records if "failed" in r.getMessage()]
+    assert bad.read_bytes() == damage
 
 
 def test_monitor_requires_feed_url(ws, capsys):

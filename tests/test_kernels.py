@@ -64,13 +64,15 @@ def test_tokenize_matches_reference(text):
 @example("\u3000a\xa0b\x1c")
 @example("St. Louis")
 def test_normalized_surface_tokens(text):
-    # What load_dictionary relies on: a non-empty normalized surface has a
-    # token, and one without ASCII punctuation tokenizes to its words.
+    # token_texts drops only the offsets. What load_dictionary relies on: a
+    # non-empty normalized surface has a token, and one where
+    # find_punctuation finds nothing tokenizes to its words.
+    assert kernels.token_texts(text) == [t for t, _ in kernels.tokenize(text)]
     surface = normalize_entity(text)
-    tokens = kernels.TOKEN_RE.findall(surface)
+    tokens = kernels.token_texts(surface)
     assert bool(tokens) == bool(surface)
     has_punct = not _PUNCT.isdisjoint(surface)
-    assert (kernels.PUNCT_RE.search(surface) is not None) == has_punct
+    assert (kernels.find_punctuation(surface) is not None) == has_punct
     if not has_punct:
         assert tokens == surface.split()
 

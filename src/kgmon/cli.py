@@ -27,7 +27,7 @@ from kgmon.extract import (
     NerDictionary,
     PatternRule,
     build_baseline,
-    load_dictionary,
+    load_dictionary_file,
     load_rules,
 )
 from kgmon.graph import canonical_serialize
@@ -59,6 +59,7 @@ from kgmon.monitor import (
     read_history,
     record_to_row,
     replay_history,
+    write_atomic,
 )
 from kgmon.ontology import Ontology, OntologyError, load_ontology
 from kgmon.simlab import (
@@ -350,8 +351,8 @@ def _dedupe_seen(articles: list[ArticleDoc], seen_path: str) -> list[ArticleDoc]
     fresh = [a for a in articles if a.id not in seen]
     merged = seen | {a.id for a in articles}
     if merged != seen:
-        with open(seen_path, "w", encoding="utf-8") as fh:
-            fh.writelines(f"{article_id}\n" for article_id in sorted(merged))
+        text = "".join(f"{article_id}\n" for article_id in sorted(merged))
+        write_atomic(seen_path, text.encode("utf-8"))
     return fresh
 
 
@@ -368,7 +369,7 @@ def _load_pipeline(
     ontology_path: str, dictionary_path: str, rules_path: str
 ) -> tuple[Ontology, NerDictionary, list[PatternRule]]:
     ontology = load_ontology(_read_text(ontology_path))
-    dictionary = load_dictionary(_read_text(dictionary_path), ontology)
+    dictionary = load_dictionary_file(dictionary_path, ontology)
     rules = load_rules(_read_text(rules_path), ontology)
     return ontology, dictionary, rules
 

@@ -6,8 +6,12 @@ so all iteration here happens in sorted or document order and ties are
 broken lexicographically.
 """
 
+import hashlib
+import json
 import logging
+import marshal
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,6 +23,7 @@ from kgmon.graph import (
     TripleAssertion,
     build_graph,
 )
+from kgmon.monitor import UndecodableFileError, write_atomic
 from kgmon.ontology import Ontology, is_permissible
 
 log = logging.getLogger(__name__)
@@ -28,6 +33,14 @@ _SENTENCE_END = frozenset(".!?")
 
 # A dictionary match in extract_article: (token_count, surface, class).
 _Hit = tuple[int, str, str]
+
+# The index sidecar of a dictionary file is that file's path plus this
+# suffix. It holds a 32-byte key, the SHA-256 of the body, and the body:
+# marshal data of (surface_class, surfaces, lengths).
+INDEX_SUFFIX = ".kgmon-index"
+# Part of the key; marshal data is specific to the interpreter that wrote it.
+_INDEX_FORMAT = f"kgmon dictionary index 1 {sys.implementation.cache_tag}\n".encode()
+_DIGEST_SIZE = 32
 
 
 class ExtractError(ValueError):
@@ -135,6 +148,68 @@ def load_dictionary(text: str, ontology: Ontology) -> NerDictionary:
     return NerDictionary(
         surface_class=surface_class, surfaces=surfaces, lengths=lengths
     )
+
+
+def _index_key(raw: bytes, ontology: Ontology) -> bytes:
+    key = hashlib.sha256(_INDEX_FORMAT)
+    # The ontology's class names are all that load_dictionary reads of it.
+    key.update(json.dumps(sorted(ontology.classes)).encode())
+    key.update(raw)
+    return key.digest()
+
+
+def _read_index(index_path: str, key: bytes):
+    """The (surface_class, surfaces, lengths) stored under `key`, or None."""
+    try:
+        with open(index_path, "rb") as fh:
+            view = memoryview(fh.read())
+    except OSError:
+        return None
+    body = view[2 * _DIGEST_SIZE :]
+    if (
+        view[:_DIGEST_SIZE] != key
+        or view[_DIGEST_SIZE : 2 * _DIGEST_SIZE] != hashlib.sha256(body).digest()
+    ):
+        return None
+    try:
+        index = marshal.loads(body)
+    except (EOFError, ValueError, TypeError):
+        return None
+    if type(index) is tuple and len(index) == 3 and all(type(p) is dict for p in index):
+        return index
+    return None
+
+
+def load_dictionary_file(path: str, ontology: Ontology) -> NerDictionary:
+    """load_dictionary of the file at `path`, through its index sidecar.
+
+    The sidecar (`path` + INDEX_SUFFIX) is keyed by the dictionary's bytes
+    and the ontology's class names. When it is missing, stale or damaged,
+    the dictionary is parsed and the sidecar rewritten; a sidecar that
+    cannot be written costs only the parse.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    key = _index_key(raw, ontology)
+    index_path = path + INDEX_SUFFIX
+    index = _read_index(index_path, key)
+    if index is not None:
+        return NerDictionary(*index)
+    try:
+        # Decoded bytes split into the same lines as a text-mode read:
+        # splitlines breaks at \r\n and \r as well as \n.
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableFileError(f"{path}: not valid UTF-8: {exc.reason}") from exc
+    dictionary = load_dictionary(text, ontology)
+    body = marshal.dumps(
+        (dictionary.surface_class, dictionary.surfaces, dictionary.lengths)
+    )
+    try:
+        write_atomic(index_path, key, hashlib.sha256(body).digest(), body)
+    except OSError as exc:
+        log.debug("dictionary index %s not written: %s", index_path, exc)
+    return dictionary
 
 
 def load_rules(text: str, ontology: Ontology) -> list[PatternRule]:
@@ -300,32 +375,46 @@ def extract_article(
     # A rule can only match where its first item does: at a token equal to
     # a literal's first token, or at a dictionary match whose class the
     # slot admits. Trying those positions in ascending order, rule by rule,
-    # keeps the output order of trying every rule at every token. Each
-    # list of positions is computed once per article, when a rule needs it.
+    # keeps the output order of trying every rule at every token. The
+    # positions are bucketed in one pass over the tokens for the literals
+    # and one pass over the matches for the slot classes.
     folded = [t.casefold() for t in token_texts]
     sentence_end = _sentence_ends(folded)
-    match_classes = {cls for _, _, cls in match_at.values()}
     literal_starts: dict[str, list[int]] = {}
     slot_starts: dict[str, list[int]] = {}
+    for rule in rules:
+        first = rule.items[0]
+        if isinstance(first, LiteralItem):
+            literal_starts[first.tokens[0]] = []
+        else:
+            slot_starts[first.cls] = []
+    if literal_starts:
+        for pos, tok in enumerate(folded):
+            starts = literal_starts.get(tok)
+            if starts is not None:
+                starts.append(pos)
+    if slot_starts:
+        # Match class -> the start lists of the slot classes it fits.
+        fits: dict[str, list[list[int]]] = {}
+        for pos, (_, _, cls) in match_at.items():
+            buckets = fits.get(cls)
+            if buckets is None:
+                buckets = fits[cls] = [
+                    starts
+                    for slot_cls, starts in slot_starts.items()
+                    if ontology.is_subclass(cls, slot_cls)
+                ]
+            for starts in buckets:
+                starts.append(pos)
 
     triples: list[TripleAssertion] = []
     rejected = 0
     for rule in rules:
         first = rule.items[0]
         if isinstance(first, LiteralItem):
-            tok = first.tokens[0]
-            starts = literal_starts.get(tok)
-            if starts is None:
-                starts = literal_starts[tok] = [
-                    pos for pos, t in enumerate(folded) if t == tok
-                ]
+            starts = literal_starts[first.tokens[0]]
         else:
-            starts = slot_starts.get(first.cls)
-            if starts is None:
-                fits = {c for c in match_classes if ontology.is_subclass(c, first.cls)}
-                starts = slot_starts[first.cls] = [
-                    pos for pos, (_, _, cls) in match_at.items() if cls in fits
-                ]
+            starts = slot_starts[first.cls]
         for pos in starts:
             bound = _match_rule_at(
                 rule, pos, sentence_end[pos], folded, match_at, ontology

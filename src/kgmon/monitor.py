@@ -7,6 +7,7 @@ persisted history is sufficient to replay every threshold and flag
 decision bit-exactly.
 """
 
+import contextlib
 import json
 import logging
 import math
@@ -372,6 +373,29 @@ def append_history(path: str, *rows: HistoryRow) -> None:
     cycle go out together."""
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("".join(row.to_line() + "\n" for row in rows))
+
+
+def write_atomic(path: str, *chunks: bytes) -> None:
+    """Replace the file at `path` with the concatenated `chunks`, or leave
+    it as it was.
+
+    The bytes go to a new file in the same directory, which then takes
+    `path`'s place in one rename, so no reader and no crash sees a partial
+    file. On failure the new file is removed and the OSError raised.
+    """
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def parse_history_line(line: str) -> HistoryRow:

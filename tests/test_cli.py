@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import random
 import re
 import signal
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgmon import cli, llm
+from kgmon import cli, extract, llm
 from kgmon.cli import (
     CliError,
     _unescape_text,
@@ -15,6 +17,7 @@ from kgmon.cli import (
     load_run_config,
     main,
 )
+from kgmon.extract import INDEX_SUFFIX
 from kgmon.monitor import UndecodableFileError, read_history
 
 from conftest import DICTIONARY_TEXT, ONTOLOGY_TEXT, RULES_TEXT
@@ -219,6 +222,69 @@ def test_load_batch_feed_dedupes_via_seen(tmp_path):
     bad = re.escape(seen)
     with pytest.raises(UndecodableFileError, match=f"^{bad}: not valid UTF-8"):
         load_batch("https://feed.example/x", seen_path=seen, http_get=lambda u: feed_text)
+
+
+def _disk_full(*_args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fails", ["fsync", "replace"])
+def test_seen_set_write_failure_keeps_old_file(tmp_path, monkeypatch, fails):
+    seen = tmp_path / "h.seen"
+    feed = "https://feed.example/x"
+    load_batch(feed, seen_path=str(seen), http_get=lambda u: "f1\t1\talpha\n")
+    before = seen.read_bytes()
+    monkeypatch.setattr(os, fails, _disk_full)
+    with pytest.raises(OSError):
+        load_batch(feed, seen_path=str(seen), http_get=lambda u: "f2\t2\tbeta\n")
+    assert seen.read_bytes() == before == b"f1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["h.seen"]
+
+
+def _build_baseline(ws, out):
+    argv = ["build-baseline", "--ontology", str(ws / "ontology.txt")]
+    argv += ["--dict", str(ws / "dictionary.tsv"), "--rules", str(ws / "rules.tsv")]
+    argv += ["--batch", str(ws / "batch.tsv"), "--out", str(out)]
+    return main(argv)
+
+
+def test_build_baseline_same_bytes_cold_warm_and_unwritable_index(
+    ws, capsys, monkeypatch, caplog
+):
+    index = ws / ("dictionary.tsv" + INDEX_SUFFIX)
+    assert _build_baseline(ws, ws / "cold.rec") == 0
+    assert index.exists()
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            extract, "load_dictionary", lambda *a: pytest.fail("dictionary parsed")
+        )
+        assert _build_baseline(ws, ws / "warm.rec") == 0
+    index.unlink()
+    files = sorted(p.name for p in ws.iterdir())
+    monkeypatch.setattr(os, "replace", _disk_full)
+    with caplog.at_level("DEBUG", logger="kgmon.extract"):
+        assert _build_baseline(ws, ws / "unwritten.rec") == 0
+    assert "not written: [Errno 28]" in caplog.text
+    # Only the output file is new: no index, no temporary file.
+    assert sorted(p.name for p in ws.iterdir()) == sorted(files + ["unwritten.rec"])
+    outs = [(ws / name).read_bytes() for name in ("cold.rec", "warm.rec", "unwritten.rec")]
+    assert outs == [GOOD_CANDIDATE.encode("utf-8")] * 3
+    stdout = capsys.readouterr().out.splitlines()
+    assert len(stdout) == 3 and len({line.split(" -> ")[0] for line in stdout}) == 1
+
+
+def test_evaluate_with_stale_index_checks_the_ontology(ws, capsys):
+    config = _write_config(ws)
+    assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 1) == 0
+    assert (ws / ("dictionary.tsv" + INDEX_SUFFIX)).exists()
+    ontology = ws / "ontology.txt"
+    ontology.write_text(
+        ontology.read_text(encoding="utf-8").replace("CLASS City SUBCLASS_OF Location\n", ""),
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 2) == 1
+    assert "unknown class 'City'" in capsys.readouterr().err
 
 
 def test_build_baseline_command(ws, capsys):

@@ -1,13 +1,18 @@
+import hashlib
+import marshal
 import random
 import re
 import string
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgmon import kernels
+from kgmon import extract, kernels
 from kgmon.extract import (
+    INDEX_SUFFIX,
     ArticleDoc,
     ExtractError,
     LiteralItem,
@@ -18,6 +23,7 @@ from kgmon.extract import (
     dict_ner,
     extract_article,
     load_dictionary,
+    load_dictionary_file,
     load_rules,
 )
 from kgmon.graph import canonical_serialize, normalize_entity
@@ -216,6 +222,92 @@ def test_load_dictionary_matches_reference(onto, text):
     assert _load_outcome(load_dictionary, text, onto) == _load_outcome(
         reference_load_dictionary, text, onto
     )
+
+
+def _file_outcome(path, onto):
+    return _load_outcome(lambda _text, o: load_dictionary_file(str(path), o), None, onto)
+
+
+def _no_parse():
+    return mock.patch.object(
+        extract, "load_dictionary", side_effect=AssertionError("dictionary parsed")
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_dictionary_texts())
+@example(text="St. Louis\tCity\nSt . Louis\tCity\nAcme\tCompany\r\nAcme \tCompany\r")
+def test_dictionary_index_hit_matches_parse(onto, tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("index") / "dictionary.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _load_outcome(load_dictionary, text, onto)
+    # Decoding the bytes splits lines as a text-mode read does.
+    assert _load_outcome(load_dictionary, path.read_text(encoding="utf-8"), onto) == expected
+    assert _file_outcome(path, onto) == expected
+    index = Path(str(path) + INDEX_SUFFIX)
+    assert index.exists() == (expected[0] == "ok")
+    if index.exists():
+        with _no_parse():
+            assert _file_outcome(path, onto) == expected
+
+
+def test_dictionary_index_stale_key_reparses(onto, tmp_path):
+    path = tmp_path / "dictionary.tsv"
+    index = Path(str(path) + INDEX_SUFFIX)
+    path.write_text(DICTIONARY_TEXT, encoding="utf-8")
+    load_dictionary_file(str(path), onto)
+    before = index.read_bytes()
+    path.write_text(DICTIONARY_TEXT + "Paris\tCity\n", encoding="utf-8")
+    d = load_dictionary_file(str(path), onto)
+    assert d.surface_class["Paris"] == "City"
+    assert index.read_bytes() != before
+    with _no_parse():
+        assert load_dictionary_file(str(path), onto) == d
+    # A parse error raises before the index is rewritten.
+    path.write_text("Paris\tGhost\n", encoding="utf-8")
+    after = index.read_bytes()
+    with pytest.raises(ExtractError, match="unknown class 'Ghost'"):
+        load_dictionary_file(str(path), onto)
+    assert index.read_bytes() == after
+
+
+def _forged(key, body):
+    return key + hashlib.sha256(body).digest() + body
+
+
+_DAMAGE = {
+    "truncated": lambda good: good[: len(good) // 2],
+    "flipped body byte": lambda good: good[:-1] + bytes([good[-1] ^ 1]),
+    "flipped digest byte": lambda good: good[:40] + bytes([good[40] ^ 1]) + good[41:],
+    "empty": lambda good: b"",
+    "garbage": lambda good: b"\x00not an index\xff" * 9,
+    "not marshal data": lambda good: _forged(good[:32], b"\xff\xfe"),
+    "not three dicts": lambda good: _forged(good[:32], marshal.dumps(({}, {}, []))),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGE))
+def test_dictionary_index_corrupt_file_is_rewritten(onto, dictionary, tmp_path, damage):
+    path = tmp_path / "dictionary.tsv"
+    index = Path(str(path) + INDEX_SUFFIX)
+    path.write_text(DICTIONARY_TEXT, encoding="utf-8")
+    load_dictionary_file(str(path), onto)
+    good = index.read_bytes()
+    index.write_bytes(_DAMAGE[damage](good))
+    assert load_dictionary_file(str(path), onto) == dictionary
+    assert index.read_bytes() == good
+
+
+def test_dictionary_index_path_taken_by_directory(onto, dictionary, tmp_path):
+    path = tmp_path / "dictionary.tsv"
+    path.write_text(DICTIONARY_TEXT, encoding="utf-8")
+    Path(str(path) + INDEX_SUFFIX).mkdir()
+    for _ in range(2):
+        assert load_dictionary_file(str(path), onto) == dictionary
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dictionary.tsv",
+        "dictionary.tsv" + INDEX_SUFFIX,
+    ]
 
 
 def test_comments_and_blanks_skipped(onto):

@@ -8,8 +8,10 @@ go to stderr, one line each, prefixed WARN, ALERT or MISMATCH.
 """
 
 import argparse
+import contextlib
 import json
 import logging
+import math
 import os
 import re
 import signal
@@ -57,7 +59,6 @@ from kgmon.monitor import (
     observe,
     parse_history_line,
     read_history,
-    record_to_row,
     replay_history,
     write_atomic,
 )
@@ -143,115 +144,146 @@ _CONFIG_KEYS = {
 _REQUIRED_CONFIG_KEYS = ("ontology", "dictionary", "rules", "history", "models")
 
 
-def load_run_config(path: str) -> RunConfig:
-    """Parse the JSON run configuration. Relative paths resolve against the
-    config file's directory; the schema/dictionary/rules files must exist."""
+def _read_config(path: str, label: str, keys: set, required: tuple) -> dict:
+    """The JSON object in the file at `path`, after the checks every config
+    file gets: valid JSON, an object, no unknown keys, no missing required
+    keys. Messages start with `label` and the path."""
     try:
         payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
-        raise CliError(f"config {path}: {exc}") from exc
+        raise CliError(f"{label} {path}: {exc}") from exc
     if not isinstance(payload, dict):
-        raise CliError(f"config {path}: expected a key-value document")
-    unknown = sorted(set(payload) - _CONFIG_KEYS)
+        raise CliError(f"{label} {path}: expected a key-value document")
+    unknown = sorted(set(payload) - keys)
     if unknown:
-        raise CliError(f"config {path}: unknown keys: {', '.join(unknown)}")
-    missing = [k for k in _REQUIRED_CONFIG_KEYS if k not in payload]
+        raise CliError(f"{label} {path}: unknown keys: {', '.join(unknown)}")
+    missing = [k for k in required if k not in payload]
     if missing:
-        raise CliError(f"config {path}: missing keys: {', '.join(missing)}")
+        raise CliError(f"{label} {path}: missing keys: {', '.join(missing)}")
+    return payload
 
+
+def _bad_value(where: str, key: str, kind: str, value) -> CliError:
+    return CliError(f"{where}: {key} must be {kind}, not {json.dumps(value)}")
+
+
+def _str_value(payload: dict, key: str, where: str, optional: bool = False):
+    """A JSON string; None too, for an absent or null `optional` key."""
+    value = payload.get(key)
+    if type(value) is str or optional and value is None:
+        return value
+    raise _bad_value(where, key, "a string", value)
+
+
+def _int_value(payload: dict, key: str, where: str, default: int) -> int:
+    """A JSON integer; true and false are not integers."""
+    value = payload.get(key, default)
+    if type(value) is not int:
+        raise _bad_value(where, key, "an integer", value)
+    return value
+
+
+def _real_value(payload: dict, key: str, where: str, default: float) -> float:
+    """A finite JSON integer or float, as a float."""
+    value = payload.get(key, default)
+    if type(value) in (int, float):
+        # An int too large for a float overflows here.
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value):
+                return float(value)
+    raise _bad_value(where, key, "a finite number", value)
+
+
+def load_run_config(path: str) -> RunConfig:
+    """Parse the JSON run configuration. Relative paths resolve against the
+    config file's directory; the schema/dictionary/rules files must exist."""
+    payload = _read_config(path, "config", _CONFIG_KEYS, _REQUIRED_CONFIG_KEYS)
+    where = f"config {path}"
     base = Path(path).resolve().parent
     models = payload["models"]
     if not isinstance(models, list) or any(
         not isinstance(m, str) or not m for m in models
     ):
-        raise CliError(f"config {path}: models must be a list of names")
+        raise CliError(f"{where}: models must be a list of names")
     if BASELINE_MODEL in models:
-        raise CliError(f"config {path}: {BASELINE_MODEL!r} is reserved")
+        raise CliError(f"{where}: {BASELINE_MODEL!r} is reserved")
     if len(set(models)) != len(models):
-        raise CliError(f"config {path}: duplicate model names")
+        raise CliError(f"{where}: duplicate model names")
 
     weights_payload = payload.get("weights", {"icr": 1.0, "ipr": 1.0, "ci": 1.0})
     if not isinstance(weights_payload, dict) or not {"icr", "ipr", "ci"} <= set(
         weights_payload
     ):
-        raise CliError(f"config {path}: weights need icr, ipr and ci entries")
+        raise CliError(f"{where}: weights need icr, ipr and ci entries")
     extra = sorted(set(weights_payload) - {"icr", "ipr", "ci", "hal"})
     if extra:
-        raise CliError(f"config {path}: unknown weight keys: {', '.join(extra)}")
-    hal_w = weights_payload.get("hal")
+        raise CliError(f"{where}: unknown weight keys: {', '.join(extra)}")
+
+    def weight(key: str) -> float:
+        return _real_value(weights_payload, key, f"{where}: weights", 0.0)
+
     try:
         weights = normalize_weights(
-            float(weights_payload["icr"]),
-            float(weights_payload["ipr"]),
-            float(weights_payload["ci"]),
-            None if hal_w is None else float(hal_w),
+            weight("icr"),
+            weight("ipr"),
+            weight("ci"),
+            None if weights_payload.get("hal") is None else weight("hal"),
         )
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"config {path}: bad weights: {exc}") from exc
+    except MonitorError as exc:
+        raise CliError(f"{where}: bad weights: {exc}") from exc
 
-    endpoint = payload.get("endpoint_config")
-    feed_url = payload.get("feed_url")
-    config = RunConfig(
-        ontology=_resolve(base, payload["ontology"]),
-        dictionary=_resolve(base, payload["dictionary"]),
-        rules=_resolve(base, payload["rules"]),
-        history=_resolve(base, payload["history"]),
+    endpoint = _str_value(payload, "endpoint_config", where, optional=True)
+    paths = {
+        key: _resolve(base, _str_value(payload, key, where))
+        for key in ("ontology", "dictionary", "rules", "history")
+    }
+    for label in ("ontology", "dictionary", "rules"):
+        if not os.path.isfile(paths[label]):
+            raise CliError(f"{where}: {label} file not found: {paths[label]}")
+    return RunConfig(
+        **paths,
         models=list(models),
         weights=weights,
-        lam=float(payload.get("lambda", DEFAULT_LAMBDA)),
-        window=int(payload.get("window", DEFAULT_WINDOW)),
-        warmup_min=int(payload.get("warmup_min", DEFAULT_WARMUP)),
+        lam=_real_value(payload, "lambda", where, DEFAULT_LAMBDA),
+        window=_int_value(payload, "window", where, DEFAULT_WINDOW),
+        warmup_min=_int_value(payload, "warmup_min", where, DEFAULT_WARMUP),
         endpoint_config=None if endpoint is None else _resolve(base, endpoint),
-        feed_url=feed_url,
-        noise_sigma=float(payload.get("noise_sigma", 0.0)),
-        noise_seed=int(payload.get("noise_seed", 0)),
+        feed_url=_str_value(payload, "feed_url", where, optional=True),
+        noise_sigma=_real_value(payload, "noise_sigma", where, 0.0),
+        noise_seed=_int_value(payload, "noise_seed", where, 0),
     )
-    for label, fpath in (
-        ("ontology", config.ontology),
-        ("dictionary", config.dictionary),
-        ("rules", config.rules),
-    ):
-        if not os.path.isfile(fpath):
-            raise CliError(f"config {path}: {label} file not found: {fpath}")
-    return config
+
+
+_ENDPOINT_KEYS = {
+    "url",
+    "auth_env",
+    "temperature",
+    "timeout",
+    "max_retries",
+    "parallelism",
+    "template",
+}
 
 
 def _load_endpoint(config: RunConfig) -> tuple[dict, PromptTemplate]:
     if not config.endpoint_config:
         raise CliError("live candidates need endpoint_config in the run config")
     path = config.endpoint_config
-    try:
-        payload = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"endpoint config {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CliError(f"endpoint config {path}: expected a key-value document")
-    allowed = {
-        "url",
-        "auth_env",
-        "temperature",
-        "timeout",
-        "max_retries",
-        "parallelism",
-        "template",
-    }
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise CliError(f"endpoint config {path}: unknown keys: {', '.join(unknown)}")
-    for key in ("url", "auth_env", "template"):
-        if key not in payload:
-            raise CliError(f"endpoint config {path}: missing {key}")
+    payload = _read_config(
+        path, "endpoint config", _ENDPOINT_KEYS, ("url", "auth_env", "template")
+    )
+    where = f"endpoint config {path}"
     base = Path(path).resolve().parent
-    template = load_template(_read_text(_resolve(base, payload["template"])))
+    template = _resolve(base, _str_value(payload, "template", where))
     fields = {
-        "url": payload["url"],
-        "auth_env": payload["auth_env"],
-        "temperature": float(payload.get("temperature", 0.0)),
-        "timeout": float(payload.get("timeout", 30.0)),
-        "max_retries": int(payload.get("max_retries", 2)),
-        "parallelism": int(payload.get("parallelism", 4)),
+        "url": _str_value(payload, "url", where),
+        "auth_env": _str_value(payload, "auth_env", where),
+        "temperature": _real_value(payload, "temperature", where, 0.0),
+        "timeout": _real_value(payload, "timeout", where, 30.0),
+        "max_retries": _int_value(payload, "max_retries", where, 2),
+        "parallelism": _int_value(payload, "parallelism", where, 4),
     }
-    return fields, template
+    return fields, load_template(_read_text(template))
 
 
 # Escapes are read left to right without overlap: an escaped backslash
@@ -410,11 +442,11 @@ def _parse_candidates(items: list[str], config: RunConfig) -> dict[str, str]:
     return out
 
 
-def _alert_line(alert) -> str:
+def _alert_line(row: HistoryRow, top_metric: str) -> str:
     return (
-        f"ALERT model={alert.model} timestamp={alert.timestamp} "
-        f"score={alert.score:.6f} threshold={alert.threshold:.6f} "
-        f"top={alert.top_metric}"
+        f"ALERT model={row.model} timestamp={row.timestamp} "
+        f"score={row.score:.6f} threshold={row.threshold:.6f} "
+        f"top={top_metric}"
     )
 
 
@@ -450,7 +482,6 @@ def _evaluate_once(
     alerts = []
 
     endpoint_loaded: tuple[dict, PromptTemplate] | None = None
-    any_flag = False
     any_success = False
     for model in sorted(candidates):
         source = candidates[model]
@@ -483,7 +514,7 @@ def _evaluate_once(
         report = validate_graph(g_llm, batch, ontology)
         cand_metrics = replace(metric_vector(g_llm, ontology), hal=report.score)
         state = _bootstrap_state(history_rows, model, config)
-        record, alert = observe(
+        row, top_metric = observe(
             state,
             timestamp=timestamp,
             model=model,
@@ -494,17 +525,16 @@ def _evaluate_once(
             hall_total=report.total,
             hall_failed=report.hallucinated,
         )
-        new_rows.append(record_to_row(record))
-        if alert is not None:
-            alerts.append(alert)
-        any_flag = any_flag or record.flagged
+        new_rows.append(row)
+        if top_metric is not None:
+            alerts.append(_alert_line(row, top_metric))
 
     if candidates and not any_success:
         raise CliError("every candidate extraction failed")
     append_history(config.history, *new_rows)
     for alert in alerts:
-        print(_alert_line(alert), file=sys.stderr)
-    return any_flag
+        print(alert, file=sys.stderr)
+    return bool(alerts)
 
 
 def cmd_build_baseline(args: argparse.Namespace) -> int:
@@ -555,9 +585,12 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         raise CliError("config lists no models to monitor")
     # Cycles are stamped with whole seconds and history timestamps must
     # increase, so cycles less than a second apart would be rejected (and
-    # their articles, already marked seen, lost).
-    if args.interval < 1:
-        raise CliError("interval must be at least 1 second")
+    # their articles, already marked seen, lost). NaN passes no comparison,
+    # and the wait raises OverflowError past threading.TIMEOUT_MAX.
+    if not 1 <= args.interval <= threading.TIMEOUT_MAX:
+        raise CliError(
+            f"interval must be from 1 to {threading.TIMEOUT_MAX:.0f} seconds"
+        )
     ontology, dictionary, rules = _load_pipeline(
         config.ontology, config.dictionary, config.rules
     )

@@ -114,7 +114,8 @@ class ThresholdState:
 
     `scores` is the window, oldest first. Seed it through the constructor
     and grow it with `push`, which keeps the exact sums of the scaled
-    scores and of their squares that `update_threshold` reads.
+    scores and of their squares that `update_threshold` reads. `step` is
+    the flag rule that `observe` and `replay_history` share.
     """
 
     scores: list[float] = field(default_factory=list)
@@ -149,29 +150,13 @@ class ThresholdState:
             self._sum -= k
             self._sum_sq -= k * k
 
-
-@dataclass(frozen=True)
-class AnomalyRecord:
-    timestamp: int
-    model: str
-    batch_id: str
-    metrics: MetricVector
-    baseline_metrics: MetricVector
-    delta: MetricDelta
-    score: float
-    threshold: float | None
-    flagged: bool
-    hall_total: int = 0
-    hall_failed: int = 0
-
-
-@dataclass(frozen=True)
-class Alert:
-    timestamp: int
-    model: str
-    score: float
-    threshold: float
-    top_metric: str
+    def step(self, score: float) -> tuple[float | None, bool]:
+        """The threshold over the window before `score` joins it, and
+        whether `score` is strictly above it; then push `score`."""
+        threshold = update_threshold(self)
+        flagged = threshold is not None and score > threshold
+        self.push(score)
+        return threshold, flagged
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,13 +261,15 @@ def observe(
     delta: MetricDelta | None = None,
     hall_total: int = 0,
     hall_failed: int = 0,
-) -> tuple[AnomalyRecord, Alert | None]:
-    """Score one observation and advance the threshold state.
+) -> tuple[HistoryRow, str | None]:
+    """Score one observation, advance the threshold state, and return the
+    history row with the name of the largest weighted delta when the row
+    is flagged (None otherwise).
 
     The threshold is computed from the window before the current score
     joins it; flagging is strict (score > threshold). Pass `delta` to
     override the computed one (the simulator uses this for noise
-    injection); the record keeps whatever delta was scored. A non-finite
+    injection); the row keeps whatever delta was scored. A non-finite
     score raises MonitorError and leaves the state unchanged.
     """
     if state.last_timestamp is not None and timestamp <= state.last_timestamp:
@@ -293,56 +280,27 @@ def observe(
     if delta is None:
         delta = metric_delta(metrics, baseline_metrics)
     score = anomaly_score(delta, weights)
-    threshold = update_threshold(state)
-    flagged = threshold is not None and score > threshold
-
-    state.push(score)
+    threshold, flagged = state.step(score)
     state.last_timestamp = timestamp
 
-    record = AnomalyRecord(
+    row = HistoryRow(
         timestamp=timestamp,
         model=model,
         batch_id=batch_id,
-        metrics=metrics,
-        baseline_metrics=baseline_metrics,
-        delta=delta,
+        icr=metrics.icr,
+        ipr=metrics.ipr,
+        ci=metrics.ci,
+        hal=metrics.hal,
+        d_icr=delta.d_icr,
+        d_ipr=delta.d_ipr,
+        d_ci=delta.d_ci,
         score=score,
         threshold=threshold,
         flagged=flagged,
         hall_total=hall_total,
         hall_failed=hall_failed,
     )
-    alert = None
-    if flagged:
-        assert threshold is not None
-        alert = Alert(
-            timestamp=timestamp,
-            model=model,
-            score=score,
-            threshold=threshold,
-            top_metric=_top_metric(delta, weights),
-        )
-    return record, alert
-
-
-def record_to_row(record: AnomalyRecord) -> HistoryRow:
-    return HistoryRow(
-        timestamp=record.timestamp,
-        model=record.model,
-        batch_id=record.batch_id,
-        icr=record.metrics.icr,
-        ipr=record.metrics.ipr,
-        ci=record.metrics.ci,
-        hal=record.metrics.hal,
-        d_icr=record.delta.d_icr,
-        d_ipr=record.delta.d_ipr,
-        d_ci=record.delta.d_ci,
-        score=record.score,
-        threshold=record.threshold,
-        flagged=record.flagged,
-        hall_total=record.hall_total,
-        hall_failed=record.hall_failed,
-    )
+    return row, _top_metric(delta, weights) if flagged else None
 
 
 def baseline_row(
@@ -570,9 +528,9 @@ def replay_history(
     warmup_min: int = DEFAULT_WARMUP,
 ) -> list[tuple[HistoryRow, float | None, bool]]:
     """Recompute (threshold, flagged) for every non-baseline row from the
-    stored score sequence, using the same arithmetic as observe. With the
-    parameters the store was written under, the recomputation matches the
-    stored values bit for bit."""
+    stored score sequence through the ThresholdState.step that observe
+    uses. With the parameters the store was written under, the
+    recomputation matches the stored values bit for bit."""
     states: dict[str, ThresholdState] = {}
     out: list[tuple[HistoryRow, float | None, bool]] = []
     for row in rows:
@@ -584,9 +542,6 @@ def replay_history(
                 capacity=capacity, lam=lam, warmup_min=warmup_min
             )
             states[row.model] = state
-        threshold = update_threshold(state)
-        flagged = threshold is not None and row.score > threshold
-        state.push(row.score)
-        out.append((row, threshold, flagged))
+        out.append((row, *state.step(row.score)))
     return out
 

@@ -26,17 +26,18 @@ from kgmon.monitor import (
     DEFAULT_WARMUP,
     DEFAULT_WEIGHTS,
     DEFAULT_WINDOW,
-    AnomalyRecord,
     AnomalyWeights,
+    HistoryRow,
     ThresholdState,
     observe,
-    record_to_row,
 )
 from kgmon.ontology import Ontology
 
 log = logging.getLogger(__name__)
 
 SYNTHETIC_PREFIX = "##synthetic"
+# Model name of every row a scenario writes.
+_MODEL = "sim"
 
 
 class SimulationError(ValueError):
@@ -193,13 +194,12 @@ class ScenarioConfig:
     warmup_min: int = DEFAULT_WARMUP
     noise_sigma: float = 0.0
     noise_seed: int = 0
-    model: str = "sim"
     history_path: str | None = None
 
 
 @dataclass
 class ScenarioResult:
-    records: list[AnomalyRecord]
+    records: list[HistoryRow]
     first_flag_step: int | None
     false_positive_count: int
 
@@ -244,7 +244,7 @@ def run_scenario(
         capacity=config.capacity, lam=config.lam, warmup_min=config.warmup_min
     )
     noise_rng = random.Random(config.noise_seed)
-    records: list[AnomalyRecord] = []
+    records: list[HistoryRow] = []
     first_flag: int | None = None
     false_positives = 0
     steps = 0
@@ -290,24 +290,24 @@ def run_scenario(
                 d_hal=clean.d_hal,
             )
 
-            record, _alert = observe(
+            row, _top = observe(
                 state,
                 timestamp=step,
-                model=config.model,
+                model=_MODEL,
                 metrics=cand_m,
                 baseline_metrics=base_m,
                 weights=config.weights,
                 batch_id=g_base.batch_id,
                 delta=noised,
             )
-            records.append(record)
-            if record.flagged:
+            records.append(row)
+            if row.flagged:
                 if first_flag is None:
                     first_flag = step
                 if scheduled is None:
                     false_positives += 1
             if history is not None:
-                history.write(record_to_row(record).to_line() + "\n")
+                history.write(row.to_line() + "\n")
 
     if steps < config.warmup_min + 1:
         raise SimulationError(

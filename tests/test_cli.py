@@ -104,6 +104,65 @@ def test_load_run_config_rejects_bad_documents(ws):
         load_run_config(str(bad))
 
 
+_INT_KEYS = ("window", "warmup_min", "noise_seed")
+_REAL_KEYS = ("lambda", "noise_sigma")
+_ENDPOINT_INT_KEYS = ("max_retries", "parallelism")
+_ENDPOINT_REAL_KEYS = ("temperature", "timeout")
+_NOT_A_NUMBER = ("x", None, True)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        (key, value)
+        for key in _INT_KEYS + _ENDPOINT_INT_KEYS
+        for value in _NOT_A_NUMBER + (1.7,)
+    ]
+    + [
+        (key, value)
+        for key in _REAL_KEYS + _ENDPOINT_REAL_KEYS
+        for value in _NOT_A_NUMBER
+    ],
+)
+def test_config_number_of_wrong_type_is_an_error(
+    ws, monkeypatch, capsys, key, value
+):
+    if key in _ENDPOINT_INT_KEYS + _ENDPOINT_REAL_KEYS:
+        # monitor reads the endpoint config before its first cycle.
+        config = _monitor_workspace(ws, monkeypatch)
+        bad, label = ws / "endpoint.json", "endpoint config"
+        endpoint = json.loads(bad.read_text(encoding="utf-8"))
+        bad.write_text(json.dumps({**endpoint, key: value}), encoding="utf-8")
+        argv = ["monitor", "--config", config, "--interval", "1", "--cycles", "1"]
+        rc = main(argv)
+    else:
+        config = _write_config(ws, **{key: value})
+        bad, label = ws / "run.json", "config"
+        rc = _evaluate(ws, config, f"probe={ws / 'good.rec'}", 1)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"ERROR {label} {bad}: {key} must be" in err
+    assert "Traceback" not in err
+    assert not (ws / "history.jsonl").exists()
+
+
+def test_load_run_config_number_types(ws):
+    config = load_run_config(_write_config(ws, **{"lambda": 3, "noise_sigma": 0.5}))
+    assert config.lam == 3.0 and type(config.lam) is float
+    assert config.noise_sigma == 0.5
+    # 1e400 parses as inf; 10**400 is an int too large for a float.
+    for key, value in (("lambda", 1e400), ("noise_sigma", 10**400), ("window", 2.0)):
+        with pytest.raises(CliError, match=f"{key} must be"):
+            load_run_config(_write_config(ws, **{key: value}))
+    weights = {"icr": True, "ipr": 1, "ci": 1}
+    expect = "weights: icr must be a finite number, not true"
+    with pytest.raises(CliError, match=expect):
+        load_run_config(_write_config(ws, weights=weights))
+    for key in ("history", "feed_url", "endpoint_config"):
+        with pytest.raises(CliError, match=f"{key} must be a string, not 5"):
+            load_run_config(_write_config(ws, **{key: 5}))
+
+
 def test_load_run_config_hal_weight(ws):
     config = load_run_config(
         _write_config(ws, weights={"icr": 1, "ipr": 1, "ci": 1, "hal": 1})
@@ -351,8 +410,8 @@ def test_evaluate_flags_divergent_candidate(ws, capsys):
     rc = _evaluate(ws, config, f"probe={ws / 'bad.rec'}", 3)
     assert rc == 2
     err = capsys.readouterr().err
-    assert "ALERT model=probe timestamp=3" in err
-    assert "top=ipr" in err
+    alert = "ALERT model=probe timestamp=3 score=0.755556 threshold=0.000000 top=ipr\n"
+    assert err.endswith(alert)
     rows = read_history(str(ws / "history.jsonl"))
     last = rows[-1]
     assert last.model == "probe" and last.flagged
@@ -832,7 +891,13 @@ def test_monitor_requires_feed_url(ws, capsys):
 
 
 def test_monitor_rejects_bad_interval(ws, monkeypatch, capsys):
+    # NaN fails every comparison, so it would slip past a bare "< 1" and
+    # never wait; inf and huge finite values overflow the wait.
     config = _monitor_workspace(ws, monkeypatch)
-    rc = main(["monitor", "--config", config, "--interval", "0"])
-    assert rc == 1
-    assert "interval" in capsys.readouterr().err
+    for interval in ("0", "nan", "inf", "-inf", "1e300"):
+        argv = ["monitor", "--config", config, f"--interval={interval}"]
+        rc = main(argv + ["--cycles", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ERROR interval" in err and "Traceback" not in err
+    assert not (ws / "history.jsonl").exists()

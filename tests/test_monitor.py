@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from kgmon import monitor
 from kgmon.cli import RunConfig, _bootstrap_state
-from kgmon.metrics import MetricDelta, MetricVector
+from kgmon.metrics import MetricDelta, MetricVector, metric_delta
 from kgmon.monitor import (
     BASELINE_MODEL,
     DEFAULT_WEIGHTS,
-    Alert,
     AnomalyWeights,
     HistoryRow,
     MonitorError,
@@ -29,7 +28,6 @@ from kgmon.monitor import (
     observe,
     parse_history_line,
     read_history,
-    record_to_row,
     replay_history,
     update_threshold,
 )
@@ -194,38 +192,36 @@ def test_threshold_state_validation():
 def test_observe_warmup_then_flags():
     state = ThresholdState(capacity=30, lam=2.0, warmup_min=3)
     for ts, score in enumerate([0.1, 0.1, 0.1]):
-        record, alert = _observe_score(state, ts, score)
-        assert record.threshold is None
-        assert not record.flagged
-        assert alert is None
-    record, alert = _observe_score(state, 3, 0.5)
-    assert record.threshold == pytest.approx(0.1)
-    assert record.flagged
-    assert isinstance(alert, Alert)
-    assert alert.top_metric == "icr"
-    assert alert.score == record.score
+        row, top = _observe_score(state, ts, score)
+        assert row.threshold is None
+        assert not row.flagged
+        assert top is None
+    row, top = _observe_score(state, 3, 0.5)
+    assert row.threshold == pytest.approx(0.1)
+    assert row.flagged
+    assert top == "icr"
 
 
 def test_observe_threshold_excludes_current_score():
     state = ThresholdState(capacity=30, lam=2.0, warmup_min=1)
     _observe_score(state, 0, 0.1)
-    record, _ = _observe_score(state, 1, 0.9)
-    assert record.threshold == 0.1
-    assert record.flagged
-    record, _ = _observe_score(state, 2, 0.9)
+    row, _ = _observe_score(state, 1, 0.9)
+    assert row.threshold == 0.1
+    assert row.flagged
+    row, _ = _observe_score(state, 2, 0.9)
     expect = statistics.fmean([0.1, 0.9]) + 2.0 * statistics.stdev([0.1, 0.9])
-    assert record.threshold == expect
-    assert not record.flagged
+    assert row.threshold == expect
+    assert not row.flagged
 
 
 def test_observe_flag_is_strict_inequality():
     state = ThresholdState(capacity=30, lam=2.0, warmup_min=2)
     _observe_score(state, 0, 0.2)
     _observe_score(state, 1, 0.2)
-    record, alert = _observe_score(state, 2, 0.2)
-    assert record.threshold == 0.2
-    assert not record.flagged
-    assert alert is None
+    row, top = _observe_score(state, 2, 0.2)
+    assert row.threshold == 0.2
+    assert not row.flagged
+    assert top is None
 
 
 def test_observe_window_eviction():
@@ -244,13 +240,13 @@ def test_non_finite_scores_rejected_before_state_changes(bad):
         _observe_score(state, 1, bad)
     assert (state.scores, state.last_timestamp) == before[:2]
     assert update_threshold(state) == before[2]
-    record, _ = _observe_score(state, 1, 0.1)
-    assert record.threshold == 0.1
+    row, _ = _observe_score(state, 1, 0.1)
+    assert row.threshold == 0.1
     with pytest.raises(MonitorError, match="non-finite"):
         ThresholdState(scores=[0.1, bad])
     with pytest.raises(MonitorError, match="non-finite"):
         state.push(bad)
-    row = dataclasses.replace(record_to_row(record), score=bad)
+    row = dataclasses.replace(row, score=bad)
     with pytest.raises(MonitorError, match="non-finite"):
         replay_history([row], warmup_min=1)
 
@@ -269,7 +265,7 @@ def test_observe_computes_delta_when_missing():
     state = ThresholdState(warmup_min=1)
     metrics = MetricVector(icr=0.2, ipr=0.4, ci=0.6)
     base = MetricVector(icr=0.5, ipr=0.4, ci=0.1)
-    record, _ = observe(
+    row, _ = observe(
         state,
         timestamp=0,
         model="m",
@@ -277,16 +273,16 @@ def test_observe_computes_delta_when_missing():
         baseline_metrics=base,
         weights=DEFAULT_WEIGHTS,
     )
-    assert record.delta.d_icr == pytest.approx(0.3)
-    assert record.delta.d_ipr == 0.0
-    assert record.delta.d_ci == pytest.approx(0.5)
+    assert row.d_icr == pytest.approx(0.3)
+    assert row.d_ipr == 0.0
+    assert row.d_ci == pytest.approx(0.5)
 
 
 def test_top_metric_weighted_and_tie_order():
     state = ThresholdState(capacity=5, lam=2.0, warmup_min=1)
     _observe_score(state, 0, 0.0)
     w = normalize_weights(2.0, 1.0, 1.0)
-    record, alert = observe(
+    row, top = observe(
         state,
         timestamp=1,
         model="m",
@@ -295,11 +291,11 @@ def test_top_metric_weighted_and_tie_order():
         weights=w,
         delta=_delta(d_icr=0.3, d_ipr=0.5, d_ci=0.1),
     )
-    assert record.flagged
-    assert alert.top_metric == "icr"  # 0.5*0.3 > 0.25*0.5
+    assert row.flagged
+    assert top == "icr"  # 0.5*0.3 > 0.25*0.5
     state2 = ThresholdState(capacity=5, lam=2.0, warmup_min=1)
     _observe_score(state2, 0, 0.0)
-    _, alert2 = observe(
+    _, top2 = observe(
         state2,
         timestamp=1,
         model="m",
@@ -308,7 +304,7 @@ def test_top_metric_weighted_and_tie_order():
         weights=DEFAULT_WEIGHTS,
         delta=_delta(d_icr=0.4, d_ipr=0.4, d_ci=0.4),
     )
-    assert alert2.top_metric == "icr"
+    assert top2 == "icr"
 
 
 def test_history_row_round_trip(tmp_path):
@@ -545,26 +541,94 @@ def test_parse_history_line_maps_every_field_by_name():
     assert dataclasses.asdict(row) == values
 
 
-def test_record_to_row_copies_fields():
+def test_observe_row_copies_fields():
     state = ThresholdState(warmup_min=1)
-    record, _ = observe(
+    weights = normalize_weights(1.0, 1.0, 1.0, 1.0)
+    metrics = MetricVector(icr=0.3, ipr=0.2, ci=0.1, hal=0.5)
+    delta = _delta(d_icr=0.0625, d_ipr=0.125, d_ci=0.03125, d_hal=0.25)
+    row, top = observe(
         state,
         timestamp=9,
         model="gpt",
-        metrics=MetricVector(icr=0.3, ipr=0.2, ci=0.1, hal=0.5),
+        metrics=metrics,
         baseline_metrics=MetricVector(icr=0.9, ipr=0.8, ci=0.7),
-        weights=DEFAULT_WEIGHTS,
+        weights=weights,
         batch_id="b9",
+        delta=delta,
         hall_total=4,
         hall_failed=2,
     )
-    row = record_to_row(record)
-    assert row.timestamp == 9 and row.model == "gpt" and row.batch_id == "b9"
-    assert (row.icr, row.ipr, row.ci, row.hal) == (0.3, 0.2, 0.1, 0.5)
-    assert row.d_icr == record.delta.d_icr
-    assert row.score == record.score
-    assert row.threshold is None and row.flagged is False
-    assert (row.hall_total, row.hall_failed) == (4, 2)
+    first_score = anomaly_score(delta, weights)
+    assert row == HistoryRow(
+        timestamp=9,
+        model="gpt",
+        batch_id="b9",
+        icr=0.3,
+        ipr=0.2,
+        ci=0.1,
+        hal=0.5,
+        d_icr=0.0625,
+        d_ipr=0.125,
+        d_ci=0.03125,
+        score=first_score,
+        threshold=None,
+        flagged=False,
+        hall_total=4,
+        hall_failed=2,
+    )
+    assert top is None
+    # Without an override the row carries the computed delta, and the
+    # threshold is the first score alone.
+    base = MetricVector(icr=0.9, ipr=0.25, ci=0.125, hal=0.375)
+    row, top = observe(
+        state,
+        timestamp=10,
+        model="gpt",
+        metrics=metrics,
+        baseline_metrics=base,
+        weights=weights,
+        batch_id="b10",
+        hall_total=5,
+        hall_failed=3,
+    )
+    computed = metric_delta(metrics, base)
+    assert (row.d_icr, row.d_ipr, row.d_ci) == (
+        computed.d_icr,
+        computed.d_ipr,
+        computed.d_ci,
+    )
+    assert row.score == anomaly_score(computed, weights)
+    assert row.threshold == first_score
+    assert row.flagged and top == "icr"
+    assert (row.timestamp, row.batch_id, row.hal) == (10, "b10", 0.5)
+    assert (row.hall_total, row.hall_failed) == (5, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_observe_top_metric_only_on_flagged_rows(deltas):
+    state = ThresholdState(capacity=5, lam=1.0, warmup_min=2)
+    weights = normalize_weights(1.0, 2.0, 3.0)
+    for ts, (d_icr, d_ipr, d_ci) in enumerate(deltas):
+        row, top = observe(
+            state,
+            timestamp=ts,
+            model="m",
+            metrics=_ZERO,
+            baseline_metrics=_ZERO,
+            weights=weights,
+            delta=_delta(d_icr, d_ipr, d_ci),
+        )
+        assert (top is None) == (not row.flagged)
+        assert top in (None, "icr", "ipr", "ci")
 
 
 def test_replay_reproduces_thresholds_bit_exact(tmp_path):
@@ -580,7 +644,7 @@ def test_replay_reproduces_thresholds_bit_exact(tmp_path):
         )
         for model, state in sorted(state_by_model.items()):
             d = _delta(d_icr=rng.random(), d_ipr=rng.random(), d_ci=rng.random())
-            record, _ = observe(
+            row, _ = observe(
                 state,
                 timestamp=ts,
                 model=model,
@@ -590,7 +654,7 @@ def test_replay_reproduces_thresholds_bit_exact(tmp_path):
                 batch_id=f"b{ts}",
                 delta=d,
             )
-            append_history(path, record_to_row(record))
+            append_history(path, row)
     rows = read_history(path)
     replayed = replay_history(rows, capacity=7, lam=2.0, warmup_min=3)
     assert len(replayed) == 120
@@ -614,7 +678,7 @@ def test_observe_score_reconstruction_identity():
     state = ThresholdState(capacity=50, lam=2.0, warmup_min=2)
     for ts in range(200):
         d = _delta(d_icr=rng.random(), d_ipr=rng.random(), d_ci=rng.random())
-        record, _ = observe(
+        row, _ = observe(
             state,
             timestamp=ts,
             model="m",
@@ -623,5 +687,5 @@ def test_observe_score_reconstruction_identity():
             weights=DEFAULT_WEIGHTS,
             delta=d,
         )
-        again = anomaly_score(record.delta, DEFAULT_WEIGHTS)
-        assert again == record.score
+        again = anomaly_score(_delta(row.d_icr, row.d_ipr, row.d_ci), DEFAULT_WEIGHTS)
+        assert again == row.score

@@ -272,22 +272,19 @@ def test_run_scenario_too_short(onto):
 
 def test_run_scenario_writes_history(onto, tmp_path):
     path = str(tmp_path / "sim.jsonl")
-    config = ScenarioConfig(
-        ontology=onto, warmup_min=5, model="labrun", history_path=path
-    )
+    config = ScenarioConfig(ontology=onto, warmup_min=5, history_path=path)
     result = run_scenario(synthetic_stream(onto, 12), {}, config)
     rows = read_history(path)
     assert len(rows) == 12
-    assert all(row.model == "labrun" for row in rows)
+    assert all(row.model == "sim" for row in rows)
     assert [row.timestamp for row in rows] == list(range(12))
-    assert rows[3].score == result.records[3].score
+    # The file holds exactly the rows the scenario returns.
+    assert rows == result.records
 
 
 def test_run_scenario_keeps_rows_before_a_failing_step(onto, tmp_path):
     path = tmp_path / "sim.jsonl"
-    config = ScenarioConfig(
-        ontology=onto, warmup_min=5, model="labrun", history_path=str(path)
-    )
+    config = ScenarioConfig(ontology=onto, warmup_min=5, history_path=str(path))
     too_many = len(onto.classes) + 1
     schedule = {7: PerturbationSpec(PerturbationKind.DROP_CLASSES, too_many, 1)}
     with pytest.raises(SimulationError, match="step 7"):

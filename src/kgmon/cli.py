@@ -175,23 +175,31 @@ def _str_value(payload: dict, key: str, where: str, optional: bool = False):
     raise _bad_value(where, key, "a string", value)
 
 
-def _int_value(payload: dict, key: str, where: str, default: int) -> int:
-    """A JSON integer; true and false are not integers."""
+def _int_value(
+    payload: dict, key: str, where: str, default: int, minimum: int | None = None
+) -> int:
+    """A JSON integer, at least `minimum` if given; true and false are not
+    integers."""
     value = payload.get(key, default)
     if type(value) is not int:
         raise _bad_value(where, key, "an integer", value)
+    if minimum is not None and value < minimum:
+        raise _bad_value(where, key, f"an integer of at least {minimum}", value)
     return value
 
 
-def _real_value(payload: dict, key: str, where: str, default: float) -> float:
-    """A finite JSON integer or float, as a float."""
+def _real_value(
+    payload: dict, key: str, where: str, default: float, positive: bool = False
+) -> float:
+    """A finite JSON integer or float, as a float; above zero if `positive`."""
     value = payload.get(key, default)
     if type(value) in (int, float):
         # An int too large for a float overflows here.
         with contextlib.suppress(OverflowError):
-            if math.isfinite(value):
+            if math.isfinite(value) and (value > 0 or not positive):
                 return float(value)
-    raise _bad_value(where, key, "a finite number", value)
+    kind = "a positive finite number" if positive else "a finite number"
+    raise _bad_value(where, key, kind, value)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -240,13 +248,15 @@ def load_run_config(path: str) -> RunConfig:
     for label in ("ontology", "dictionary", "rules"):
         if not os.path.isfile(paths[label]):
             raise CliError(f"{where}: {label} file not found: {paths[label]}")
+    # The threshold parameters get ThresholdState's range checks here, so a
+    # bad value fails before any extraction and names the file.
     return RunConfig(
         **paths,
         models=list(models),
         weights=weights,
-        lam=_real_value(payload, "lambda", where, DEFAULT_LAMBDA),
-        window=_int_value(payload, "window", where, DEFAULT_WINDOW),
-        warmup_min=_int_value(payload, "warmup_min", where, DEFAULT_WARMUP),
+        lam=_real_value(payload, "lambda", where, DEFAULT_LAMBDA, positive=True),
+        window=_int_value(payload, "window", where, DEFAULT_WINDOW, minimum=1),
+        warmup_min=_int_value(payload, "warmup_min", where, DEFAULT_WARMUP, minimum=1),
         endpoint_config=None if endpoint is None else _resolve(base, endpoint),
         feed_url=_str_value(payload, "feed_url", where, optional=True),
         noise_sigma=_real_value(payload, "noise_sigma", where, 0.0),
@@ -265,7 +275,9 @@ _ENDPOINT_KEYS = {
 }
 
 
-def _load_endpoint(config: RunConfig) -> tuple[dict, PromptTemplate]:
+def _load_endpoint(config: RunConfig) -> tuple[EndpointConfig, PromptTemplate]:
+    """The endpoint, range-checked, with an empty model name, and the prompt
+    template."""
     if not config.endpoint_config:
         raise CliError("live candidates need endpoint_config in the run config")
     path = config.endpoint_config
@@ -275,15 +287,19 @@ def _load_endpoint(config: RunConfig) -> tuple[dict, PromptTemplate]:
     where = f"endpoint config {path}"
     base = Path(path).resolve().parent
     template = _resolve(base, _str_value(payload, "template", where))
-    fields = {
-        "url": _str_value(payload, "url", where),
-        "auth_env": _str_value(payload, "auth_env", where),
-        "temperature": _real_value(payload, "temperature", where, 0.0),
-        "timeout": _real_value(payload, "timeout", where, 30.0),
-        "max_retries": _int_value(payload, "max_retries", where, 2),
-        "parallelism": _int_value(payload, "parallelism", where, 4),
-    }
-    return fields, load_template(_read_text(template))
+    try:
+        endpoint = EndpointConfig(
+            url=_str_value(payload, "url", where),
+            auth_env=_str_value(payload, "auth_env", where),
+            model_name="",
+            temperature=_real_value(payload, "temperature", where, 0.0),
+            timeout=_real_value(payload, "timeout", where, 30.0),
+            max_retries=_int_value(payload, "max_retries", where, 2),
+            parallelism=_int_value(payload, "parallelism", where, 4),
+        )
+    except LlmError as exc:
+        raise CliError(f"{where}: {exc}") from exc
+    return endpoint, load_template(_read_text(template))
 
 
 # Escapes are read left to right without overlap: an escaped backslash
@@ -481,7 +497,7 @@ def _evaluate_once(
     new_rows = [baseline_row(timestamp, batch_id, base_metrics)]
     alerts = []
 
-    endpoint_loaded: tuple[dict, PromptTemplate] | None = None
+    endpoint_loaded: tuple[EndpointConfig, PromptTemplate] | None = None
     any_success = False
     for model in sorted(candidates):
         source = candidates[model]
@@ -489,11 +505,10 @@ def _evaluate_once(
             if source == "live":
                 if endpoint_loaded is None:
                     endpoint_loaded = _load_endpoint(config)
-                fields, template = endpoint_loaded
-                endpoint = EndpointConfig(model_name=model, **fields)
+                endpoint, template = endpoint_loaded
                 g_llm, _ing = extract_batch(
                     batch,
-                    endpoint,
+                    replace(endpoint, model_name=model),
                     template,
                     ontology,
                     batch_id=batch_id,
@@ -559,6 +574,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not config.models:
         raise CliError("config lists no models to evaluate")
     candidates = _parse_candidates(args.candidate, config)
+    if "live" in candidates.values():
+        _load_endpoint(config)  # fail on config problems before extraction
     ontology, dictionary, rules = _load_pipeline(
         config.ontology, config.dictionary, config.rules
     )

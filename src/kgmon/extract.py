@@ -36,10 +36,10 @@ _Hit = tuple[int, str, str]
 
 # The index sidecar of a dictionary file is that file's path plus this
 # suffix. It holds a 32-byte key, the SHA-256 of the body, and the body:
-# marshal data of (surface_class, surfaces, lengths).
+# marshal data of (surface_class, aliases, lengths).
 INDEX_SUFFIX = ".kgmon-index"
 # Part of the key; marshal data is specific to the interpreter that wrote it.
-_INDEX_FORMAT = f"kgmon dictionary index 1 {sys.implementation.cache_tag}\n".encode()
+_INDEX_FORMAT = f"kgmon dictionary index 2 {sys.implementation.cache_tag}\n".encode()
 _DIGEST_SIZE = 32
 
 
@@ -85,10 +85,13 @@ class PatternRule:
 @dataclass(frozen=True)
 class NerDictionary:
     surface_class: dict[str, str]
-    # Scan index consumed by kernels.find_matches: token tuple -> surface
-    # (the lexicographically smallest when two surfaces tokenize alike), and
-    # first token -> distinct surface lengths in tokens, longest first.
-    surfaces: dict[tuple[str, ...], str]
+    # Scan index consumed by kernels.find_matches. A surface's key is its
+    # tokens joined with single spaces. `aliases` maps a key to the surface
+    # it stands for (the lexicographically smallest of those with its
+    # tokens) only where that is not the key itself; only surfaces with
+    # ASCII punctuation can differ from their key. `lengths` maps a first
+    # token to the distinct surface lengths in tokens, longest first.
+    aliases: dict[str, str]
     lengths: dict[str, tuple[int, ...]]
 
     def __len__(self) -> int:
@@ -111,7 +114,8 @@ def load_dictionary(text: str, ontology: Ontology) -> NerDictionary:
     find_punctuation = kernels.find_punctuation
     token_texts = kernels.token_texts
     surface_class: dict[str, str] = {}
-    surfaces: dict[tuple[str, ...], str] = {}
+    # Key -> smallest surface, for the keys of punctuated surfaces.
+    smallest: dict[str, str] = {}
     by_first: dict[str, set[int]] = {}
     for lineno, raw in _iter_data_lines(text):
         fields = raw.split("\t")
@@ -133,20 +137,24 @@ def load_dictionary(text: str, ontology: Ontology) -> NerDictionary:
                 )
             continue
         surface_class[surface] = cls
-        # Without ASCII punctuation the tokens are exactly the words.
-        toks = (
-            tuple(token_texts(surface)) if find_punctuation(surface) else tuple(words)
-        )
-        held = surfaces.get(toks)
-        if held is None or surface < held:
-            surfaces[toks] = surface
-        by_first.setdefault(toks[0], set()).add(len(toks))
+        # Without ASCII punctuation the tokens are exactly the words, and
+        # the key is the surface itself.
+        if find_punctuation(surface):
+            toks = token_texts(surface)
+            key = " ".join(toks)
+            held = smallest.get(key)
+            if held is None or surface < held:
+                smallest[key] = surface
+            by_first.setdefault(toks[0], set()).add(len(toks))
+        else:
+            by_first.setdefault(words[0], set()).add(len(words))
 
+    aliases = {key: surface for key, surface in smallest.items() if surface != key}
     lengths = {
         first: tuple(sorted(counts, reverse=True)) for first, counts in by_first.items()
     }
     return NerDictionary(
-        surface_class=surface_class, surfaces=surfaces, lengths=lengths
+        surface_class=surface_class, aliases=aliases, lengths=lengths
     )
 
 
@@ -159,7 +167,7 @@ def _index_key(raw: bytes, ontology: Ontology) -> bytes:
 
 
 def _read_index(index_path: str, key: bytes):
-    """The (surface_class, surfaces, lengths) stored under `key`, or None."""
+    """The (surface_class, aliases, lengths) stored under `key`, or None."""
     try:
         with open(index_path, "rb") as fh:
             view = memoryview(fh.read())
@@ -203,7 +211,7 @@ def load_dictionary_file(path: str, ontology: Ontology) -> NerDictionary:
         raise UndecodableFileError(f"{path}: not valid UTF-8: {exc.reason}") from exc
     dictionary = load_dictionary(text, ontology)
     body = marshal.dumps(
-        (dictionary.surface_class, dictionary.surfaces, dictionary.lengths)
+        (dictionary.surface_class, dictionary.aliases, dictionary.lengths)
     )
     try:
         write_atomic(index_path, key, hashlib.sha256(body).digest(), body)
@@ -292,7 +300,10 @@ def dict_ner(text: str, dictionary: NerDictionary) -> list[NerMatch]:
     return [
         NerMatch(surface, surface_class[surface], start, count, tokens[start][1])
         for start, count, surface in kernels.find_matches(
-            [t for t, _ in tokens], dictionary.surfaces, dictionary.lengths
+            [t for t, _ in tokens],
+            surface_class,
+            dictionary.aliases,
+            dictionary.lengths,
         )
     ]
 
@@ -363,7 +374,7 @@ def extract_article(
     match_at: dict[int, _Hit] = {
         start: (count, surface, surface_class[surface])
         for start, count, surface in kernels.find_matches(
-            token_texts, dictionary.surfaces, dictionary.lengths
+            token_texts, surface_class, dictionary.aliases, dictionary.lengths
         )
     }
     article_id = article.id
@@ -374,47 +385,57 @@ def extract_article(
 
     # A rule can only match where its first item does: at a token equal to
     # a literal's first token, or at a dictionary match whose class the
-    # slot admits. Trying those positions in ascending order, rule by rule,
-    # keeps the output order of trying every rule at every token. The
-    # positions are bucketed in one pass over the tokens for the literals
-    # and one pass over the matches for the slot classes.
+    # slot admits. A slot-first rule whose second item is a literal also
+    # needs that literal's first token right after the match. Trying those
+    # positions in ascending order, rule by rule, keeps the output order of
+    # trying every rule at every token. The positions are bucketed in one
+    # pass over the tokens for the literals and one pass over the matches
+    # for the slot classes.
     folded = [t.casefold() for t in token_texts]
     sentence_end = _sentence_ends(folded)
     literal_starts: dict[str, list[int]] = {}
-    slot_starts: dict[str, list[int]] = {}
+    # Slot class -> token after the match (None: any) -> start positions.
+    slot_starts: dict[str, dict[str | None, list[int]]] = {}
+    # Per rule, the start list it is tried at.
+    rule_starts: list[list[int]] = []
     for rule in rules:
-        first = rule.items[0]
+        first, second = rule.items[0], rule.items[1]
         if isinstance(first, LiteralItem):
-            literal_starts[first.tokens[0]] = []
+            starts = literal_starts.setdefault(first.tokens[0], [])
         else:
-            slot_starts[first.cls] = []
+            after = second.tokens[0] if isinstance(second, LiteralItem) else None
+            starts = slot_starts.setdefault(first.cls, {}).setdefault(after, [])
+        rule_starts.append(starts)
     if literal_starts:
         for pos, tok in enumerate(folded):
             starts = literal_starts.get(tok)
             if starts is not None:
                 starts.append(pos)
     if slot_starts:
-        # Match class -> the start lists of the slot classes it fits.
-        fits: dict[str, list[list[int]]] = {}
-        for pos, (_, _, cls) in match_at.items():
-            buckets = fits.get(cls)
-            if buckets is None:
-                buckets = fits[cls] = [
-                    starts
-                    for slot_cls, starts in slot_starts.items()
+        # Match class -> the buckets of the slot classes it fits.
+        fits: dict[str, list[dict[str | None, list[int]]]] = {}
+        n = len(folded)
+        for pos, (count, _, cls) in match_at.items():
+            fitting = fits.get(cls)
+            if fitting is None:
+                fitting = fits[cls] = [
+                    by_after
+                    for slot_cls, by_after in slot_starts.items()
                     if ontology.is_subclass(cls, slot_cls)
                 ]
-            for starts in buckets:
-                starts.append(pos)
+            after = folded[pos + count] if pos + count < n else None
+            for by_after in fitting:
+                starts = by_after.get(None)
+                if starts is not None:
+                    starts.append(pos)
+                if after is not None:
+                    starts = by_after.get(after)
+                    if starts is not None:
+                        starts.append(pos)
 
     triples: list[TripleAssertion] = []
     rejected = 0
-    for rule in rules:
-        first = rule.items[0]
-        if isinstance(first, LiteralItem):
-            starts = literal_starts[first.tokens[0]]
-        else:
-            starts = slot_starts[first.cls]
+    for rule, starts in zip(rules, rule_starts):
         for pos in starts:
             bound = _match_rule_at(
                 rule, pos, sentence_end[pos], folded, match_at, ontology

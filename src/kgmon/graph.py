@@ -93,17 +93,21 @@ def build_graph(
     """
     diags = GraphDiagnostics()
 
-    by_entity: dict[str, list[EntityAssertion]] = {}
-    for rec in entity_records:
-        by_entity.setdefault(rec.entity, []).append(rec)
-
+    # The smallest (class, provenance) pair is the smallest class with the
+    # smallest provenance among its assertions. An entity's first assertion
+    # goes in directly; only a repeat is compared, in place, so the entity
+    # keeps the position of its first assertion.
     entities: dict[str, tuple[str, str]] = {}
-    for entity, recs in by_entity.items():
-        kept_cls = min(r.cls for r in recs)
-        if any(r.cls != kept_cls for r in recs):
-            diags.class_conflicts += 1
-        prov = min(r.provenance for r in recs if r.cls == kept_cls)
-        entities[entity] = (kept_cls, prov)
+    conflicted: set[str] = set()
+    for rec in entity_records:
+        pair = (rec.cls, rec.provenance)
+        held = entities.setdefault(rec.entity, pair)
+        if held is not pair:
+            if pair[0] != held[0]:
+                conflicted.add(rec.entity)
+            if pair < held:
+                entities[rec.entity] = pair
+    diags.class_conflicts = len(conflicted)
 
     triples: dict[tuple[str, str, str], str] = {}
     for rec in triple_records:

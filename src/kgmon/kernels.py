@@ -30,15 +30,21 @@ def token_texts(text: str) -> list[str]:
 
 def find_matches(
     token_texts: list[str],
-    surfaces: dict[tuple[str, ...], str],
+    surface_class: dict[str, str],
+    aliases: dict[str, str],
     lengths: dict[str, tuple[int, ...]],
 ) -> list[tuple[int, int, str]]:
     """Greedy longest-match scan over a token sequence.
 
-    `surfaces` maps a surface's token tuple to the surface; `lengths` maps
-    a first token to the distinct token counts of the surfaces it starts,
-    longest first. Comparison is exact (case-sensitive). Matches never
-    overlap: after a hit the scan resumes past the matched span.
+    A candidate span is looked up by its key, its tokens joined with single
+    spaces; tokens hold no whitespace, so two spans share a key only if they
+    share their tokens. `aliases` maps a key to the surface it stands for
+    where that differs from the key (the lexicographically smallest surface
+    with those tokens); any other key stands for itself when it is in
+    `surface_class`. `lengths` maps a first token to the distinct token
+    counts of the surfaces it starts, longest first. Comparison is exact
+    (case-sensitive). Matches never overlap: after a hit the scan resumes
+    past the matched span.
     Returns (token_start, token_count, surface) per match, left to right.
     """
     matches: list[tuple[int, int, str]] = []
@@ -50,8 +56,9 @@ def find_matches(
         for k in lengths[token_texts[i]]:
             if i + k > n:
                 continue
-            surface = surfaces.get(tuple(token_texts[i:i + k]))
-            if surface is not None:
+            key = " ".join(token_texts[i:i + k])
+            surface = aliases.get(key, key)
+            if surface in surface_class:
                 matches.append((i, k, surface))
                 resume = i + k
                 break

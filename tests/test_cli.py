@@ -901,3 +901,104 @@ def test_monitor_rejects_bad_interval(ws, monkeypatch, capsys):
         err = capsys.readouterr().err
         assert "ERROR interval" in err and "Traceback" not in err
     assert not (ws / "history.jsonl").exists()
+
+
+_THRESHOLD_OUT_OF_RANGE = [
+    ("lambda", 0, "a positive finite number"),
+    ("lambda", -1, "a positive finite number"),
+    ("lambda", -0.5, "a positive finite number"),
+    ("window", 0, "an integer of at least 1"),
+    ("window", -3, "an integer of at least 1"),
+    ("warmup_min", 0, "an integer of at least 1"),
+]
+
+
+@pytest.mark.parametrize("key, value, kind", _THRESHOLD_OUT_OF_RANGE)
+def test_threshold_parameter_out_of_range_fails_before_extraction(
+    ws, monkeypatch, capsys, key, value, kind
+):
+    # The range is checked with the config, not when the threshold state is
+    # built after baseline extraction.
+    monkeypatch.setattr(
+        cli, "build_baseline", lambda *a, **k: pytest.fail("baseline built")
+    )
+    config = _write_config(ws, **{key: value})
+    assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 1) == 1
+    err = capsys.readouterr().err
+    assert f"ERROR config {config}: {key} must be {kind}, not {value}" in err
+    assert not (ws / "history.jsonl").exists()
+
+
+@pytest.mark.parametrize("key, value, kind", _THRESHOLD_OUT_OF_RANGE)
+def test_monitor_threshold_parameter_out_of_range_marks_nothing_seen(
+    ws, monkeypatch, capsys, key, value, kind
+):
+    _monitor_workspace(ws, monkeypatch)
+    config = _write_config(
+        ws,
+        feed_url="https://feed.example/batches",
+        endpoint_config="endpoint.json",
+        **{key: value},
+    )
+    monkeypatch.setattr(cli, "_feed_get", lambda url: pytest.fail("feed fetched"))
+    rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
+    assert rc == 1
+    assert f"ERROR config {config}: {key} must be {kind}" in capsys.readouterr().err
+    assert not (ws / "history.jsonl.seen").exists()
+    assert not (ws / "history.jsonl").exists()
+
+
+def test_threshold_parameters_at_their_limits_are_accepted(ws):
+    config = load_run_config(
+        _write_config(ws, **{"lambda": 5e-324, "window": 1, "warmup_min": 1})
+    )
+    assert (config.lam, config.window, config.warmup_min) == (5e-324, 1, 1)
+
+
+_ENDPOINT_OUT_OF_RANGE = [
+    ("timeout", 0, "timeout must be positive"),
+    ("timeout", -2.5, "timeout must be positive"),
+    ("temperature", -0.1, "temperature must be nonnegative"),
+    ("parallelism", 0, "parallelism must be at least 1"),
+    ("max_retries", -1, "max_retries must be nonnegative"),
+    ("url", "ftp://models.example/v1", "endpoint url not well-formed"),
+    ("url", "https://", "endpoint url not well-formed"),
+    ("auth_env", "", "auth_env must name an environment variable"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", _ENDPOINT_OUT_OF_RANGE)
+def test_monitor_endpoint_out_of_range_fails_before_first_fetch(
+    ws, monkeypatch, capsys, key, value, message
+):
+    # EndpointConfig's range checks run once, before the loop, instead of
+    # failing every cycle after its articles were marked seen.
+    config = _monitor_workspace(ws, monkeypatch)
+    path = ws / "endpoint.json"
+    endpoint = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**endpoint, key: value}), encoding="utf-8")
+    monkeypatch.setattr(cli, "_feed_get", lambda url: pytest.fail("feed fetched"))
+    rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"ERROR endpoint config {path}: {message}" in err
+    assert "Traceback" not in err
+    assert not (ws / "history.jsonl.seen").exists()
+    assert not (ws / "history.jsonl").exists()
+
+
+def test_evaluate_live_endpoint_out_of_range_is_a_config_error(ws, monkeypatch, capsys):
+    config = _monitor_workspace(ws, monkeypatch)
+    path = ws / "endpoint.json"
+    endpoint = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**endpoint, "timeout": 0}), encoding="utf-8")
+    with pytest.raises(CliError, match="timeout must be positive"):
+        cli._load_endpoint(load_run_config(config))
+    monkeypatch.setattr(
+        cli, "build_baseline", lambda *a, **k: pytest.fail("baseline built")
+    )
+    assert _evaluate(ws, config, "probe=live", 1) == 1
+    err = capsys.readouterr().err
+    assert f"ERROR endpoint config {path}: timeout must be positive" in err
+    assert "extraction failed" not in err
+    assert not (ws / "history.jsonl").exists()

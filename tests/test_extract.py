@@ -1,8 +1,10 @@
 import hashlib
+import json
 import marshal
 import random
 import re
 import string
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -143,8 +145,11 @@ def reference_load_dictionary(text, ontology):
     lengths = {
         first: tuple(sorted(counts, reverse=True)) for first, counts in by_first.items()
     }
+    # The string-keyed index: a surface's tokens joined with spaces, mapped
+    # to the smallest surface with those tokens where that is not the key.
+    aliases = {" ".join(toks): s for toks, s in surfaces.items() if " ".join(toks) != s}
     return NerDictionary(
-        surface_class=surface_class, surfaces=surfaces, lengths=lengths
+        surface_class=surface_class, aliases=aliases, lengths=lengths
     )
 
 
@@ -157,7 +162,7 @@ def _load_outcome(load, text, onto):
     return (
         "ok",
         list(d.surface_class.items()),
-        list(d.surfaces.items()),
+        list(d.aliases.items()),
         list(d.lengths.items()),
     )
 
@@ -269,6 +274,41 @@ def test_dictionary_index_stale_key_reparses(onto, tmp_path):
     with pytest.raises(ExtractError, match="unknown class 'Ghost'"):
         load_dictionary_file(str(path), onto)
     assert index.read_bytes() == after
+
+
+def test_dictionary_index_of_format_1_is_rewritten(onto, tmp_path):
+    # Format 1 stored a map from token tuples to surfaces where format 2
+    # stores aliases; both bodies are three dicts, so only the format tag
+    # in the key tells them apart.
+    text = _SCAN_DICTIONARY_TEXT + "St.Louis\tCity\n"
+    path = tmp_path / "dictionary.tsv"
+    path.write_text(text, encoding="utf-8")
+    raw = path.read_bytes()
+    fresh = load_dictionary(text, onto)
+    tuple_keyed = {}
+    for surface in fresh.surface_class:
+        toks = tuple(kernels.token_texts(surface))
+        tuple_keyed[toks] = min(tuple_keyed.get(toks, surface), surface)
+    old_tag = f"kgmon dictionary index 1 {sys.implementation.cache_tag}\n".encode()
+    old_key = hashlib.sha256(old_tag)
+    old_key.update(json.dumps(sorted(onto.classes)).encode())
+    old_key.update(raw)
+    body = marshal.dumps((fresh.surface_class, tuple_keyed, fresh.lengths))
+    index = Path(str(path) + INDEX_SUFFIX)
+    index.write_bytes(_forged(old_key.digest(), body))
+
+    with mock.patch.object(extract, "load_dictionary", wraps=load_dictionary) as parse:
+        assert load_dictionary_file(str(path), onto) == fresh
+    assert parse.call_count == 1
+    assert fresh.aliases == {"St . Louis": "St. Louis", "A . B": "A.B"}
+    # The rewritten sidecar is the one a first load writes.
+    other = tmp_path / "other" / "dictionary.tsv"
+    other.parent.mkdir()
+    other.write_bytes(raw)
+    load_dictionary_file(str(other), onto)
+    assert index.read_bytes() == Path(str(other) + INDEX_SUFFIX).read_bytes()
+    with _no_parse():
+        assert load_dictionary_file(str(path), onto) == fresh
 
 
 def _forged(key, body):
@@ -701,3 +741,74 @@ def test_extract_article_rules_match_reference(onto):
         triples_seen += len(got)
         rejected_seen += rejected
     assert triples_seen > 100 and rejected_seen > 100
+
+
+# Rule items for the dispatch test: slots of every class, and literals of
+# one token, of two ("St.") and three ("co-founded") tokens, and of a
+# sentence end.
+_CLASSES = ["Person", "Organization", "Company", "Location", "City"]
+_LITERALS = ["works", "for", "in", "co-founded", "St.", "!", "based"]
+
+
+@st.composite
+def _dispatch_rule(draw, i):
+    subject = SlotItem("subject", draw(st.sampled_from(_CLASSES)))
+    obj = SlotItem("object", draw(st.sampled_from(_CLASSES)))
+    items = draw(st.permutations([subject, obj]))
+    for piece in draw(st.lists(st.sampled_from(_LITERALS), max_size=2)):
+        toks = tuple(t.casefold() for t, _ in oracle_tokenize(piece))
+        items.insert(draw(st.integers(0, len(items))), LiteralItem(toks))
+    predicate = draw(st.sampled_from(["worksFor", "locatedIn"]))
+    return PatternRule(rule_id=f"h{i}", items=tuple(items), predicate=predicate)
+
+
+@st.composite
+def _dispatch_rules(draw):
+    rules = [draw(_dispatch_rule(i)) for i in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        # A second rule on the same slot class and literal as the first.
+        rules.append(
+            PatternRule("h-twin", rules[0].items, draw(st.sampled_from(["worksFor", "locatedIn"])))
+        )
+    return rules
+
+
+_DISPATCH_SURFACES = DICTIONARY_TEXT + "St. Louis\tCity\nCo-Founded Ltd\tCompany\n"
+_DISPATCH_WORDS = [line.split("\t")[0] for line in _DISPATCH_SURFACES.splitlines()] + [
+    "works", "WORKS", "for", "in", "based", "co-founded", "St.", "!", ".", "?", "Ltd"
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dispatch_rules(), st.lists(st.sampled_from(_DISPATCH_WORDS), max_size=20))
+@example(
+    # Two slot-first rules on one slot class and literal, a literal at the
+    # article's end and a three-token literal.
+    [
+        PatternRule("a", (SlotItem("subject", "Person"), LiteralItem(("works",)),
+                          SlotItem("object", "Organization")), "worksFor"),
+        PatternRule("b", (SlotItem("subject", "Person"), LiteralItem(("works",)),
+                          LiteralItem(("for",)), SlotItem("object", "Company")), "worksFor"),
+        PatternRule("c", (SlotItem("object", "Location"), SlotItem("subject", "Company"),
+                          LiteralItem(("co", "-", "founded"))), "locatedIn"),
+    ],
+    ["Alice Chen", "works", "Acme Corp", "Alice Chen", "works", "for", "Initech", ".",
+     "Geneva", "Initech", "co-founded", "Alice Chen", "works"],
+)
+@example(
+    # The literal after the slot falls past the sentence end.
+    [PatternRule("d", (SlotItem("subject", "Person"), LiteralItem(("!",)),
+                       SlotItem("object", "Company")), "worksFor")],
+    ["Dana Wu", "!", "Acme Corp", "Dana Wu", ".", "!", "Initech"],
+)
+def test_extract_article_equals_every_rule_at_every_token(onto, rules, words):
+    dictionary = load_dictionary(_DISPATCH_SURFACES, onto)
+    text = " ".join(words)
+    entities, triples, rejected = extract_article(
+        ArticleDoc("d", 0, text), dictionary, rules, onto
+    )
+    got = [(t.subject, t.predicate, t.object) for t in triples]
+    assert (got, rejected) == reference_rules(text, dictionary.surface_class, rules, onto)
+    assert [e.entity for e in entities] == [
+        s for _, _, s in oracle_ner(text, dictionary.surface_class)
+    ]

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from kgmon.graph import (
     EntityAssertion,
     KnowledgeGraph,
@@ -196,3 +199,69 @@ def test_canonical_serialize_empty():
     graph, _ = parse_records("")
     assert graph == KnowledgeGraph()
     assert len(graph) == 0
+
+
+def _reference_build_graph(entity_records, triple_records):
+    # Every entity's assertions gathered first, then settled by min over
+    # all of them: the class, then the provenance among that class.
+    by_entity = {}
+    for rec in entity_records:
+        by_entity.setdefault(rec.entity, []).append(rec)
+    entities, conflicts = {}, 0
+    for entity, recs in by_entity.items():
+        kept_cls = min(r.cls for r in recs)
+        conflicts += any(r.cls != kept_cls for r in recs)
+        prov = min(r.provenance for r in recs if r.cls == kept_cls)
+        entities[entity] = (kept_cls, prov)
+    triples, dropped = {}, []
+    for rec in triple_records:
+        if rec.subject not in entities or rec.object not in entities:
+            dropped.append(f"({rec.subject}, {rec.predicate}, {rec.object})")
+            continue
+        key = (rec.subject, rec.predicate, rec.object)
+        triples[key] = min(triples.get(key, rec.provenance), rec.provenance)
+    return entities, triples, conflicts, dropped
+
+
+_ENTITY = st.builds(
+    EntityAssertion,
+    st.sampled_from(["e0", "e1", "e2", "E0", "e0 x"]),
+    st.sampled_from(["A", "B", "Ab", "a"]),
+    st.sampled_from(["p0", "p1", "p10", "P2"]),
+)
+_TRIPLE = st.builds(
+    TripleAssertion,
+    st.sampled_from(["e0", "e1", "e2", "e3"]),
+    st.sampled_from(["q", "r"]),
+    st.sampled_from(["e0", "e1", "e2", "e3"]),
+    st.sampled_from(["p0", "p1", "p10"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_ENTITY, max_size=14), st.lists(_TRIPLE, max_size=8))
+@example(
+    # A conflict whose smaller class arrives last, and a repeat of the
+    # first class with a smaller provenance after it.
+    [
+        EntityAssertion("e0", "B", "p1"),
+        EntityAssertion("e1", "A", "p1"),
+        EntityAssertion("e0", "B", "p0"),
+        EntityAssertion("e0", "A", "p10"),
+        EntityAssertion("e1", "A", "p0"),
+    ],
+    [TripleAssertion("e0", "q", "e1", "p1"), TripleAssertion("e0", "q", "e3", "p0")],
+)
+def test_build_graph_equals_min_over_all_records(entity_records, triple_records):
+    graph, diags = build_graph(entity_records, triple_records)
+    entities, triples, conflicts, dropped = _reference_build_graph(
+        entity_records, triple_records
+    )
+    # Dicts compare without order; the entity order is compared apart.
+    assert list(graph.entities.items()) == list(entities.items())
+    assert list(graph.triples.items()) == list(triples.items())
+    assert diags.class_conflicts == conflicts
+    assert diags.closure_violations == len(dropped)
+    assert diags.notes == [
+        f"dropped triple with unasserted endpoint: {d}" for d in dropped
+    ]

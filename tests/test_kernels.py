@@ -115,7 +115,7 @@ _THING = load_ontology("CLASS Thing\n")
 
 def _scan(surfaces, token_texts):
     d = load_dictionary("".join(f"{s}\tThing\n" for s in surfaces), _THING)
-    return kernels.find_matches(token_texts, d.surfaces, d.lengths)
+    return kernels.find_matches(token_texts, d.surface_class, d.aliases, d.lengths)
 
 
 def _texts(text):
@@ -155,3 +155,74 @@ def test_find_matches_token_tuple_tie_takes_smallest_surface():
             (0, 3, "A . B"),
             (4, 3, "A . B"),
         ]
+
+
+def _tuple_keyed_scan(surfaces, token_texts):
+    # The scan over a tuple-keyed index: each surface's token tuple maps to
+    # the smallest surface with those tokens, and a candidate span is
+    # looked up as a tuple.
+    by_tokens = {}
+    by_first = {}
+    for surface in surfaces:
+        toks = tuple(t for t, _ in _reference_tokenize(surface))
+        held = by_tokens.get(toks)
+        if held is None or surface < held:
+            by_tokens[toks] = surface
+        by_first.setdefault(toks[0], set()).add(len(toks))
+    matches = []
+    i = 0
+    while i < len(token_texts):
+        for k in sorted(by_first.get(token_texts[i], ()), reverse=True):
+            surface = by_tokens.get(tuple(token_texts[i:i + k]))
+            if surface is not None and i + k <= len(token_texts):
+                matches.append((i, k, surface))
+                i += k
+                break
+        else:
+            i += 1
+    return matches
+
+
+# Pieces of surfaces: words, ASCII punctuation that splits them ("St." and
+# "St ." tokenize alike), and "\x01", which is no whitespace and sorts
+# before " ", so ".\x01" is smaller than its key ". \x01".
+_SURFACE_PIECES = ["St", ".", "Louis", "A", "B", "-", "\x01", "x", "Acme", "Corp"]
+
+
+@st.composite
+def _surface(draw):
+    pieces = draw(st.lists(st.sampled_from(_SURFACE_PIECES), min_size=1, max_size=4))
+    gaps = draw(st.lists(st.sampled_from(["", " "]), min_size=len(pieces) - 1,
+                         max_size=len(pieces) - 1))
+    return pieces[0] + "".join(g + p for g, p in zip(gaps, pieces[1:]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(_surface(), min_size=1, max_size=8),
+    st.lists(st.sampled_from(_SURFACE_PIECES + ["y", "Corp."]), max_size=25),
+)
+@example([".\x01", ". \x01"], [".", "\x01", "x", ".", "\x01"])
+@example(["St.Louis", "St . Louis", "St. Louis"], ["St", ".", "Louis", "St"])
+@example(["A-B", "A - B", "A", "B"], ["A", "-", "B", "A", "B"])
+def test_find_matches_equals_tuple_keyed_scan(surfaces, texts):
+    # The joined-key index finds what a tuple-keyed one finds, ties
+    # included, whichever order the dictionary lists the surfaces in.
+    token_texts = [t for text in texts for t, _ in _reference_tokenize(text)]
+    for ordered in (surfaces, surfaces[::-1]):
+        d = load_dictionary("".join(f"{s}\tThing\n" for s in ordered), _THING)
+        got = kernels.find_matches(token_texts, d.surface_class, d.aliases, d.lengths)
+        assert got == _tuple_keyed_scan(list(d.surface_class), token_texts)
+        # Only punctuated surfaces can differ from their key.
+        for key, surface in d.aliases.items():
+            assert key != surface and kernels.find_punctuation(surface)
+            assert key == " ".join(kernels.token_texts(surface))
+
+
+def test_find_matches_tie_smaller_than_its_key():
+    # ".\x01" tokenizes like ". \x01" and sorts before it, so the key
+    # ". \x01", itself a surface, is an alias of the smaller one.
+    for surfaces in ([".\x01", ". \x01"], [". \x01", ".\x01"]):
+        d = load_dictionary("".join(f"{s}\tThing\n" for s in surfaces), _THING)
+        assert d.aliases == {". \x01": ".\x01"}
+        assert _scan(surfaces, [".", "\x01"]) == [(0, 2, ".\x01")]

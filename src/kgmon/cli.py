@@ -352,17 +352,12 @@ def _is_url(source: str) -> bool:
     return source.startswith(("http://", "https://"))
 
 
-def load_batch(
-    source: str, seen_path: str | None = None, http_get=None
-) -> list[ArticleDoc]:
+def load_batch(source: str, http_get=None) -> list[ArticleDoc]:
     """Load articles from a directory of .txt files, a batch record file,
-    or a feed URL. Feed loads dedupe against the seen-set sidecar and
-    record every fetched id there. An empty batch warns, never errors."""
+    or a feed URL. An empty batch warns, never errors."""
     if _is_url(source):
         text = (_feed_get if http_get is None else http_get)(source)
         articles = _parse_batch_text(text)
-        if seen_path is not None:
-            articles = _dedupe_seen(articles, seen_path)
     elif os.path.isdir(source):
         articles = []
         for path in sorted(Path(source).glob("*.txt")):
@@ -391,17 +386,11 @@ def load_batch(
     return articles
 
 
-def _dedupe_seen(articles: list[ArticleDoc], seen_path: str) -> list[ArticleDoc]:
-    seen: set[str] = set()
-    if os.path.exists(seen_path):
-        lines = _read_text(seen_path).split("\n")
-        seen = {line.strip() for line in lines if line.strip()}
-    fresh = [a for a in articles if a.id not in seen]
-    merged = seen | {a.id for a in articles}
-    if merged != seen:
-        text = "".join(f"{article_id}\n" for article_id in sorted(merged))
-        write_atomic(seen_path, text.encode("utf-8"))
-    return fresh
+def _read_seen(path: str) -> set[str]:
+    """The article ids in the seen-set file at `path`; none if it is absent."""
+    if not os.path.exists(path):
+        return set()
+    return {line.strip() for line in _read_text(path).split("\n") if line.strip()}
 
 
 def _batch_label(source: str) -> str:
@@ -601,9 +590,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     if not config.models:
         raise CliError("config lists no models to monitor")
     # Cycles are stamped with whole seconds and history timestamps must
-    # increase, so cycles less than a second apart would be rejected (and
-    # their articles, already marked seen, lost). NaN passes no comparison,
-    # and the wait raises OverflowError past threading.TIMEOUT_MAX.
+    # increase, so cycles less than a second apart would be rejected. NaN
+    # passes no comparison, and the wait raises OverflowError past
+    # threading.TIMEOUT_MAX.
     if not 1 <= args.interval <= threading.TIMEOUT_MAX:
         raise CliError(
             f"interval must be from 1 to {threading.TIMEOUT_MAX:.0f} seconds"
@@ -626,10 +615,15 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         while not stop.is_set():
             cycle_ts = int(time.time())
             try:
-                batch = load_batch(config.feed_url, seen_path=seen_path)
+                batch = load_batch(config.feed_url)
             except (CliError, requests.RequestException, OSError) as exc:
                 log.warning("feed fetch failed: %s", exc)
                 batch = []
+            if batch:
+                seen = _read_seen(seen_path)
+                batch = [a for a in batch if a.id not in seen]
+                if not batch:
+                    log.warning("empty batch from %s", config.feed_url)
             if batch:
                 try:
                     _evaluate_once(
@@ -642,6 +636,10 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                         cycle_ts,
                         candidates,
                     )
+                    # Marked seen only after the cycle's rows are appended,
+                    # so a failed cycle's batch is fetched again.
+                    ids = sorted(seen | {a.id for a in batch})
+                    write_atomic(seen_path, "".join(f"{i}\n" for i in ids).encode())
                 except (CliError, MonitorError, LlmError, OSError) as exc:
                     log.warning("cycle failed: %s", exc)
             cycles_done += 1

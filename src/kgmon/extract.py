@@ -13,7 +13,6 @@ import marshal
 import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from kgmon import kernels
 from kgmon.graph import (
@@ -52,14 +51,6 @@ class ArticleDoc:
     id: str
     published_at: int
     text: str
-
-
-class NerMatch(NamedTuple):
-    surface: str
-    cls: str
-    token_start: int
-    token_count: int
-    char_offset: int
 
 
 @dataclass(frozen=True)
@@ -261,7 +252,7 @@ def load_rules(text: str, ontology: Ontology) -> list[PatternRule]:
                 slot_cls[role] = cls
                 items.append(SlotItem(role=role, cls=cls))
                 continue
-            toks = tuple(t for t, _ in kernels.tokenize(piece))
+            toks = tuple(kernels.token_texts(piece))
             if not toks:
                 log.warning(
                     "rule %s: literal %r has no tokens, ignored", rule_id, piece
@@ -291,21 +282,6 @@ def load_rules(text: str, ontology: Ontology) -> list[PatternRule]:
             PatternRule(rule_id=rule_id, items=tuple(items), predicate=predicate)
         )
     return rules
-
-
-def dict_ner(text: str, dictionary: NerDictionary) -> list[NerMatch]:
-    """Greedy longest-match dictionary scan; case-sensitive, non-overlapping."""
-    tokens = kernels.tokenize(text)
-    surface_class = dictionary.surface_class
-    return [
-        NerMatch(surface, surface_class[surface], start, count, tokens[start][1])
-        for start, count, surface in kernels.find_matches(
-            [t for t, _ in tokens],
-            surface_class,
-            dictionary.aliases,
-            dictionary.lengths,
-        )
-    ]
 
 
 def _sentence_ends(token_texts: list[str]) -> list[int]:

@@ -1,9 +1,9 @@
 """Knowledge-graph value type: typed entity assertions plus provenance-tagged
-triples, with deterministic merge and byte-exact canonical serialization.
+triples, with order-independent construction and byte-exact canonical
+serialization.
 
 Graphs are values. They are built from record streams or per-article
-fragments, merged with order-insensitive set semantics, and never mutated
-afterwards.
+fragments and never mutated afterwards.
 
 Record file format (UTF-8, tab-separated, one record per line):
 
@@ -24,7 +24,6 @@ __all__ = [
     "normalize_entity",
     "build_graph",
     "parse_records",
-    "merge",
     "instantiated_classes",
     "instantiated_properties",
     "canonical_serialize",
@@ -181,31 +180,6 @@ def parse_records(
     )
     diags.malformed_lines = malformed
     return graph, diags
-
-
-def merge(
-    g1: KnowledgeGraph, g2: KnowledgeGraph
-) -> tuple[KnowledgeGraph, int]:
-    """Set union of two graphs; returns the union and the number of
-    entities whose class assertions conflicted. Result content is
-    independent of argument order; batch metadata is taken from `g1`."""
-    entity_records = [
-        EntityAssertion(e, c, p)
-        for g in (g1, g2)
-        for e, (c, p) in g.entities.items()
-    ]
-    triple_records = [
-        TripleAssertion(s, p, o, prov)
-        for g in (g1, g2)
-        for (s, p, o), prov in g.triples.items()
-    ]
-    merged, diags = build_graph(
-        entity_records,
-        triple_records,
-        batch_id=g1.batch_id,
-        timestamp=g1.timestamp,
-    )
-    return merged, diags.class_conflicts
 
 
 def instantiated_classes(g: KnowledgeGraph) -> set[str]:

@@ -53,18 +53,6 @@ def _traces(entity: str, haystack: str) -> bool:
     return bool(needle) and needle in haystack
 
 
-def _triple_conforms(
-    s: str, p: str, o: str, g: KnowledgeGraph, ontology: Ontology
-) -> bool:
-    if p not in ontology.properties:
-        return False
-    s_cls = g.entities[s][0]
-    o_cls = g.entities[o][0]
-    if s_cls not in ontology.classes or o_cls not in ontology.classes:
-        return False
-    return is_permissible(ontology, s_cls, p, o_cls)
-
-
 def validate_graph(
     g_llm: KnowledgeGraph, batch: list[ArticleDoc], ontology: Ontology
 ) -> HallucinationReport:
@@ -105,7 +93,9 @@ def validate_graph(
             stage, evidence = STAGE_SCHEMA, cls
         else:
             for s, p, o in incident[entity]:
-                if not _triple_conforms(s, p, o, g_llm, ontology):
+                if not is_permissible(
+                    ontology, g_llm.entities[s][0], p, g_llm.entities[o][0]
+                ):
                     stage, evidence = STAGE_RULES, f"({s}, {p}, {o})"
                     break
         if stage != STAGE_NONE:

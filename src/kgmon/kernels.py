@@ -18,13 +18,8 @@ find_punctuation = re.compile(f"[{_PUNCT}]").search
 implementation = "pure"
 
 
-def tokenize(text: str) -> list[tuple[str, int]]:
-    """Split text into (token, char_offset) pairs, left to right."""
-    return [(m.group(), m.start()) for m in TOKEN_RE.finditer(text)]
-
-
 def token_texts(text: str) -> list[str]:
-    """The tokens of `tokenize(text)` without their offsets."""
+    """The tokens of `text`, left to right."""
     return TOKEN_RE.findall(text)
 
 

@@ -82,6 +82,9 @@ class ExtractionResponse:
     raw: str
     graph: KnowledgeGraph
     unparsed_lines: int
+    # What build_graph dropped or collapsed within this article's block.
+    closure_violations: int = 0
+    class_conflicts: int = 0
 
 
 @dataclass
@@ -160,9 +163,14 @@ def parse_llm_response(raw: str, article_id: str) -> ExtractionResponse:
             entities.append(record)
         else:
             triples.append(record)
-    graph, _diags = build_graph(entities, triples, batch_id=article_id)
+    graph, diags = build_graph(entities, triples, batch_id=article_id)
     return ExtractionResponse(
-        article_id=article_id, raw=raw, graph=graph, unparsed_lines=unparsed
+        article_id=article_id,
+        raw=raw,
+        graph=graph,
+        unparsed_lines=unparsed,
+        closure_violations=diags.closure_violations,
+        class_conflicts=diags.class_conflicts,
     )
 
 
@@ -247,6 +255,8 @@ def extract_batch(
             continue
         succeeded += 1
         diags.unparsed_lines += result.unparsed_lines
+        diags.closure_violations += result.closure_violations
+        diags.class_conflicts += result.class_conflicts
         entities.extend(
             EntityAssertion(e, c, p)
             for e, (c, p) in result.graph.entities.items()
@@ -265,8 +275,9 @@ def extract_batch(
     graph, build_diags = build_graph(
         entities, triples, batch_id=batch_id, timestamp=timestamp
     )
-    diags.closure_violations = build_diags.closure_violations
-    diags.class_conflicts = build_diags.class_conflicts
+    # The fragments are closed, so the union can add only cross-article
+    # class conflicts.
+    diags.class_conflicts += build_diags.class_conflicts
     return graph, diags
 
 

@@ -184,18 +184,30 @@ class HistoryRow:
         return json.dumps(payload)
 
 
-def anomaly_score(delta: MetricDelta, weights: AnomalyWeights) -> float:
-    """Weighted sum of delta components over the metrics with present
-    weights. A hal weight without a hal delta is a configuration error."""
-    score = (
-        weights.w_icr * delta.d_icr
-        + weights.w_ipr * delta.d_ipr
-        + weights.w_ci * delta.d_ci
-    )
+def _weighted_terms(
+    delta: MetricDelta, weights: AnomalyWeights
+) -> list[tuple[str, float]]:
+    """(metric, weight * delta) per weighted metric, in icr, ipr, ci, hal
+    order. A hal weight without a hal delta is a configuration error."""
+    terms = [
+        ("icr", weights.w_icr * delta.d_icr),
+        ("ipr", weights.w_ipr * delta.d_ipr),
+        ("ci", weights.w_ci * delta.d_ci),
+    ]
     if weights.w_hal is not None:
         if delta.d_hal is None:
             raise MonitorError("w_hal configured but delta carries no d_hal")
-        score += weights.w_hal * delta.d_hal
+        terms.append(("hal", weights.w_hal * delta.d_hal))
+    return terms
+
+
+def anomaly_score(delta: MetricDelta, weights: AnomalyWeights) -> float:
+    """The weighted delta terms added left to right; not by sum(), which
+    compensates rounding since Python 3.12, so replay would vary by version."""
+    terms = _weighted_terms(delta, weights)
+    score = terms[0][1]
+    for _, value in terms[1:]:
+        score += value
     return score
 
 
@@ -232,21 +244,6 @@ def update_threshold(state: ThresholdState) -> float | None:
         spread = n * state._sum_sq - state._sum * state._sum
         sigma = _sqrt_of_frac(spread, n * (n - 1) << 2 * _SCALE)
     return mean + state.lam * sigma
-
-
-def _top_metric(delta: MetricDelta, weights: AnomalyWeights) -> str:
-    terms = [
-        ("icr", weights.w_icr * delta.d_icr),
-        ("ipr", weights.w_ipr * delta.d_ipr),
-        ("ci", weights.w_ci * delta.d_ci),
-    ]
-    if weights.w_hal is not None and delta.d_hal is not None:
-        terms.append(("hal", weights.w_hal * delta.d_hal))
-    best_name, best_value = terms[0]
-    for name, value in terms[1:]:
-        if value > best_value:
-            best_name, best_value = name, value
-    return best_name
 
 
 def observe(
@@ -300,7 +297,10 @@ def observe(
         hall_total=hall_total,
         hall_failed=hall_failed,
     )
-    return row, _top_metric(delta, weights) if flagged else None
+    if not flagged:
+        return row, None
+    # max keeps the first of equal terms, so ties go to the earlier metric.
+    return row, max(_weighted_terms(delta, weights), key=operator.itemgetter(1))[0]
 
 
 def baseline_row(

@@ -190,11 +190,13 @@ def is_permissible(
     ontology: Ontology, s_class: str, prop: str, o_class: str
 ) -> bool:
     """True iff the (subject class, property, object class) combination is
-    allowed: the subject class must equal or descend from the property's
-    domain, and the object class from its range."""
-    if prop not in ontology.properties:
-        raise OntologyError(f"unknown property: {prop!r}")
-    pdef = ontology.properties[prop]
+    allowed: the property and both classes are declared, the subject class
+    equals or descends from the property's domain, and the object class
+    from its range."""
+    pdef = ontology.properties.get(prop)
+    classes = ontology.classes
+    if pdef is None or s_class not in classes or o_class not in classes:
+        return False
     return ontology.is_subclass(s_class, pdef.domain) and ontology.is_subclass(
         o_class, pdef.range
     )

@@ -261,45 +261,6 @@ def test_load_batch_directory(tmp_path, caplog):
         load_batch(str(d))
 
 
-def test_load_batch_feed_dedupes_via_seen(tmp_path):
-    seen = str(tmp_path / "h.seen")
-    feed_text = "f1\t1\talpha\nf2\t2\tbeta\n"
-    first = load_batch("https://feed.example/x", seen_path=seen, http_get=lambda u: feed_text)
-    assert [a.id for a in first] == ["f1", "f2"]
-    second = load_batch("https://feed.example/x", seen_path=seen, http_get=lambda u: feed_text)
-    assert second == []
-    with open(seen, encoding="utf-8") as fh:
-        assert fh.read() == "f1\nf2\n"
-    third = load_batch(
-        "https://feed.example/x",
-        seen_path=seen,
-        http_get=lambda u: feed_text + "f3\t3\tgamma\n",
-    )
-    assert [a.id for a in third] == ["f3"]
-    with open(seen, "ab") as fh:
-        fh.write(b"\xff\n")
-    bad = re.escape(seen)
-    with pytest.raises(UndecodableFileError, match=f"^{bad}: not valid UTF-8"):
-        load_batch("https://feed.example/x", seen_path=seen, http_get=lambda u: feed_text)
-
-
-def _disk_full(*_args):
-    raise OSError(errno.ENOSPC, "No space left on device")
-
-
-@pytest.mark.parametrize("fails", ["fsync", "replace"])
-def test_seen_set_write_failure_keeps_old_file(tmp_path, monkeypatch, fails):
-    seen = tmp_path / "h.seen"
-    feed = "https://feed.example/x"
-    load_batch(feed, seen_path=str(seen), http_get=lambda u: "f1\t1\talpha\n")
-    before = seen.read_bytes()
-    monkeypatch.setattr(os, fails, _disk_full)
-    with pytest.raises(OSError):
-        load_batch(feed, seen_path=str(seen), http_get=lambda u: "f2\t2\tbeta\n")
-    assert seen.read_bytes() == before == b"f1\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["h.seen"]
-
-
 def _build_baseline(ws, out):
     argv = ["build-baseline", "--ontology", str(ws / "ontology.txt")]
     argv += ["--dict", str(ws / "dictionary.tsv"), "--rules", str(ws / "rules.tsv")]
@@ -816,11 +777,16 @@ def _monitor_workspace(ws, monkeypatch):
     return config
 
 
-def test_monitor_cycles_and_seen_dedupe(ws, monkeypatch):
+def test_monitor_cycles_and_seen_dedupe(ws, monkeypatch, caplog):
     config = _monitor_workspace(ws, monkeypatch)
     before = signal.getsignal(signal.SIGINT)
-    rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
+    with caplog.at_level("WARNING"):
+        rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
     assert rc == 0
+    # The second cycle fetches the same two articles, both already seen.
+    assert [r.getMessage() for r in caplog.records] == [
+        "empty batch from https://feed.example/batches"
+    ]
     assert signal.getsignal(signal.SIGINT) is before
     rows = read_history(str(ws / "history.jsonl"))
     assert [r.model for r in rows] == ["GT", "probe"]
@@ -830,6 +796,93 @@ def test_monitor_cycles_and_seen_dedupe(ws, monkeypatch):
     assert rows[1].score == 0.0
     seen = (ws / "history.jsonl.seen").read_text(encoding="utf-8")
     assert seen == "f1\nf2\n"
+
+
+_F1 = "f1\t10\tAlice Chen works for Acme Corp.\n"
+_F2 = "f2\t11\tGlobex is based in Geneva.\n"
+
+
+def test_load_batch_feed_dedupes_via_seen(ws, monkeypatch):
+    # load_batch returns the whole feed; monitor evaluates only the
+    # articles whose ids are not in the seen-set yet.
+    config = _monitor_workspace(ws, monkeypatch)
+    feed = "https://feed.example/batches"
+    assert [a.id for a in load_batch(feed, http_get=lambda u: _F1 + _F2)] == ["f1", "f2"]
+    fetches = iter([_F1, _F1 + _F2])
+    monkeypatch.setattr(cli, "_feed_get", lambda url: next(fetches))
+    prompts = []
+    transport = llm._http_transport
+
+    def recording(config, token, prompt):
+        prompts.append(prompt)
+        return transport(config, token, prompt)
+
+    monkeypatch.setattr(llm, "_http_transport", recording)
+    rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
+    assert rc == 0
+    assert ["Alice Chen" in p for p in prompts] == [True, False]
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [r.model for r in rows] == ["GT", "probe", "GT", "probe"]
+    assert (ws / "history.jsonl.seen").read_text(encoding="utf-8") == "f1\nf2\n"
+
+
+def _disk_full(*_args):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fails", ["fsync", "replace"])
+def test_seen_set_write_failure_keeps_old_file(ws, monkeypatch, caplog, fails):
+    # The cycle's rows are appended before the seen-set write fails, so the
+    # old set stays whole and the batch is evaluated again next time.
+    config = _monitor_workspace(ws, monkeypatch)
+    fetches = iter([_F1, _F1 + _F2])
+
+    def fetch(url):
+        feed_text = next(fetches)
+        if feed_text != _F1:
+            monkeypatch.setattr(os, fails, _disk_full)
+        return feed_text
+
+    monkeypatch.setattr(cli, "_feed_get", fetch)
+    with caplog.at_level("WARNING"):
+        rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
+    assert rc == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "cycle failed: [Errno 28] No space left on device"
+    ]
+    assert (ws / "history.jsonl.seen").read_bytes() == b"f1\n"
+    assert not list(ws.glob("*.tmp"))
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [r.model for r in rows] == ["GT", "probe", "GT", "probe"]
+
+
+def test_monitor_evaluates_batch_of_failed_cycle_again(ws, monkeypatch, caplog):
+    # Cycle 1 fails with the endpoint down; its article is not marked
+    # seen, so cycle 2 evaluates it.
+    config = _monitor_workspace(ws, monkeypatch)
+    endpoint_up = iter([False, True])
+    up = []
+
+    def fetch(url):
+        up.append(next(endpoint_up))
+        return _F1
+
+    monkeypatch.setattr(cli, "_feed_get", fetch)
+    transport = llm._http_transport
+
+    def flaky(config, token, prompt):
+        if not up[-1]:
+            raise RuntimeError("endpoint down")
+        return transport(config, token, prompt)
+
+    monkeypatch.setattr(llm, "_http_transport", flaky)
+    with caplog.at_level("WARNING"):
+        rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
+    assert rc == 0
+    assert any("cycle failed" in r.getMessage() for r in caplog.records)
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [r.model for r in rows] == ["GT", "probe"]
+    assert (ws / "history.jsonl.seen").read_text(encoding="utf-8") == "f1\n"
 
 
 def test_monitor_rejects_sub_second_interval(ws, monkeypatch, capsys):

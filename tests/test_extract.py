@@ -22,7 +22,6 @@ from kgmon.extract import (
     PatternRule,
     SlotItem,
     build_baseline,
-    dict_ner,
     extract_article,
     load_dictionary,
     load_dictionary_file,
@@ -39,16 +38,14 @@ _ORACLE_TOKEN_RE = re.compile(
 
 
 def oracle_tokenize(text):
-    return [(m.group(), m.start()) for m in _ORACLE_TOKEN_RE.finditer(text)]
+    return _ORACLE_TOKEN_RE.findall(text)
 
 
 def oracle_ner(text, surface_class):
     # Independent longest-match scan: try every surface at every position,
     # longest first, ties by surface, skipping past each hit.
-    texts = [t for t, _ in oracle_tokenize(text)]
-    surf_toks = {
-        s: tuple(t for t, _ in oracle_tokenize(s)) for s in surface_class
-    }
+    texts = oracle_tokenize(text)
+    surf_toks = {s: tuple(oracle_tokenize(s)) for s in surface_class}
     order = sorted(surface_class, key=lambda s: (-len(surf_toks[s]), s))
     out = []
     i = 0
@@ -67,14 +64,24 @@ def oracle_ner(text, surface_class):
     return out
 
 
+def scan(text, dictionary):
+    # (token_start, token_count, surface, class) per dictionary match.
+    return [
+        (start, count, surface, dictionary.surface_class[surface])
+        for start, count, surface in kernels.find_matches(
+            kernels.token_texts(text),
+            dictionary.surface_class,
+            dictionary.aliases,
+            dictionary.lengths,
+        )
+    ]
+
+
 def test_load_dictionary_happy_path(onto, dictionary):
     assert len(dictionary) == 9
     assert dictionary.surface_class["Acme Corp"] == "Company"
     # "Acme" only starts "Acme Corp": alone it is no match.
-    matches = dict_ner("Acme hired Acme Corp", dictionary)
-    assert [(m.token_start, m.token_count, m.surface, m.cls) for m in matches] == [
-        (2, 2, "Acme Corp", "Company")
-    ]
+    assert scan("Acme hired Acme Corp", dictionary) == [(2, 2, "Acme Corp", "Company")]
 
 
 def test_load_dictionary_normalization_and_repeats(onto):
@@ -87,8 +94,7 @@ def test_load_dictionary_longest_first_index(onto):
     d = load_dictionary(
         "Acme\tOrganization\nAcme Corp\tCompany\nAcme Corp Ltd\tCompany\n", onto
     )
-    matches = dict_ner("Acme Corp Ltd hired Acme Corp and Acme", d)
-    assert [(m.token_start, m.token_count, m.surface, m.cls) for m in matches] == [
+    assert scan("Acme Corp Ltd hired Acme Corp and Acme", d) == [
         (0, 3, "Acme Corp Ltd", "Company"),
         (4, 2, "Acme Corp", "Company"),
         (7, 1, "Acme", "Organization"),
@@ -410,31 +416,25 @@ def test_load_rules_multi_token_literal_warns_but_keeps(onto, caplog):
     assert any("spans 3 tokens" in r.message for r in caplog.records)
 
 
-def test_dict_ner_basics(dictionary):
-    matches = dict_ner("Alice Chen met Bob Marsh in Berlin.", dictionary)
-    assert [(m.surface, m.cls) for m in matches] == [
-        ("Alice Chen", "Person"),
-        ("Bob Marsh", "Person"),
-        ("Berlin", "City"),
+def test_scan_basics(dictionary):
+    assert scan("Alice Chen met Bob Marsh in Berlin.", dictionary) == [
+        (0, 2, "Alice Chen", "Person"),
+        (3, 2, "Bob Marsh", "Person"),
+        (6, 1, "Berlin", "City"),
     ]
-    assert matches[0].token_start == 0 and matches[0].token_count == 2
-    assert matches[0].char_offset == 0
-    assert matches[2].char_offset == "Alice Chen met Bob Marsh in Berlin.".index("Berlin")
 
 
-def test_dict_ner_case_sensitive_and_normalizing(dictionary):
-    assert dict_ner("alice chen was here", dictionary) == []
-    matches = dict_ner("Acme    Corp\tgrew", dictionary)
-    assert [(m.surface, m.cls) for m in matches] == [("Acme Corp", "Company")]
+def test_scan_case_sensitive_and_normalizing(dictionary):
+    assert scan("alice chen was here", dictionary) == []
+    assert scan("Acme    Corp\tgrew", dictionary) == [(0, 2, "Acme Corp", "Company")]
 
 
-def test_dict_ner_greedy_longest(onto):
+def test_scan_greedy_longest(onto):
     d = load_dictionary("Acme\tOrganization\nAcme Corp\tCompany\n", onto)
-    matches = dict_ner("Acme Corp and Acme", d)
-    assert [(m.surface,) for m in matches] == [("Acme Corp",), ("Acme",)]
+    assert [m[2] for m in scan("Acme Corp and Acme", d)] == ["Acme Corp", "Acme"]
 
 
-def test_dict_ner_token_tuple_tie_takes_smallest_surface(onto):
+def test_scan_token_tuple_tie_takes_smallest_surface(onto):
     # Both surfaces tokenize to ("St", ".", "Louis"); the smaller one,
     # "St . Louis", wins with its own class, in either line order.
     for text in (
@@ -442,21 +442,16 @@ def test_dict_ner_token_tuple_tie_takes_smallest_surface(onto):
         "St . Louis\tLocation\nSt.Louis\tCity\n",
     ):
         d = load_dictionary(text, onto)
-        matches = dict_ner("Flights to St.Louis.", d)
-        assert [(m.surface, m.cls, m.char_offset) for m in matches] == [
-            ("St . Louis", "Location", 11)
-        ]
+        assert scan("Flights to St.Louis.", d) == [(2, 3, "St . Louis", "Location")]
 
 
-def test_dict_ner_candidate_longer_than_remaining_tokens(onto):
+def test_scan_candidate_longer_than_remaining_tokens(onto):
     d = load_dictionary("Acme Corp Ltd\tCompany\nCorp\tOrganization\n", onto)
-    assert [(m.token_start, m.surface) for m in dict_ner("hired Acme Corp", d)] == [
-        (2, "Corp")
-    ]
-    assert dict_ner("Acme", d) == []
+    assert scan("hired Acme Corp", d) == [(2, 1, "Corp", "Organization")]
+    assert scan("Acme", d) == []
 
 
-def test_dict_ner_matches_oracle(dictionary):
+def test_scan_matches_oracle(dictionary):
     rng = random.Random(19)
     surfaces = list(dictionary.surface_class)
     fillers = ["the", "committee", "met", "works", "for", "in", ".", ",", "near"]
@@ -468,7 +463,7 @@ def test_dict_ner_matches_oracle(dictionary):
             else:
                 words.append(rng.choice(fillers))
         text = " ".join(words)
-        got = [(m.token_start, m.token_count, m.surface) for m in dict_ner(text, dictionary)]
+        got = [m[:3] for m in scan(text, dictionary)]
         assert got == oracle_ner(text, dictionary.surface_class)
 
 
@@ -489,19 +484,17 @@ _SCAN_WORDS = [line.split("\t")[0] for line in _SCAN_DICTIONARY_TEXT.splitlines(
     )
 )
 @example([("Acme", " "), ("Corp", ""), (".", "\u3000"), ("St.", " "), ("Louis", "")])
-def test_extract_article_entities_match_dict_ner(onto, rules, pieces):
-    # extract_article scans bare token texts, dict_ner (token, offset)
-    # pairs; both must find the same matches in the same order.
+def test_extract_article_entities_match_oracle(onto, rules, pieces):
+    # extract_article asserts one entity per match of the independent
+    # oracle scan, in text order.
     dictionary = load_dictionary(_SCAN_DICTIONARY_TEXT, onto)
     text = "".join(word + gap for word, gap in pieces)
     entities, _, _ = extract_article(ArticleDoc("d", 0, text), dictionary, rules, onto)
-    matches = dict_ner(text, dictionary)
-    assert [(e.entity, e.cls) for e in entities] == [(m.surface, m.cls) for m in matches]
+    expected = oracle_ner(text, dictionary.surface_class)
+    assert [(e.entity, e.cls) for e in entities] == [
+        (surface, dictionary.surface_class[surface]) for _, _, surface in expected
+    ]
     assert all(e.provenance == "d" for e in entities)
-    tokens = oracle_tokenize(text)
-    for m in matches:
-        first = oracle_tokenize(m.surface)[0][0]
-        assert tokens[m.token_start] == (first, m.char_offset)
 
 
 def test_extract_article_fixture(onto, dictionary, rules, article):
@@ -627,7 +620,7 @@ def reference_rules(text, surface_class, rules, onto):
     def below(cls, ancestor):
         return cls == ancestor or ancestor in onto.ancestors(cls)
 
-    texts = [t for t, _ in oracle_tokenize(text)]
+    texts = oracle_tokenize(text)
     match_at = {
         start: (count, surface)
         for start, count, surface in oracle_ner(text, surface_class)
@@ -688,7 +681,7 @@ def _random_rule(rng, i, onto, literals):
     rng.shuffle(items)
     for _ in range(rng.randrange(0, 3)):
         piece = rng.choice(literals)
-        toks = tuple(t.casefold() for t, _ in oracle_tokenize(piece))
+        toks = tuple(t.casefold() for t in oracle_tokenize(piece))
         items.insert(rng.randrange(0, len(items) + 1), (LiteralItem(toks), piece))
     rule = PatternRule(
         rule_id=f"g{i}", items=tuple(item for item, _ in items), predicate=prop.name
@@ -756,7 +749,7 @@ def _dispatch_rule(draw, i):
     obj = SlotItem("object", draw(st.sampled_from(_CLASSES)))
     items = draw(st.permutations([subject, obj]))
     for piece in draw(st.lists(st.sampled_from(_LITERALS), max_size=2)):
-        toks = tuple(t.casefold() for t, _ in oracle_tokenize(piece))
+        toks = tuple(t.casefold() for t in oracle_tokenize(piece))
         items.insert(draw(st.integers(0, len(items))), LiteralItem(toks))
     predicate = draw(st.sampled_from(["worksFor", "locatedIn"]))
     return PatternRule(rule_id=f"h{i}", items=tuple(items), predicate=predicate)

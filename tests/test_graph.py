@@ -1,8 +1,12 @@
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kgmon.graph
+import kgmon.metrics
+import kgmon.ontology
 from kgmon.graph import (
     EntityAssertion,
     KnowledgeGraph,
@@ -11,7 +15,6 @@ from kgmon.graph import (
     canonical_serialize,
     instantiated_classes,
     instantiated_properties,
-    merge,
     normalize_entity,
     parse_record_line,
     parse_records,
@@ -142,31 +145,11 @@ def test_build_is_order_insensitive():
         assert again == base
 
 
-def test_merge_set_semantics():
-    rng = random.Random(23)
-    for _ in range(100):
-        g1 = _random_graph(rng, "a")
-        g2 = _random_graph(rng, "b")
-        g3 = _random_graph(rng, "c")
-        ab, _ = merge(g1, g2)
-        ba, _ = merge(g2, g1)
-        assert ab == ba
-        self_merge, conflicts = merge(g1, g1)
-        assert self_merge == g1
-        assert conflicts == 0
-        left, _ = merge(ab, g3)
-        bc, _ = merge(g2, g3)
-        right, _ = merge(g1, bc)
-        assert left == right
-
-
-def test_merge_reports_conflicts_and_keeps_metadata():
-    g1, _ = build_graph([EntityAssertion("x", "B", "a1")], [], batch_id="first", timestamp=5)
-    g2, _ = build_graph([EntityAssertion("x", "A", "a2")], [], batch_id="second", timestamp=6)
-    merged, conflicts = merge(g1, g2)
-    assert conflicts == 1
-    assert merged.entities["x"] == ("A", "a2")
-    assert merged.batch_id == "first" and merged.timestamp == 5
+@pytest.mark.parametrize("module", [kgmon.graph, kgmon.metrics, kgmon.ontology])
+def test_public_names_resolve(module):
+    # A name left in __all__ after its definition is gone breaks
+    # `from module import *`.
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_instantiation_views():

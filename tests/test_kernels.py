@@ -13,7 +13,7 @@ _PUNCT = frozenset(string.punctuation)
 
 
 def _reference_tokenize(text):
-    # Per-character oracle for kernels.tokenize: str.isspace() separates,
+    # Per-character oracle for kernels.token_texts: str.isspace() separates,
     # each ASCII punctuation character is a token of its own, and anything
     # else forms maximal runs.
     tokens = []
@@ -25,14 +25,14 @@ def _reference_tokenize(text):
             i += 1
             continue
         if ch in _PUNCT:
-            tokens.append((ch, i))
+            tokens.append(ch)
             i += 1
             continue
         start = i
         i += 1
         while i < n and not text[i].isspace() and text[i] not in _PUNCT:
             i += 1
-        tokens.append((text[start:i], start))
+        tokens.append(text[start:i])
     return tokens
 
 
@@ -56,7 +56,7 @@ def _random_text(rng, n):
 @example("\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000")
 @example("a\u2013b \u201cc\u201d d\u3000e.")
 def test_tokenize_matches_reference(text):
-    assert kernels.tokenize(text) == _reference_tokenize(text)
+    assert kernels.token_texts(text) == _reference_tokenize(text)
 
 
 @settings(max_examples=500, deadline=None)
@@ -64,10 +64,10 @@ def test_tokenize_matches_reference(text):
 @example("\u3000a\xa0b\x1c")
 @example("St. Louis")
 def test_normalized_surface_tokens(text):
-    # token_texts drops only the offsets. What load_dictionary relies on: a
-    # non-empty normalized surface has a token, and one where
-    # find_punctuation finds nothing tokenizes to its words.
-    assert kernels.token_texts(text) == [t for t, _ in kernels.tokenize(text)]
+    # What load_dictionary relies on: a non-empty normalized surface has a
+    # token, and one where find_punctuation finds nothing tokenizes to its
+    # words.
+    assert kernels.token_texts(text) == _reference_tokenize(text)
     surface = normalize_entity(text)
     tokens = kernels.token_texts(surface)
     assert bool(tokens) == bool(surface)
@@ -78,24 +78,15 @@ def test_normalized_surface_tokens(text):
 
 
 def test_tokenize_basic():
-    assert kernels.tokenize("Alice works.") == [("Alice", 0), ("works", 6), (".", 11)]
-    assert kernels.tokenize("") == []
-    assert kernels.tokenize(" \t\n") == []
-    assert kernels.tokenize("a,b") == [("a", 0), (",", 1), ("b", 2)]
-    assert kernels.tokenize("..") == [(".", 0), (".", 1)]
-
-
-def test_tokenize_offsets_point_into_text():
-    rng = random.Random(5)
-    for _ in range(200):
-        text = _random_text(rng, rng.randrange(0, 80))
-        for token, offset in kernels.tokenize(text):
-            assert text[offset:offset + len(token)] == token
-            assert not any(c.isspace() for c in token)
+    assert kernels.token_texts("Alice works.") == ["Alice", "works", "."]
+    assert kernels.token_texts("") == []
+    assert kernels.token_texts(" \t\n") == []
+    assert kernels.token_texts("a,b") == ["a", ",", "b"]
+    assert kernels.token_texts("..") == [".", "."]
 
 
 def test_tokenize_punctuation_isolated():
-    for token, _ in kernels.tokenize("state-of-the-art (really)!"):
+    for token in kernels.token_texts("state-of-the-art (really)!"):
         if token in string.punctuation:
             assert len(token) == 1
         else:
@@ -106,7 +97,7 @@ def test_tokenize_covers_all_non_space():
     rng = random.Random(6)
     for _ in range(100):
         text = _random_text(rng, rng.randrange(0, 60))
-        covered = "".join(tok for tok, _ in kernels.tokenize(text))
+        covered = "".join(kernels.token_texts(text))
         assert covered == "".join(c for c in text if not c.isspace())
 
 
@@ -118,12 +109,8 @@ def _scan(surfaces, token_texts):
     return kernels.find_matches(token_texts, d.surface_class, d.aliases, d.lengths)
 
 
-def _texts(text):
-    return [t for t, _ in kernels.tokenize(text)]
-
-
 def test_find_matches_prefers_longest():
-    toks = _texts("Acme Corp Ltd hired Acme Corp and Acme")
+    toks = kernels.token_texts("Acme Corp Ltd hired Acme Corp and Acme")
     assert _scan(["Acme", "Acme Corp", "Acme Corp Ltd"], toks) == [
         (0, 3, "Acme Corp Ltd"),
         (4, 2, "Acme Corp"),
@@ -151,7 +138,7 @@ def test_find_matches_token_tuple_tie_takes_smallest_surface():
     # "A.B" and "A . B" both tokenize to ("A", ".", "B"); " " sorts before
     # ".", so "A . B" wins whichever line comes first.
     for surfaces in (["A.B", "A . B"], ["A . B", "A.B"]):
-        assert _scan(surfaces, _texts("A.B and A . B")) == [
+        assert _scan(surfaces, kernels.token_texts("A.B and A . B")) == [
             (0, 3, "A . B"),
             (4, 3, "A . B"),
         ]
@@ -164,7 +151,7 @@ def _tuple_keyed_scan(surfaces, token_texts):
     by_tokens = {}
     by_first = {}
     for surface in surfaces:
-        toks = tuple(t for t, _ in _reference_tokenize(surface))
+        toks = tuple(_reference_tokenize(surface))
         held = by_tokens.get(toks)
         if held is None or surface < held:
             by_tokens[toks] = surface
@@ -208,7 +195,7 @@ def _surface(draw):
 def test_find_matches_equals_tuple_keyed_scan(surfaces, texts):
     # The joined-key index finds what a tuple-keyed one finds, ties
     # included, whichever order the dictionary lists the surfaces in.
-    token_texts = [t for text in texts for t, _ in _reference_tokenize(text)]
+    token_texts = [t for text in texts for t in _reference_tokenize(text)]
     for ordered in (surfaces, surfaces[::-1]):
         d = load_dictionary("".join(f"{s}\tThing\n" for s in ordered), _THING)
         got = kernels.find_matches(token_texts, d.surface_class, d.aliases, d.lengths)

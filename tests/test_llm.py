@@ -177,6 +177,25 @@ def test_extract_batch_merges_fragments(onto, token_env):
     assert diags.unparsed_lines == 0
 
 
+def test_extract_batch_reports_per_article_build_diagnostics(onto, token_env):
+    # Each article's graph is closed and conflict-free by the time the
+    # fragments are united, so only the per-article counts see these.
+    def transport(config, token, prompt):
+        if "first article" in prompt:
+            return _block(
+                "E\tAlice Chen\tPerson\tz",
+                "E\tAlice Chen\tOrganization\tz",
+                "T\tAlice Chen\tworksFor\tGhost Corp\tz",
+            )
+        return _block("E\tGlobex\tOrganization\tz")
+
+    batch = [_article(0, "first article"), _article(1, "second article")]
+    graph, diags = extract_batch(batch, _config(), TEMPLATE, onto, transport=transport)
+    assert graph.triples == {}
+    assert graph.entities["Alice Chen"] == ("Organization", "art-0")
+    assert (diags.closure_violations, diags.class_conflicts) == (1, 1)
+
+
 def test_extract_batch_partial_failure(onto, token_env, caplog):
     def transport(config, token, prompt):
         if "bad article" in prompt:

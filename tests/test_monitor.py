@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgmon import monitor
@@ -75,6 +75,29 @@ def test_anomaly_score_weighted_sum():
     with_hal = normalize_weights(1.0, 1.0, 1.0, 1.0)
     d2 = _delta(d_icr=0.4, d_hal=0.8)
     assert math.isclose(anomaly_score(d2, with_hal), 0.25 * 0.4 + 0.25 * 0.8)
+
+
+_WEIGHT = st.floats(0.0, 10.0)
+_DELTA = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(_WEIGHT, _WEIGHT, _WEIGHT, st.none() | _WEIGHT),
+    st.tuples(_DELTA, _DELTA, _DELTA, _DELTA),
+)
+@example((0.0, 0.0, 1.0, None), (-0.5, -0.5, -0.0, 0.0))
+@example((1.0, 2.0, 3.0, 4.0), (0.1, 0.2, 0.3, -0.7))
+def test_anomaly_score_adds_left_to_right_bit_exact(raw, d):
+    # Replay needs the same bits on every Python version, so the terms are
+    # added in a fixed order without compensation.
+    assume(sum(w for w in raw if w is not None) > 0)
+    w = normalize_weights(*raw)
+    delta = _delta(*d)
+    expected = (w.w_icr * d[0] + w.w_ipr * d[1]) + w.w_ci * d[2]
+    if w.w_hal is not None:
+        expected = expected + w.w_hal * d[3]
+    assert anomaly_score(delta, w).hex() == expected.hex()
 
 
 def test_anomaly_score_hal_weight_needs_delta():
@@ -278,7 +301,7 @@ def test_observe_computes_delta_when_missing():
     assert row.d_ci == pytest.approx(0.5)
 
 
-def test_top_metric_weighted_and_tie_order():
+def test_observe_top_weighted_term_and_tie_order():
     state = ThresholdState(capacity=5, lam=2.0, warmup_min=1)
     _observe_score(state, 0, 0.0)
     w = normalize_weights(2.0, 1.0, 1.0)
@@ -305,6 +328,18 @@ def test_top_metric_weighted_and_tie_order():
         delta=_delta(d_icr=0.4, d_ipr=0.4, d_ci=0.4),
     )
     assert top2 == "icr"
+    state3 = ThresholdState(capacity=5, lam=2.0, warmup_min=1)
+    _observe_score(state3, 0, 0.0)
+    _, top3 = observe(
+        state3,
+        timestamp=1,
+        model="m",
+        metrics=_ZERO,
+        baseline_metrics=_ZERO,
+        weights=normalize_weights(1.0, 1.0, 1.0, 1.0),
+        delta=_delta(d_icr=0.1, d_hal=0.8),
+    )
+    assert top3 == "hal"
 
 
 def test_history_row_round_trip(tmp_path):
@@ -614,7 +649,7 @@ def test_observe_row_copies_fields():
         max_size=40,
     )
 )
-def test_observe_top_metric_only_on_flagged_rows(deltas):
+def test_observe_names_top_term_only_on_flagged_rows(deltas):
     state = ThresholdState(capacity=5, lam=1.0, warmup_min=2)
     weights = normalize_weights(1.0, 2.0, 3.0)
     for ts, (d_icr, d_ipr, d_ci) in enumerate(deltas):

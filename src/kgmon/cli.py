@@ -57,7 +57,6 @@ from kgmon.monitor import (
     baseline_row,
     normalize_weights,
     observe,
-    parse_history_line,
     read_history,
     replay_history,
     write_atomic,
@@ -495,7 +494,7 @@ def _evaluate_once(
                 if endpoint_loaded is None:
                     endpoint_loaded = _load_endpoint(config)
                 endpoint, template = endpoint_loaded
-                g_llm, _ing = extract_batch(
+                g_llm, ing = extract_batch(
                     batch,
                     replace(endpoint, model_name=model),
                     template,
@@ -504,16 +503,27 @@ def _evaluate_once(
                     timestamp=timestamp,
                     transport=transport,
                 )
+                unparsed = ing.unparsed_lines
             else:
-                g_llm, _ing = ingest_offline(
+                g_llm, ing = ingest_offline(
                     source, batch_id=batch_id, timestamp=timestamp
                 )
+                unparsed = ing.malformed_lines
         except CliError:
             raise
         except (OSError, LlmError, requests.RequestException, ValueError) as exc:
             log.warning("model %s extraction failed: %s", model, exc)
             continue
         any_success = True
+        if unparsed or ing.closure_violations or ing.class_conflicts:
+            log.warning(
+                "model %s candidate: %d unparsed lines, %d closure violations, "
+                "%d class conflicts",
+                model,
+                unparsed,
+                ing.closure_violations,
+                ing.class_conflicts,
+            )
 
         report = validate_graph(g_llm, batch, ontology)
         cand_metrics = replace(metric_vector(g_llm, ontology), hal=report.score)
@@ -709,9 +719,12 @@ def _render_table(
 def cmd_report(args: argparse.Namespace) -> int:
     if not os.path.isfile(args.history):
         raise CliError(f"history not found: {args.history}")
-    # The lines of a text-mode read: \r and \r\n arrive as \n.
+    rows = read_history(args.history)
+    # The same lines as text, for records mode, as a text-mode read splits
+    # them (\r and \r\n arrive as \n). A torn last line, which
+    # read_history skips, is the one line that zip leaves out.
     lines = [line for line in _read_text(args.history).split("\n") if line.strip()]
-    pairs = [(parse_history_line(line), line) for line in lines]
+    pairs = list(zip(rows, lines))
     if args.timestamp is not None:
         pairs = [(r, l) for r, l in pairs if r.timestamp == args.timestamp]
 

@@ -14,6 +14,7 @@ Entity fields may contain spaces; class, predicate, and article_id are
 whitespace-free tokens.
 """
 
+import re
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -129,22 +130,29 @@ def build_graph(
     return graph, diags
 
 
+# `\s` matches exactly the characters that str.split() breaks on.
+_has_space = re.compile(r"\s").search
+
+
 def _is_token(value: str) -> bool:
-    return bool(value) and value == "".join(value.split())
+    return bool(value) and _has_space(value) is None
 
 
 def parse_record_line(line: str) -> EntityAssertion | TripleAssertion | None:
     """Parse one record line; None if it fails the record grammar."""
+    # Entity fields are normalized as normalize_entity does, inlined: this
+    # runs once per candidate line.
     fields = line.split("\t")
-    if fields[0] == "E" and len(fields) == 4:
-        entity = normalize_entity(fields[1])
+    count = len(fields)
+    if count == 4 and fields[0] == "E":
+        entity = " ".join(fields[1].split())
         cls, prov = fields[2], fields[3]
         if entity and _is_token(cls) and _is_token(prov):
             return EntityAssertion(entity, cls, prov)
-    elif fields[0] == "T" and len(fields) == 5:
-        subj = normalize_entity(fields[1])
+    elif count == 5 and fields[0] == "T":
+        subj = " ".join(fields[1].split())
         pred = fields[2]
-        obj = normalize_entity(fields[3])
+        obj = " ".join(fields[3].split())
         prov = fields[4]
         if subj and obj and _is_token(pred) and _is_token(prov):
             return TripleAssertion(subj, pred, obj, prov)

@@ -40,62 +40,70 @@ class HallucinationReport:
     verdicts: list[ValidationVerdict]
 
 
-def _haystack(batch: list[ArticleDoc]) -> str:
-    # Articles are normalized and casefolded one by one, then joined with a
-    # newline. A normalized needle never contains one, so no match can run
-    # from one article into the next.
-    return "\n".join(normalize_entity(article.text).casefold() for article in batch)
-
-
-def _traces(entity: str, haystack: str) -> bool:
-    # Substring match of the normalized, casefolded surface; no fuzzy matching.
-    needle = normalize_entity(entity).casefold()
-    return bool(needle) and needle in haystack
-
-
 def validate_graph(
     g_llm: KnowledgeGraph, batch: list[ArticleDoc], ontology: Ontology
 ) -> HallucinationReport:
     """One verdict per distinct entity, stages checked in source-trace then
     schema-alignment then rule-conformance order.
 
-    Triple violations are charged to both endpoint entities. An empty
-    batch makes every entity untraceable by definition; an empty graph
-    scores 0.0. Both degenerate cases log a warning.
+    An entity traces when its normalized, casefolded surface is a substring
+    of some article's normalized, casefolded text; there is no fuzzy
+    matching. The article the entity was asserted from is tried first, and
+    the whole batch only on a miss. That order changes no verdict: the
+    needle never contains a newline, so a hit in the asserted article (its
+    texts joined by newlines when articles share an id) is a hit within one
+    article of the batch, and the batch texts are joined by newlines too,
+    so no match runs from one article into the next.
+
+    Triple violations are charged to both endpoint entities; each distinct
+    (subject class, property, object class) question is asked once per
+    call. An empty batch makes every entity untraceable by definition; an
+    empty graph scores 0.0. Both degenerate cases log a warning.
     """
-    if not batch and g_llm.entities:
+    entities = g_llm.entities
+    if not batch and entities:
         log.warning(
             "empty batch with %d asserted entities: all fail source tracing",
-            len(g_llm.entities),
+            len(entities),
         )
 
     # NER-map targets are schema-aligned even if a loader ever admits a
     # target outside the class set.
     schema_classes = set(ontology.classes) | set(ontology.ner_map.values())
 
-    incident: dict[str, list[tuple[str, str, str]]] = {
-        e: [] for e in g_llm.entities
-    }
+    incident: dict[str, list[tuple[str, str, str]]] = {e: [] for e in entities}
     for s, p, o in sorted(g_llm.triples):
         incident[s].append((s, p, o))
         if o != s:
             incident[o].append((s, p, o))
 
-    haystack = _haystack(batch)
+    folded = [normalize_entity(article.text).casefold() for article in batch]
+    haystack = "\n".join(folded)
+    own_text: dict[str, str] = {}
+    for article, text in zip(batch, folded):
+        held = own_text.get(article.id)
+        own_text[article.id] = text if held is None else f"{held}\n{text}"
+
+    permissible: dict[tuple[str, str, str], bool] = {}
     verdicts: list[ValidationVerdict] = []
     per_stage = {stage: 0 for stage in FAIL_STAGES}
-    for entity in sorted(g_llm.entities):
-        cls = g_llm.entities[entity][0]
+    for entity in sorted(entities):
+        cls, provenance = entities[entity]
+        needle = normalize_entity(entity).casefold()
         stage, evidence = STAGE_NONE, ""
-        if not _traces(entity, haystack):
+        if not needle or (
+            needle not in own_text.get(provenance, "") and needle not in haystack
+        ):
             stage, evidence = STAGE_SOURCE, "absent from batch"
         elif cls not in schema_classes:
             stage, evidence = STAGE_SCHEMA, cls
         else:
             for s, p, o in incident[entity]:
-                if not is_permissible(
-                    ontology, g_llm.entities[s][0], p, g_llm.entities[o][0]
-                ):
+                key = (entities[s][0], p, entities[o][0])
+                allowed = permissible.get(key)
+                if allowed is None:
+                    allowed = permissible[key] = is_permissible(ontology, *key)
+                if not allowed:
                     stage, evidence = STAGE_RULES, f"({s}, {p}, {o})"
                     break
         if stage != STAGE_NONE:
@@ -104,7 +112,7 @@ def validate_graph(
             ValidationVerdict(entity=entity, failed_stage=stage, evidence=evidence)
         )
 
-    total = len(g_llm.entities)
+    total = len(entities)
     hallucinated = sum(per_stage.values())
     if total == 0:
         log.warning("empty candidate graph: hallucination score defined as 0.0")

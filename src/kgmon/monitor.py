@@ -8,6 +8,7 @@ decision bit-exactly.
 """
 
 import contextlib
+import itertools
 import json
 import logging
 import math
@@ -328,9 +329,27 @@ def baseline_row(
 
 def append_history(path: str, *rows: HistoryRow) -> None:
     """Append history lines with a single write call, so the rows of one
-    cycle go out together."""
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("".join(row.to_line() + "\n" for row in rows))
+    cycle go out together.
+
+    When the file does not end in a newline, a write was cut short or the
+    file was edited. A torn last line (see _drop_torn_end) is cut off
+    first; it would be a bad line in the middle once rows follow it. An
+    unterminated last line that parses is kept, and the rows start on a
+    new line after it.
+    """
+    data = "".join(row.to_line() + "\n" for row in rows).encode("utf-8")
+    with open(path, "a+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                newest = next(_runs_backward(fh))
+                kept = _drop_torn_end(path, newest)
+                if len(kept) == len(newest):
+                    data = b"\n" + data
+                else:
+                    fh.truncate(end - len(newest) + len(kept))
+        fh.write(data)
 
 
 def write_atomic(path: str, *chunks: bytes) -> None:
@@ -395,6 +414,40 @@ def parse_history_line(line: str) -> HistoryRow:
     return row
 
 
+def _drop_torn_end(path: str, data: bytes) -> bytes:
+    """`data` without its unterminated last line if that line is torn, that
+    is, does not parse: a write cut short leaves such a line, and it must
+    not fail every later read. Skipping it logs a warning naming the file.
+    A bad line anywhere else is not touched here, so it still raises."""
+    cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+    try:
+        last = data[cut:].decode("utf-8")
+        if last.strip():
+            parse_history_line(last)
+    except (UnicodeDecodeError, MonitorError) as exc:
+        log.warning("history %s: dropping a torn last line: %s", path, exc)
+        return data[:cut]
+    return data
+
+
+def _read_all(fh, path: str) -> list[HistoryRow]:
+    """Every row of a binary file, front to back; see read_history."""
+    rows: list[HistoryRow] = []
+    for line in fh:  # a binary file ends its lines at \n only
+        if not line.endswith(b"\n"):
+            line = _drop_torn_end(path, line)
+        text = line.decode("utf-8")
+        if "\r" in text:  # text mode also ends a line at a lone \r
+            rows += [
+                parse_history_line(part)
+                for part in text.replace("\r", "\n").split("\n")
+                if part.strip()
+            ]
+        elif text.strip():
+            rows.append(parse_history_line(text))
+    return rows
+
+
 def _runs_backward(fh) -> Iterator[bytes]:
     r"""Yield a binary file in runs of whole lines, last run first.
 
@@ -441,7 +494,9 @@ def _row_of(models: Iterable[str]) -> re.Pattern:
     return re.compile(rb'"model"[ \t]*:[ \t]*"(?:' + names + rb')"')
 
 
-def _read_tail(fh, models: Iterable[str], window: int) -> list[HistoryRow]:
+def _read_tail(
+    fh, path: str, models: Iterable[str], window: int
+) -> list[HistoryRow]:
     """The shortest suffix of the rows that holds the last `window` rows of
     every listed model (all of its rows when it has fewer); see
     read_history."""
@@ -458,7 +513,10 @@ def _read_tail(fh, models: Iterable[str], window: int) -> list[HistoryRow]:
             if text.strip():
                 rows.append(parse_history_line(text))
 
-    for run in _runs_backward(fh):
+    runs = _runs_backward(fh)
+    # The newest run holds the last line, which may be torn.
+    runs = itertools.chain([_drop_torn_end(path, next(runs, b""))], runs)
+    for run in runs:
         if b"\\" not in run and not short.search(run):
             older.append(run)
             continue
@@ -507,13 +565,16 @@ def read_history(
     is parsed only when its bytes may hold a row of a listed model that is
     still short of `window` rows; the others are passed over unparsed, so a
     short model costs a byte search of the file, not a parse of it.
+
+    Either way, an unterminated last line that does not parse, as a write
+    cut short leaves it, is skipped with a warning; a bad line anywhere
+    else raises MonitorError.
     """
     try:
-        if models is None or window is None:
-            with open(path, encoding="utf-8") as fh:
-                return [parse_history_line(line) for line in fh if line.strip()]
         with open(path, "rb") as fh:
-            return _read_tail(fh, models, window)
+            if models is None or window is None:
+                return _read_all(fh, path)
+            return _read_tail(fh, path, models, window)
     except UnicodeDecodeError as exc:
         raise UndecodableFileError(
             f"history {path}: not valid UTF-8: {exc.reason}"

@@ -380,6 +380,42 @@ def test_evaluate_flags_divergent_candidate(ws, capsys):
     assert last.hall_total == 1 and last.hall_failed == 1
 
 
+# One line outside the record grammar, one triple with an unasserted
+# endpoint, and one entity asserted with two classes.
+DIRTY_CANDIDATE = GOOD_CANDIDATE + (
+    "E\tAcme Corp\n"
+    "T\tAlice Chen\tworksFor\tInitech\tb1\n"
+    "E\tBerlin\tLocation\tb1\n"
+)
+DIRTY_WARNING = (
+    "model dirty candidate: 1 unparsed lines, 1 closure violations, "
+    "1 class conflicts"
+)
+
+
+def test_evaluate_warns_once_per_model_with_ingest_counts(ws, caplog):
+    (ws / "dirty.rec").write_text(DIRTY_CANDIDATE, encoding="utf-8")
+    config = _write_config(ws, models=["dirty", "probe"])
+    argv = ["evaluate", "--config", config, "--batch", str(ws / "batch.tsv")]
+    argv += ["--candidate", f"dirty={ws / 'dirty.rec'}"]
+    argv += ["--candidate", f"probe={ws / 'good.rec'}", "--timestamp", "1"]
+    with caplog.at_level("WARNING"):
+        assert main(argv) == 0
+    assert [r.getMessage() for r in caplog.records] == [DIRTY_WARNING]
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [r.model for r in rows] == ["GT", "dirty", "probe"]
+
+
+def test_evaluate_live_warns_with_batch_ingest_counts(ws, monkeypatch, caplog):
+    _monitor_workspace(ws, monkeypatch)
+    config = _write_config(ws, models=["dirty"], endpoint_config="endpoint.json")
+    response = "BEGIN_KG\n" + DIRTY_CANDIDATE + "END_KG\n"
+    monkeypatch.setattr(llm, "_http_transport", lambda *_args: response)
+    with caplog.at_level("WARNING"):
+        assert _evaluate(ws, config, "dirty=live", 1) == 0
+    assert [r.getMessage() for r in caplog.records] == [DIRTY_WARNING]
+
+
 def test_evaluate_requires_known_candidate_model(ws, capsys):
     config = _write_config(ws)
     rc = _evaluate(ws, config, f"ghost={ws / 'good.rec'}", 1)
@@ -467,6 +503,41 @@ def test_evaluate_parses_only_the_history_tail(ws, capsys, position, evaluate_rc
         assert history.read_bytes() == before
     assert main(["replay", "--history", str(history), "--config", config]) == 1
     assert "ERROR bad history line" in capsys.readouterr().err
+
+
+def test_torn_last_history_line_breaks_no_later_run(ws, capsys, caplog):
+    config = _write_config(ws)
+    for ts in (1, 2):
+        assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", ts) == 0
+    history = ws / "history.jsonl"
+    whole = history.read_bytes()
+    # A write cut short: the first 60 bytes of a row, no newline.
+    history.write_bytes(whole + whole.splitlines()[-1][:60])
+    capsys.readouterr()
+    replay = ["replay", "--history", str(history), "--config", config]
+    report = ["report", "--history", str(history), "--format", "records"]
+    with caplog.at_level("WARNING"):
+        assert main(replay) == 0
+        assert "2 rows replayed, 0 mismatches" in capsys.readouterr().out
+        assert main(report) == 0
+        assert capsys.readouterr().out.encode() == whole
+        torn = f"history {history}: dropping a torn last line"
+        assert [r.getMessage().startswith(torn) for r in caplog.records] == [True] * 2
+        for ts in (3, 4):
+            assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", ts) == 0
+    damaged = history.read_bytes()
+
+    # The same cycles on the undamaged history write the same bytes.
+    (ws / "clean.jsonl").write_bytes(whole)
+    config = _write_config(ws, history="clean.jsonl")
+    for ts in (3, 4):
+        assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", ts) == 0
+    assert damaged == (ws / "clean.jsonl").read_bytes()
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        assert main(replay) == 0
+    assert "4 rows replayed, 0 mismatches" in capsys.readouterr().out
+    assert not caplog.records
 
 
 def test_ill_typed_history_score_is_an_error(ws, capsys):

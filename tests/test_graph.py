@@ -71,6 +71,23 @@ def test_parse_record_line_shapes():
         assert parse_record_line(bad) is None
 
 
+def test_token_fields_reject_exactly_what_split_breaks_on():
+    # Every whitespace code point, a stride through all the others, and a
+    # few that look like spaces but are not whitespace to str.split().
+    spaces = [c for c in range(0x110000) if chr(c).isspace()]
+    others = range(0, 0x110000, 97)
+    for c in [*spaces, *others, 0x200B, 0x2060, 0xFEFF, 0x180E]:
+        ch = chr(c)
+        breaks = len(f"P{ch}Q".split()) > 1
+        assert breaks is ch.isspace()
+        for line in (
+            f"E\tAlice\tP{ch}Q\ta1",
+            f"E\tAlice\tPerson\tA{ch}1",
+            f"T\tAlice\tworks{ch}For\tAcme\ta1",
+        ):
+            assert (parse_record_line(line) is None) is breaks, hex(c)
+
+
 def test_parse_records_counts_and_content():
     text = (
         "E\tAlice\tPerson\ta1\n"

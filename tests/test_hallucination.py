@@ -1,17 +1,23 @@
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgmon import hallucination
 from kgmon.extract import ArticleDoc
 from kgmon.graph import KnowledgeGraph, normalize_entity, parse_records
 from kgmon.hallucination import (
+    FAIL_STAGES,
     STAGE_NONE,
     STAGE_RULES,
     STAGE_SCHEMA,
     STAGE_SOURCE,
+    HallucinationReport,
+    ValidationVerdict,
     validate_graph,
 )
+from kgmon.ontology import is_permissible
 
 
 def _batch(*texts):
@@ -57,6 +63,21 @@ def test_trace_never_spans_two_articles(onto):
     ]
 
 
+def test_articles_sharing_an_id_never_run_together(onto):
+    batch = [
+        ArticleDoc(id="a0", published_at=0, text="Shares rose at Acme"),
+        ArticleDoc(id="a0", published_at=1, text="Corp said nothing."),
+    ]
+    graph = KnowledgeGraph(
+        entities={"Acme": ("Company", "a0"), "AcmeCorp": ("Company", "a0")}
+    )
+    report = validate_graph(graph, batch, onto)
+    assert [(v.entity, v.failed_stage) for v in report.verdicts] == [
+        ("Acme", STAGE_NONE),
+        ("AcmeCorp", STAGE_SOURCE),
+    ]
+
+
 # Whitespace that str.split() breaks on (newline, \x1c, \x85, U+3000) and
 # letters whose casefold changes length or depends on context.
 _TRACE_ALPHABET = "aAcC \n\x1c\x85\u3000ßẞΣσςİi."
@@ -89,6 +110,125 @@ def test_source_trace_matches_per_article_reference(onto, texts, data):
     for verdict in report.verdicts:
         traced = reference(verdict.entity)
         assert (verdict.failed_stage == STAGE_SOURCE) is not traced
+
+
+def _reference_report(g, batch, onto):
+    """validate_graph written out plainly: every needle searched in all the
+    articles joined by newlines, every triple's classes checked anew."""
+    haystack = "\n".join(normalize_entity(a.text).casefold() for a in batch)
+    schema = set(onto.classes) | set(onto.ner_map.values())
+    verdicts = []
+    for entity in sorted(g.entities):
+        cls = g.entities[entity][0]
+        needle = normalize_entity(entity).casefold()
+        stage, evidence = STAGE_NONE, ""
+        if not (needle and needle in haystack):
+            stage, evidence = STAGE_SOURCE, "absent from batch"
+        elif cls not in schema:
+            stage, evidence = STAGE_SCHEMA, cls
+        else:
+            for s, p, o in sorted(g.triples):
+                if entity in (s, o) and not is_permissible(
+                    onto, g.entities[s][0], p, g.entities[o][0]
+                ):
+                    stage, evidence = STAGE_RULES, f"({s}, {p}, {o})"
+                    break
+        verdicts.append(ValidationVerdict(entity, stage, evidence))
+    per_stage = {
+        stage: sum(v.failed_stage == stage for v in verdicts) for stage in FAIL_STAGES
+    }
+    hallucinated = sum(per_stage.values())
+    return HallucinationReport(
+        total=len(verdicts),
+        hallucinated=hallucinated,
+        score=hallucinated / len(verdicts) if verdicts else 0.0,
+        per_stage=per_stage,
+        verdicts=verdicts,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    articles=st.lists(
+        st.tuples(
+            # A small id pool, so that two articles often share an id.
+            st.sampled_from(["a0", "a1", "a2"]),
+            st.text(alphabet=_TRACE_ALPHABET, max_size=12),
+        ),
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_own_article_first_traces_as_the_whole_batch(onto, articles, data):
+    batch = [
+        ArticleDoc(id=aid, published_at=n, text=text)
+        for n, (aid, text) in enumerate(articles)
+    ]
+    ids = sorted({a.id for a in batch})
+    joined = data.draw(st.sampled_from(["", " "])).join(a.text for a in batch)
+
+    def cuts(text):
+        spans = st.tuples(st.integers(0, len(text)), st.integers(0, 8))
+        return [text[i : i + k] for i, k in data.draw(st.lists(spans, max_size=3))]
+
+    # (needle, id of the article it was cut from, or None). Cuts from one
+    # article overlap one another; cuts from the articles joined end to end
+    # may straddle two of them.
+    needles = [(cut, aid) for aid, text in articles for cut in cuts(text)]
+    needles += [(cut, None) for cut in cuts(joined)]
+    # Suffixes of other needles, and free strings.
+    needles += [
+        (needle[data.draw(st.integers(0, len(needle))) :], aid)
+        for needle, aid in needles
+    ]
+    free = st.lists(st.text(alphabet=_TRACE_ALPHABET, max_size=6), max_size=3)
+    needles += [(text, None) for text in data.draw(free)]
+    entities = {}
+    for needle, aid in needles:
+        # Provenance: the article it was cut from, any article of the batch
+        # (some share an id), or an id that names no article.
+        own = [aid] if aid else []
+        provenance = data.draw(st.sampled_from([*own, *ids, "missing"]))
+        entities.setdefault(needle, ("Person", provenance))
+    graph = KnowledgeGraph(entities=entities)
+    assert validate_graph(graph, batch, onto) == _reference_report(graph, batch, onto)
+
+
+_CLASSES = ["Person", "Organization", "Company", "Location", "City", "Martian"]
+_PROPERTIES = ["worksFor", "locatedIn", "contains"]
+_NAMES = ["Alice", "Bob", "Globex", "Initech", "Berlin", "Geneva", "Zorblax"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    typed=st.dictionaries(
+        st.sampled_from(_NAMES), st.sampled_from(_CLASSES), min_size=1
+    ),
+    data=st.data(),
+)
+def test_rule_verdicts_equal_a_per_triple_reference(onto, typed, data):
+    # Classes and properties are drawn from declared and undeclared ones
+    # alike, so the triples mix permissible and impermissible combinations.
+    names = st.sampled_from(sorted(typed))
+    triples = data.draw(
+        st.lists(st.tuples(names, st.sampled_from(_PROPERTIES), names), max_size=12)
+    )
+    graph = KnowledgeGraph(
+        entities={name: (cls, "a0") for name, cls in typed.items()},
+        triples={triple: "a0" for triple in triples},
+    )
+    # Every name but Zorblax occurs in the batch.
+    batch = _batch("Alice and Bob left Globex and Initech for Berlin and Geneva.")
+    asked = []
+
+    def counted(ontology, s_class, prop, o_class):
+        asked.append((s_class, prop, o_class))
+        return is_permissible(ontology, s_class, prop, o_class)
+
+    with mock.patch.object(hallucination, "is_permissible", counted):
+        report = validate_graph(graph, batch, onto)
+    assert report == _reference_report(graph, batch, onto)
+    assert len(asked) == len(set(asked))
 
 
 def test_all_stages_pass(onto):

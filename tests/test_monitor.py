@@ -495,6 +495,87 @@ def test_tail_read_passes_over_old_lines_of_other_models(
             read_history(str(path))
 
 
+def _torn_history(path, models, final):
+    """Whole rows of `models`, one per timestamp, then the bytes `final`."""
+    rows = [
+        dataclasses.replace(baseline_row(ts, "b\u00e9", _ZERO), model=model)
+        for ts, model in enumerate(models)
+    ]
+    whole = "".join(
+        json.dumps(dataclasses.asdict(r), ensure_ascii=False) + "\n" for r in rows
+    ).encode("utf-8")
+    path.write_bytes(whole + final)
+    return rows, whole
+
+
+# A write cut short: the first 60 bytes of a row, a row cut inside a
+# two-byte character, and a lone fragment of punctuation.
+_TORN_ENDS = [
+    baseline_row(9, "b", _ZERO).to_line().encode("utf-8")[:60],
+    '{"timestamp": 9, "model": "a", "batch_id": "\u00e9'.encode("utf-8")[:-1],
+    b'{"tim',
+]
+
+
+@pytest.mark.parametrize("block", [5, 1 << 16])
+@pytest.mark.parametrize("final", _TORN_ENDS)
+def test_torn_last_line_is_dropped_with_a_warning(tmp_path, caplog, block, final):
+    path = tmp_path / "history.jsonl"
+    rows, _ = _torn_history(path, ["a", BASELINE_MODEL, "a", "b"], final)
+    with mock.patch.object(monitor, "_BLOCK_SIZE", block):
+        with caplog.at_level("WARNING", logger="kgmon.monitor"):
+            assert read_history(str(path)) == rows
+            assert read_history(str(path), ["a"], 1) == rows[2:]
+            assert read_history(str(path), ["a", "b"], 5) == rows
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == 3
+    assert all(f"history {path}: dropping a torn last line" in w for w in warnings)
+
+
+@pytest.mark.parametrize("final", _TORN_ENDS)
+def test_torn_line_before_the_last_still_raises(tmp_path, final):
+    path = tmp_path / "history.jsonl"
+    rows, whole = _torn_history(path, ["a", "a"], b"")
+    path.write_bytes(whole + final + b"\n" + rows[1].to_line().encode() + b"\n")
+    with pytest.raises((MonitorError, monitor.UndecodableFileError)):
+        read_history(str(path))
+    with pytest.raises((MonitorError, monitor.UndecodableFileError)):
+        read_history(str(path), ["a"], 5)
+
+
+def test_unterminated_last_row_is_kept(tmp_path, caplog):
+    path = tmp_path / "history.jsonl"
+    rows, whole = _torn_history(path, ["a", "b"], b"")
+    path.write_bytes(whole.rstrip(b"\n"))
+    with caplog.at_level("WARNING", logger="kgmon.monitor"):
+        assert read_history(str(path)) == rows
+        assert read_history(str(path), ["b"], 1) == rows[1:]
+        newest = baseline_row(7, "b", _ZERO)
+        append_history(str(path), newest)
+    assert not caplog.records
+    assert path.read_bytes() == whole + newest.to_line().encode() + b"\n"
+
+
+@pytest.mark.parametrize("final", _TORN_ENDS)
+def test_append_after_a_torn_line_starts_on_the_last_whole_row(tmp_path, final):
+    path = tmp_path / "history.jsonl"
+    rows, whole = _torn_history(path, ["a", "b"], final)
+    newest = [baseline_row(7, "b", _ZERO), baseline_row(8, "b", _ZERO)]
+    append_history(str(path), *newest)
+    assert path.read_bytes() == whole + b"".join(
+        r.to_line().encode() + b"\n" for r in newest
+    )
+    assert read_history(str(path)) == rows + newest
+
+
+def test_append_to_an_undamaged_history_only_appends(tmp_path):
+    path = tmp_path / "history.jsonl"
+    rows = [baseline_row(ts, "b", _ZERO) for ts in range(3)]
+    append_history(str(path), rows[0])
+    append_history(str(path), *rows[1:])
+    assert path.read_bytes() == b"".join(r.to_line().encode() + b"\n" for r in rows)
+
+
 def test_history_line_key_order_fixed():
     row = baseline_row(1, "b", MetricVector(icr=0.0, ipr=0.0, ci=0.0))
     keys = list(json.loads(row.to_line()))

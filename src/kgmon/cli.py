@@ -33,7 +33,7 @@ from kgmon.extract import (
     load_rules,
 )
 from kgmon.graph import canonical_serialize
-from kgmon.hallucination import validate_graph
+from kgmon.hallucination import source_text, validate_graph
 from kgmon.llm import (
     EndpointConfig,
     LlmError,
@@ -102,11 +102,17 @@ class _DiagnosticFormatter(logging.Formatter):
 
 def _setup_logging() -> None:
     root = logging.getLogger()
-    if not any(getattr(h, "_kgmon_diag", False) for h in root.handlers):
-        handler = logging.StreamHandler(sys.stderr)
+    handler = next(
+        (h for h in root.handlers if getattr(h, "_kgmon_diag", False)), None
+    )
+    if handler is None:
+        handler = logging.StreamHandler()
         handler.setFormatter(_DiagnosticFormatter())
         handler._kgmon_diag = True  # type: ignore[attr-defined]
         root.addHandler(handler)
+    # Each call writes to the sys.stderr of that call. Not setStream: it
+    # flushes the previous stream, which a caller may have closed by now.
+    handler.stream = sys.stderr
     if root.level > logging.WARNING or root.level == logging.NOTSET:
         root.setLevel(logging.WARNING)
 
@@ -473,8 +479,10 @@ def _evaluate_once(
         batch, dictionary, rules, ontology, batch_id=batch_id, timestamp=timestamp
     )
     base_metrics = metric_vector(g_base, ontology)
+    # The batch text, normalized and casefolded once for every validation.
+    batch_text = source_text(batch)
     if config.weights.w_hal is not None:
-        base_report = validate_graph(g_base, batch, ontology)
+        base_report = validate_graph(g_base, batch_text, ontology)
         base_metrics = replace(base_metrics, hal=base_report.score)
 
     history_rows = (
@@ -525,7 +533,7 @@ def _evaluate_once(
                 ing.class_conflicts,
             )
 
-        report = validate_graph(g_llm, batch, ontology)
+        report = validate_graph(g_llm, batch_text, ontology)
         cand_metrics = replace(metric_vector(g_llm, ontology), hal=report.score)
         state = _bootstrap_state(history_rows, model, config)
         row, top_metric = observe(

@@ -302,7 +302,7 @@ def _match_rule_at(
     end: int,
     folded: list[str],
     match_at: dict[int, _Hit],
-    ontology: Ontology,
+    fits: dict[str, frozenset[str]],
 ) -> dict[str, _Hit] | None:
     cursor = pos
     bound: dict[str, _Hit] = {}
@@ -324,20 +324,62 @@ def _match_rule_at(
                 return None
             # A slot at `pos` is a slot-first rule's first item, tried only
             # where the caller found its class admitted.
-            if cursor != pos and not ontology.is_subclass(cls, item.cls):
+            if cursor != pos and item.cls not in fits[cls]:
                 return None
             bound[item.role] = hit
             cursor += count
     return bound
 
 
+class _Answers(dict):
+    """A dict that asks `answer(key)` for a key it does not hold yet."""
+
+    def __init__(self, answer) -> None:
+        super().__init__()
+        self._answer = answer
+
+    def __missing__(self, key):
+        value = self[key] = self._answer(key)
+        return value
+
+
+class OntologyTable:
+    """The ontology's answers to the questions extraction asks, for one
+    rule set; build_baseline makes one per call and shares it across the
+    batch's articles, so each question is asked once per batch.
+
+    `fits[cls]` is the set of the rules' slot classes that `cls` equals or
+    descends from, and `permissible[s_cls, predicate, o_cls]` is
+    is_permissible of that triple. Both tables fill on first use.
+    """
+
+    def __init__(self, ontology: Ontology, rules: list[PatternRule]) -> None:
+        slot_classes = {
+            item.cls
+            for rule in rules
+            for item in rule.items
+            if isinstance(item, SlotItem)
+        }
+        self.fits: dict[str, frozenset[str]] = _Answers(
+            lambda cls: frozenset(
+                slot_cls
+                for slot_cls in slot_classes
+                if ontology.is_subclass(cls, slot_cls)
+            )
+        )
+        self.permissible: dict[tuple[str, str, str], bool] = _Answers(
+            lambda key: is_permissible(ontology, *key)
+        )
+
+
 def extract_article(
     article: ArticleDoc,
     dictionary: NerDictionary,
     rules: list[PatternRule],
-    ontology: Ontology,
+    table: OntologyTable,
 ) -> tuple[list[EntityAssertion], list[TripleAssertion], int]:
-    """Extract one article's assertion fragment.
+    """Extract one article's assertion fragment; `table` is an
+    OntologyTable of the same `rules`.
 
     Every dictionary hit yields an entity assertion whether or not a rule
     fires on it. Rules match within single sentences against contiguous
@@ -387,17 +429,19 @@ def extract_article(
             starts = literal_starts.get(tok)
             if starts is not None:
                 starts.append(pos)
+    fits = table.fits
     if slot_starts:
         # Match class -> the buckets of the slot classes it fits.
-        fits: dict[str, list[dict[str | None, list[int]]]] = {}
+        buckets: dict[str, list[dict[str | None, list[int]]]] = {}
         n = len(folded)
         for pos, (count, _, cls) in match_at.items():
-            fitting = fits.get(cls)
+            fitting = buckets.get(cls)
             if fitting is None:
-                fitting = fits[cls] = [
+                cls_fits = fits[cls]
+                fitting = buckets[cls] = [
                     by_after
                     for slot_cls, by_after in slot_starts.items()
-                    if ontology.is_subclass(cls, slot_cls)
+                    if slot_cls in cls_fits
                 ]
             after = folded[pos + count] if pos + count < n else None
             for by_after in fitting:
@@ -409,17 +453,18 @@ def extract_article(
                     if starts is not None:
                         starts.append(pos)
 
+    permissible = table.permissible
     triples: list[TripleAssertion] = []
     rejected = 0
     for rule, starts in zip(rules, rule_starts):
         for pos in starts:
             bound = _match_rule_at(
-                rule, pos, sentence_end[pos], folded, match_at, ontology
+                rule, pos, sentence_end[pos], folded, match_at, fits
             )
             if bound is None:
                 continue
             (_, subj, subj_cls), (_, obj, obj_cls) = bound["subject"], bound["object"]
-            if not is_permissible(ontology, subj_cls, rule.predicate, obj_cls):
+            if not permissible[subj_cls, rule.predicate, obj_cls]:
                 rejected += 1
                 log.warning(
                     "rule %s produced impermissible triple (%s, %s, %s)",
@@ -445,7 +490,8 @@ def build_baseline(
 ) -> tuple[KnowledgeGraph, GraphDiagnostics]:
     """Extract each article and union the fragments into one batch graph.
 
-    The result is independent of article order.
+    The articles share one OntologyTable, so each ontology question is
+    asked once per call. The result is independent of article order.
     """
     ids = [a.id for a in articles]
     if len(set(ids)) != len(ids):
@@ -455,8 +501,9 @@ def build_baseline(
     entity_records: list[EntityAssertion] = []
     triple_records: list[TripleAssertion] = []
     rejected = 0
+    table = OntologyTable(ontology, rules)
     for article in articles:
-        ents, trips, rej = extract_article(article, dictionary, rules, ontology)
+        ents, trips, rej = extract_article(article, dictionary, rules, table)
         entity_records.extend(ents)
         triple_records.extend(trips)
         rejected += rej

@@ -16,6 +16,7 @@ whitespace-free tokens.
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "EntityAssertion",
@@ -31,15 +32,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EntityAssertion:
+# Records are immutable NamedTuples: one is built per record line or
+# extracted match, and a tuple builds in under half the time of a frozen
+# dataclass. Derive a changed copy with `_replace`.
+class EntityAssertion(NamedTuple):
     entity: str
     cls: str
     provenance: str
 
 
-@dataclass(frozen=True)
-class TripleAssertion:
+class TripleAssertion(NamedTuple):
     subject: str
     predicate: str
     object: str

@@ -9,6 +9,7 @@ recorded; the score is the fraction of entities that failed anywhere.
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from kgmon.extract import ArticleDoc
 from kgmon.graph import KnowledgeGraph, normalize_entity
@@ -24,8 +25,7 @@ STAGE_RULES = "rule-conformance"
 FAIL_STAGES = (STAGE_SOURCE, STAGE_SCHEMA, STAGE_RULES)
 
 
-@dataclass(frozen=True)
-class ValidationVerdict:
+class ValidationVerdict(NamedTuple):
     entity: str
     failed_stage: str
     evidence: str
@@ -40,11 +40,36 @@ class HallucinationReport:
     verdicts: list[ValidationVerdict]
 
 
+@dataclass(frozen=True)
+class SourceText:
+    """A batch's text as validate_graph searches it, prepared once per
+    batch and shared by every graph validated against it.
+
+    `haystack` is every article's normalized, casefolded text, joined by
+    newlines; `own_text` maps an article id to its own such text (texts
+    joined by newlines when articles share an id).
+    """
+
+    haystack: str
+    own_text: dict[str, str]
+
+
+def source_text(batch: list[ArticleDoc]) -> SourceText:
+    """The SourceText of `batch`."""
+    folded = [normalize_entity(article.text).casefold() for article in batch]
+    own_text: dict[str, str] = {}
+    for article, text in zip(batch, folded):
+        held = own_text.get(article.id)
+        own_text[article.id] = text if held is None else f"{held}\n{text}"
+    return SourceText(haystack="\n".join(folded), own_text=own_text)
+
+
 def validate_graph(
-    g_llm: KnowledgeGraph, batch: list[ArticleDoc], ontology: Ontology
+    g_llm: KnowledgeGraph, source: SourceText, ontology: Ontology
 ) -> HallucinationReport:
     """One verdict per distinct entity, stages checked in source-trace then
-    schema-alignment then rule-conformance order.
+    schema-alignment then rule-conformance order; `source` is the
+    source_text of the batch.
 
     An entity traces when its normalized, casefolded surface is a substring
     of some article's normalized, casefolded text; there is no fuzzy
@@ -61,7 +86,8 @@ def validate_graph(
     empty graph scores 0.0. Both degenerate cases log a warning.
     """
     entities = g_llm.entities
-    if not batch and entities:
+    own_text, haystack = source.own_text, source.haystack
+    if not own_text and entities:
         log.warning(
             "empty batch with %d asserted entities: all fail source tracing",
             len(entities),
@@ -76,13 +102,6 @@ def validate_graph(
         incident[s].append((s, p, o))
         if o != s:
             incident[o].append((s, p, o))
-
-    folded = [normalize_entity(article.text).casefold() for article in batch]
-    haystack = "\n".join(folded)
-    own_text: dict[str, str] = {}
-    for article, text in zip(batch, folded):
-        held = own_text.get(article.id)
-        own_text[article.id] = text if held is None else f"{held}\n{text}"
 
     permissible: dict[tuple[str, str, str], bool] = {}
     verdicts: list[ValidationVerdict] = []
@@ -108,9 +127,7 @@ def validate_graph(
                     break
         if stage != STAGE_NONE:
             per_stage[stage] += 1
-        verdicts.append(
-            ValidationVerdict(entity=entity, failed_stage=stage, evidence=evidence)
-        )
+        verdicts.append(ValidationVerdict(entity, stage, evidence))
 
     total = len(entities)
     hallucinated = sum(per_stage.values())

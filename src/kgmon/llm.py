@@ -12,7 +12,7 @@ import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
 import requests
@@ -158,7 +158,7 @@ def parse_llm_response(raw: str, article_id: str) -> ExtractionResponse:
         if record is None:
             unparsed += 1
             continue
-        record = replace(record, provenance=article_id)
+        record = record._replace(provenance=article_id)
         if isinstance(record, EntityAssertion):
             entities.append(record)
         else:

@@ -17,6 +17,7 @@ import os
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from kgmon.metrics import MetricDelta, MetricVector, metric_delta
 
@@ -29,24 +30,6 @@ DEFAULT_WINDOW = 30
 DEFAULT_WARMUP = 5
 DEFAULT_LAMBDA = 2.0
 
-_HISTORY_FIELDS = (
-    "timestamp",
-    "model",
-    "batch_id",
-    "icr",
-    "ipr",
-    "ci",
-    "hal",
-    "d_icr",
-    "d_ipr",
-    "d_ci",
-    "score",
-    "threshold",
-    "flagged",
-    "hall_total",
-    "hall_failed",
-)
-_history_values = operator.itemgetter(*_HISTORY_FIELDS)
 # JSON numbers as json.loads returns them; bool is not a number here.
 _NUMBER = frozenset((int, float))
 _NUMBER_OR_NULL = frozenset((int, float, type(None)))
@@ -160,9 +143,9 @@ class ThresholdState:
         return threshold, flagged
 
 
-@dataclass(frozen=True, slots=True)
-class HistoryRow:
-    """One persisted history line; field names match the wire format."""
+class HistoryRow(NamedTuple):
+    """One persisted history line; field names and their order are the
+    wire format's. Immutable; derive a changed copy with `_replace`."""
 
     timestamp: int
     model: str
@@ -181,8 +164,11 @@ class HistoryRow:
     hall_failed: int
 
     def to_line(self) -> str:
-        payload = {name: getattr(self, name) for name in _HISTORY_FIELDS}
-        return json.dumps(payload)
+        return json.dumps(dict(zip(_HISTORY_FIELDS, self)))
+
+
+_HISTORY_FIELDS = HistoryRow._fields
+_history_values = operator.itemgetter(*_HISTORY_FIELDS)
 
 
 def _weighted_terms(
@@ -333,7 +319,9 @@ def append_history(path: str, *rows: HistoryRow) -> None:
 
     When the file does not end in a newline, a write was cut short or the
     file was edited. A torn last line (see _drop_torn_end) is cut off
-    first; it would be a bad line in the middle once rows follow it. An
+    first; it would be a bad line in the middle once rows follow it. The
+    cut logs at debug level only: an evaluate cycle reads the history
+    before it appends, and that read has warned of the line. An
     unterminated last line that parses is kept, and the rows start on a
     new line after it.
     """
@@ -344,7 +332,7 @@ def append_history(path: str, *rows: HistoryRow) -> None:
             fh.seek(end - 1)
             if fh.read(1) != b"\n":
                 newest = next(_runs_backward(fh))
-                kept = _drop_torn_end(path, newest)
+                kept = _drop_torn_end(path, newest, logging.DEBUG)
                 if len(kept) == len(newest):
                     data = b"\n" + data
                 else:
@@ -383,7 +371,7 @@ def parse_history_line(line: str) -> HistoryRow:
     if not isinstance(payload, dict):
         raise MonitorError("bad history line: not a key-value record")
     try:
-        row = HistoryRow(*_history_values(payload))
+        row = HistoryRow._make(_history_values(payload))
     except KeyError:
         missing = [name for name in _HISTORY_FIELDS if name not in payload]
         raise MonitorError(
@@ -414,18 +402,19 @@ def parse_history_line(line: str) -> HistoryRow:
     return row
 
 
-def _drop_torn_end(path: str, data: bytes) -> bytes:
+def _drop_torn_end(path: str, data: bytes, level: int = logging.WARNING) -> bytes:
     """`data` without its unterminated last line if that line is torn, that
     is, does not parse: a write cut short leaves such a line, and it must
-    not fail every later read. Skipping it logs a warning naming the file.
-    A bad line anywhere else is not touched here, so it still raises."""
+    not fail every later read. Skipping it logs a message naming the file,
+    at `level`. A bad line anywhere else is not touched here, so it still
+    raises."""
     cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
     try:
         last = data[cut:].decode("utf-8")
         if last.strip():
             parse_history_line(last)
     except (UnicodeDecodeError, MonitorError) as exc:
-        log.warning("history %s: dropping a torn last line: %s", path, exc)
+        log.log(level, "history %s: dropping a torn last line: %s", path, exc)
         return data[:cut]
     return data
 

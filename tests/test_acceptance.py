@@ -22,6 +22,7 @@ from kgmon.graph import KnowledgeGraph, canonical_serialize
 from kgmon.hallucination import (
     STAGE_RULES,
     STAGE_SOURCE,
+    source_text,
     validate_graph,
 )
 from kgmon.metrics import MetricVector, ci, icr, ipr, metric_delta
@@ -300,7 +301,7 @@ def test_hallucination_scoring(onto):
             batch_id="n1",
             timestamp=5,
         )
-        base = validate_graph(clean, batch, onto)
+        base = validate_graph(clean, source_text(batch), onto)
         assert base.total == 7
         assert base.hallucinated == 0
         assert base.score == 0.0
@@ -309,7 +310,7 @@ def test_hallucination_scoring(onto):
             spec = PerturbationSpec(
                 PerturbationKind.INJECT_ENTITIES, float(n), seed=40 + n
             )
-            report = validate_graph(perturb(clean, spec, onto), batch, onto)
+            report = validate_graph(perturb(clean, spec, onto), source_text(batch), onto)
             assert report.total == 7 + n
             assert report.hallucinated == n
             assert report.per_stage[STAGE_SOURCE] == n
@@ -329,7 +330,7 @@ def test_hallucination_scoring(onto):
             },
             triples={("Gliese 581g", "contains", "water"): "x1"},
         )
-        report = validate_graph(exo, exo_batch, onto)
+        report = validate_graph(exo, source_text(exo_batch), onto)
         assert report.score == 1.0
         for verdict in report.verdicts:
             assert verdict.failed_stage == STAGE_RULES

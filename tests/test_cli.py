@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import random
@@ -538,6 +540,43 @@ def test_torn_last_history_line_breaks_no_later_run(ws, capsys, caplog):
         assert main(replay) == 0
     assert "4 rows replayed, 0 mismatches" in capsys.readouterr().out
     assert not caplog.records
+
+
+def test_evaluate_warns_once_of_a_torn_history_line(ws, caplog):
+    config = _write_config(ws)
+    assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 1) == 0
+    history = ws / "history.jsonl"
+    whole = history.read_bytes()
+    history.write_bytes(whole + whole.splitlines()[-1][:60])
+    with caplog.at_level("DEBUG"):
+        assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 2) == 0
+    torn = f"history {history}: dropping a torn last line"
+    # The tail read warns; the append that then cuts the line off only
+    # logs at debug level.
+    assert [
+        r.levelname for r in caplog.records if r.getMessage().startswith(torn)
+    ] == ["WARNING", "DEBUG"]
+    assert history.read_bytes().startswith(whole)
+    assert len(read_history(str(history))) == 4
+
+
+def test_each_main_call_warns_to_its_own_stderr(ws):
+    # The first stream is closed before the second call, as a caller that
+    # redirects stderr per call may do; the second call must neither write
+    # to it nor flush it.
+    config = _write_config(ws)
+    (ws / "unparsed.rec").write_text(GOOD_CANDIDATE + "not a record\n", encoding="utf-8")
+    warned = []
+    for ts in (1, 2):
+        stream = io.StringIO()
+        with contextlib.redirect_stderr(stream):
+            assert _evaluate(ws, config, f"probe={ws / 'unparsed.rec'}", ts) == 0
+        warned.append(stream.getvalue())
+        if ts == 1:
+            stream.close()
+    line = "WARN model probe candidate: 1 unparsed lines, 0 closure violations"
+    assert [out.count(line) for out in warned] == [1, 1]
+    assert "Logging error" not in warned[1]
 
 
 def test_ill_typed_history_score_is_an_error(ws, capsys):

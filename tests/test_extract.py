@@ -19,6 +19,7 @@ from kgmon.extract import (
     ExtractError,
     LiteralItem,
     NerDictionary,
+    OntologyTable,
     PatternRule,
     SlotItem,
     build_baseline,
@@ -27,7 +28,14 @@ from kgmon.extract import (
     load_dictionary_file,
     load_rules,
 )
-from kgmon.graph import canonical_serialize, normalize_entity
+from kgmon.graph import (
+    EntityAssertion,
+    TripleAssertion,
+    build_graph,
+    canonical_serialize,
+    normalize_entity,
+)
+from kgmon.ontology import Ontology, is_permissible
 
 from conftest import DICTIONARY_TEXT
 
@@ -489,7 +497,9 @@ def test_extract_article_entities_match_oracle(onto, rules, pieces):
     # oracle scan, in text order.
     dictionary = load_dictionary(_SCAN_DICTIONARY_TEXT, onto)
     text = "".join(word + gap for word, gap in pieces)
-    entities, _, _ = extract_article(ArticleDoc("d", 0, text), dictionary, rules, onto)
+    entities, _, _ = extract_article(
+        ArticleDoc("d", 0, text), dictionary, rules, OntologyTable(onto, rules)
+    )
     expected = oracle_ner(text, dictionary.surface_class)
     assert [(e.entity, e.cls) for e in entities] == [
         (surface, dictionary.surface_class[surface]) for _, _, surface in expected
@@ -498,7 +508,9 @@ def test_extract_article_entities_match_oracle(onto, rules, pieces):
 
 
 def test_extract_article_fixture(onto, dictionary, rules, article):
-    entities, triples, rejected = extract_article(article, dictionary, rules, onto)
+    entities, triples, rejected = extract_article(
+        article, dictionary, rules, OntologyTable(onto, rules)
+    )
     assert rejected == 0
     assert sorted((e.entity, e.cls, e.provenance) for e in entities) == [
         ("Acme Corp", "Company", "a1"),
@@ -518,7 +530,7 @@ def test_rules_respect_sentence_boundaries(onto, dictionary, rules):
         published_at=0,
         text="Alice Chen works for Globex. Bob Marsh works for Initech.",
     )
-    _, triples, _ = extract_article(doc, dictionary, rules, onto)
+    _, triples, _ = extract_article(doc, dictionary, rules, OntologyTable(onto, rules))
     assert sorted((t.subject, t.object) for t in triples) == [
         ("Alice Chen", "Globex"),
         ("Bob Marsh", "Initech"),
@@ -526,7 +538,7 @@ def test_rules_respect_sentence_boundaries(onto, dictionary, rules):
     split = ArticleDoc(
         id="a3", published_at=0, text="Alice Chen works for. Globex grew."
     )
-    _, triples, _ = extract_article(split, dictionary, rules, onto)
+    _, triples, _ = extract_article(split, dictionary, rules, OntologyTable(onto, rules))
     assert triples == []
 
 
@@ -534,14 +546,16 @@ def test_rule_slot_type_check(onto, dictionary, rules):
     doc = ArticleDoc(
         id="a4", published_at=0, text="Alice Chen works for Bob Marsh."
     )
-    entities, triples, _ = extract_article(doc, dictionary, rules, onto)
+    entities, triples, _ = extract_article(
+        doc, dictionary, rules, OntologyTable(onto, rules)
+    )
     assert len(entities) == 2
     assert triples == []
 
 
 def test_rule_literals_casefold(onto, dictionary, rules):
     doc = ArticleDoc(id="a5", published_at=0, text="Alice Chen WORKS FOR Globex.")
-    _, triples, _ = extract_article(doc, dictionary, rules, onto)
+    _, triples, _ = extract_article(doc, dictionary, rules, OntologyTable(onto, rules))
     assert [(t.subject, t.object) for t in triples] == [("Alice Chen", "Globex")]
 
 
@@ -557,7 +571,9 @@ def test_rule_defensive_permissibility_recheck(onto, dictionary):
         predicate="worksFor",
     )
     doc = ArticleDoc(id="a6", published_at=0, text="Alice Chen works for Bob Marsh.")
-    _, triples, rejected = extract_article(doc, dictionary, [sneaky], onto)
+    _, triples, rejected = extract_article(
+        doc, dictionary, [sneaky], OntologyTable(onto, [sneaky])
+    )
     assert triples == []
     assert rejected == 1
 
@@ -728,7 +744,9 @@ def test_extract_article_rules_match_reference(onto):
             for _ in range(rng.randrange(0, 8))
         )
         doc = ArticleDoc(id=f"d{n}", published_at=n, text=text)
-        _, triples, rejected = extract_article(doc, dictionary, rules, onto)
+        _, triples, rejected = extract_article(
+            doc, dictionary, rules, OntologyTable(onto, rules)
+        )
         got = [(t.subject, t.predicate, t.object) for t in triples]
         assert (got, rejected) == reference_rules(text, surface_class, rules, onto)
         triples_seen += len(got)
@@ -798,10 +816,77 @@ def test_extract_article_equals_every_rule_at_every_token(onto, rules, words):
     dictionary = load_dictionary(_DISPATCH_SURFACES, onto)
     text = " ".join(words)
     entities, triples, rejected = extract_article(
-        ArticleDoc("d", 0, text), dictionary, rules, onto
+        ArticleDoc("d", 0, text), dictionary, rules, OntologyTable(onto, rules)
     )
     got = [(t.subject, t.predicate, t.object) for t in triples]
     assert (got, rejected) == reference_rules(text, dictionary.surface_class, rules, onto)
     assert [e.entity for e in entities] == [
         s for _, _, s in oracle_ner(text, dictionary.surface_class)
     ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _dispatch_rules(),
+    st.lists(
+        st.lists(st.sampled_from(_DISPATCH_WORDS), max_size=16), min_size=1, max_size=5
+    ),
+)
+@example(
+    # Twin slot classes: two slot-first rules on Person, one whose second
+    # slot wants an Organization and gets a Company, one whose second slot
+    # wants a Company; and a Company in the first slot of an Organization
+    # rule. Every article repeats, so later articles reuse what the first
+    # one asked.
+    [
+        PatternRule("a", (SlotItem("subject", "Person"), LiteralItem(("works",)),
+                          SlotItem("object", "Organization")), "worksFor"),
+        PatternRule("b", (SlotItem("subject", "Person"), LiteralItem(("works",)),
+                          SlotItem("object", "Company")), "worksFor"),
+        PatternRule("c", (SlotItem("subject", "Organization"), LiteralItem(("in",)),
+                          SlotItem("object", "Location")), "locatedIn"),
+    ],
+    [["Alice Chen", "works", "Acme Corp", ".", "Initech", "in", "Geneva"]] * 3
+    + [["Dana Wu", "works", "Globex", "!", "Globex", "in", "Lake Victoria"]],
+)
+def test_build_baseline_with_one_table_equals_asking_at_every_use(onto, rules, articles):
+    # build_baseline shares one OntologyTable across the batch; the
+    # reference re-derives every subclass and permissibility answer at each
+    # use, article by article, and unions the fragments with build_graph.
+    dictionary = load_dictionary(_DISPATCH_SURFACES, onto)
+    surface_class = dictionary.surface_class
+    docs = [ArticleDoc(f"d{i}", i, " ".join(words)) for i, words in enumerate(articles)]
+    entities, triples, rejected = [], [], 0
+    for doc in docs:
+        entities += [
+            EntityAssertion(s, surface_class[s], doc.id)
+            for _, _, s in oracle_ner(doc.text, surface_class)
+        ]
+        got, rej = reference_rules(doc.text, surface_class, rules, onto)
+        triples += [TripleAssertion(s, p, o, doc.id) for s, p, o in got]
+        rejected += rej
+    expected, expected_diags = build_graph(entities, triples, batch_id="b")
+    if rejected:
+        expected_diags.notes.append(f"{rejected} rule triples failed permissibility")
+    graph, diags = build_baseline(docs, dictionary, rules, onto, batch_id="b")
+    assert canonical_serialize(graph) == canonical_serialize(expected)
+    assert diags == expected_diags
+
+
+def test_build_baseline_asks_the_ontology_once_per_batch(onto, dictionary, rules, article):
+    # The number of ontology questions depends on the classes and rules in
+    # play, not on the number of articles that repeat them.
+    def asked(copies):
+        docs = [ArticleDoc(f"a{i}", i, article.text) for i in range(copies)]
+        with mock.patch.object(
+            Ontology, "is_subclass", autospec=True, side_effect=Ontology.is_subclass
+        ) as subclass, mock.patch.object(
+            extract, "is_permissible", wraps=is_permissible
+        ) as permissible:
+            graph, _ = build_baseline(docs, dictionary, rules, onto)
+        assert len(graph.triples) == 2
+        return subclass.call_count, permissible.call_count
+
+    once = asked(1)
+    assert once[0] > 0 and once[1] > 0
+    assert asked(20) == once

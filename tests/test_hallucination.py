@@ -15,6 +15,7 @@ from kgmon.hallucination import (
     STAGE_SOURCE,
     HallucinationReport,
     ValidationVerdict,
+    source_text,
     validate_graph,
 )
 from kgmon.ontology import is_permissible
@@ -30,7 +31,7 @@ def _source_traced(onto, entities, batch):
     graph = KnowledgeGraph(entities={e: ("Person", "a0") for e in entities})
     return {
         v.entity: v.failed_stage != STAGE_SOURCE
-        for v in validate_graph(graph, batch, onto).verdicts
+        for v in validate_graph(graph, source_text(batch), onto).verdicts
     }
 
 
@@ -56,7 +57,7 @@ def test_trace_never_spans_two_articles(onto):
     graph = KnowledgeGraph(
         entities={"Acme": ("Company", "a0"), "Acme Corp": ("Company", "a0")}
     )
-    report = validate_graph(graph, batch, onto)
+    report = validate_graph(graph, source_text(batch), onto)
     assert [(v.entity, v.failed_stage) for v in report.verdicts] == [
         ("Acme", STAGE_NONE),
         ("Acme Corp", STAGE_SOURCE),
@@ -71,7 +72,7 @@ def test_articles_sharing_an_id_never_run_together(onto):
     graph = KnowledgeGraph(
         entities={"Acme": ("Company", "a0"), "AcmeCorp": ("Company", "a0")}
     )
-    report = validate_graph(graph, batch, onto)
+    report = validate_graph(graph, source_text(batch), onto)
     assert [(v.entity, v.failed_stage) for v in report.verdicts] == [
         ("Acme", STAGE_NONE),
         ("AcmeCorp", STAGE_SOURCE),
@@ -106,7 +107,7 @@ def test_source_trace_matches_per_article_reference(onto, texts, data):
             needle in normalize_entity(a.text).casefold() for a in batch
         )
 
-    report = validate_graph(graph, batch, onto)
+    report = validate_graph(graph, source_text(batch), onto)
     for verdict in report.verdicts:
         traced = reference(verdict.entity)
         assert (verdict.failed_stage == STAGE_SOURCE) is not traced
@@ -191,7 +192,8 @@ def test_own_article_first_traces_as_the_whole_batch(onto, articles, data):
         provenance = data.draw(st.sampled_from([*own, *ids, "missing"]))
         entities.setdefault(needle, ("Person", provenance))
     graph = KnowledgeGraph(entities=entities)
-    assert validate_graph(graph, batch, onto) == _reference_report(graph, batch, onto)
+    report = validate_graph(graph, source_text(batch), onto)
+    assert report == _reference_report(graph, batch, onto)
 
 
 _CLASSES = ["Person", "Organization", "Company", "Location", "City", "Martian"]
@@ -226,9 +228,71 @@ def test_rule_verdicts_equal_a_per_triple_reference(onto, typed, data):
         return is_permissible(ontology, s_class, prop, o_class)
 
     with mock.patch.object(hallucination, "is_permissible", counted):
-        report = validate_graph(graph, batch, onto)
+        report = validate_graph(graph, source_text(batch), onto)
     assert report == _reference_report(graph, batch, onto)
     assert len(asked) == len(set(asked))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    articles=st.lists(
+        st.tuples(
+            st.sampled_from(["a0", "a1", "a2"]),
+            st.text(alphabet=_TRACE_ALPHABET + "GlobexBerlin", max_size=16),
+        ),
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_one_source_text_serves_every_graph(onto, articles, data):
+    # One SourceText, validated against several graphs in turn, gives each
+    # graph the report that a SourceText prepared for it alone gives, and
+    # is itself left as it was.
+    batch = [
+        ArticleDoc(id=aid, published_at=n, text=text)
+        for n, (aid, text) in enumerate(articles)
+    ]
+    shared = source_text(batch)
+    joined = " ".join(text for _, text in articles)
+    needles = st.one_of(
+        st.sampled_from(_NAMES),
+        st.text(alphabet=_TRACE_ALPHABET, max_size=6),
+        st.tuples(st.integers(0, len(joined)), st.integers(0, 8)).map(
+            lambda cut: joined[cut[0] : cut[0] + cut[1]]
+        ),
+    )
+    for _ in range(data.draw(st.integers(1, 4))):
+        typed = data.draw(
+            st.dictionaries(
+                needles,
+                st.tuples(
+                    st.sampled_from(_CLASSES),
+                    st.sampled_from(["a0", "a1", "a2", "missing"]),
+                ),
+            )
+        )
+        names = sorted(typed)
+        triples = (
+            data.draw(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(names),
+                        st.sampled_from(_PROPERTIES),
+                        st.sampled_from(names),
+                    ),
+                    max_size=6,
+                )
+            )
+            if names
+            else []
+        )
+        graph = KnowledgeGraph(
+            entities=typed, triples={triple: "a0" for triple in triples}
+        )
+        report = validate_graph(graph, shared, onto)
+        assert report == validate_graph(graph, source_text(batch), onto)
+        assert report == _reference_report(graph, batch, onto)
+    assert shared == source_text(batch)
 
 
 def test_all_stages_pass(onto):
@@ -238,7 +302,7 @@ def test_all_stages_pass(onto):
         "T\tAlice Chen\tworksFor\tGlobex\ta0\n"
     )
     batch = _batch("Alice Chen works for Globex.")
-    report = validate_graph(graph, batch, onto)
+    report = validate_graph(graph, source_text(batch), onto)
     assert report.total == 2
     assert report.hallucinated == 0
     assert report.score == 0.0
@@ -252,7 +316,7 @@ def test_all_stages_pass(onto):
 
 def test_source_trace_failure(onto):
     graph, _ = parse_records("E\tZorblax\tPerson\ta0\nE\tGlobex\tOrganization\ta0\n")
-    report = validate_graph(graph, _batch("Globex expanded."), onto)
+    report = validate_graph(graph, source_text(_batch("Globex expanded.")), onto)
     assert report.per_stage[STAGE_SOURCE] == 1
     assert report.score == 0.5
     verdict = {v.entity: v for v in report.verdicts}["Zorblax"]
@@ -262,7 +326,7 @@ def test_source_trace_failure(onto):
 
 def test_schema_alignment_failure(onto):
     graph, _ = parse_records("E\tGlobex\tMegacorp\ta0\n")
-    report = validate_graph(graph, _batch("Globex expanded."), onto)
+    report = validate_graph(graph, source_text(_batch("Globex expanded.")), onto)
     verdict = report.verdicts[0]
     assert verdict.failed_stage == STAGE_SCHEMA
     assert verdict.evidence == "Megacorp"
@@ -271,7 +335,7 @@ def test_schema_alignment_failure(onto):
 
 def test_ner_map_targets_count_as_schema(onto):
     graph, _ = parse_records("E\tGlobex\tOrganization\ta0\n")
-    report = validate_graph(graph, _batch("Globex expanded."), onto)
+    report = validate_graph(graph, source_text(_batch("Globex expanded.")), onto)
     assert report.verdicts[0].failed_stage == STAGE_NONE
 
 
@@ -282,7 +346,7 @@ def test_rule_conformance_unknown_predicate(onto):
         "T\tGliese 581g\tcontains\twater\ta0\n"
     )
     batch = _batch("Astronomers report Gliese 581g may hold water.")
-    report = validate_graph(graph, batch, onto)
+    report = validate_graph(graph, source_text(batch), onto)
     assert report.total == 2
     assert report.hallucinated == 2
     assert report.score == 1.0
@@ -298,7 +362,7 @@ def test_rule_conformance_domain_violation(onto):
         "E\tBerlin\tCity\ta0\n"
         "T\tBerlin\tworksFor\tGlobex\ta0\n"
     )
-    report = validate_graph(graph, _batch("Globex sits in Berlin."), onto)
+    report = validate_graph(graph, source_text(_batch("Globex sits in Berlin.")), onto)
     assert report.per_stage[STAGE_RULES] == 2
     assert all(v.failed_stage == STAGE_RULES for v in report.verdicts)
 
@@ -309,7 +373,7 @@ def test_rule_conformance_out_of_schema_endpoint_class(onto):
         "E\tGlobex\tWidget\ta0\n"
         "T\tAlice\tworksFor\tGlobex\ta0\n"
     )
-    report = validate_graph(graph, _batch("Alice joined Globex."), onto)
+    report = validate_graph(graph, source_text(_batch("Alice joined Globex.")), onto)
     by_entity = {v.entity: v.failed_stage for v in report.verdicts}
     assert by_entity["Globex"] == STAGE_SCHEMA
     assert by_entity["Alice"] == STAGE_RULES
@@ -321,7 +385,7 @@ def test_first_failing_stage_wins(onto):
         "E\tAlice\tPerson\ta0\n"
         "T\tZorblax\tabducted\tAlice\ta0\n"
     )
-    report = validate_graph(graph, _batch("Alice slept."), onto)
+    report = validate_graph(graph, source_text(_batch("Alice slept.")), onto)
     by_entity = {v.entity: v.failed_stage for v in report.verdicts}
     assert by_entity["Zorblax"] == STAGE_SOURCE
     assert by_entity["Alice"] == STAGE_RULES
@@ -330,7 +394,7 @@ def test_first_failing_stage_wins(onto):
 def test_empty_batch_warns_and_fails_all(onto, caplog):
     graph, _ = parse_records("E\tAlice\tPerson\ta0\nE\tGlobex\tOrganization\ta0\n")
     with caplog.at_level("WARNING", logger="kgmon.hallucination"):
-        report = validate_graph(graph, [], onto)
+        report = validate_graph(graph, source_text([]), onto)
     assert report.score == 1.0
     assert report.per_stage[STAGE_SOURCE] == 2
     assert any("empty batch" in r.message for r in caplog.records)
@@ -339,7 +403,7 @@ def test_empty_batch_warns_and_fails_all(onto, caplog):
 def test_empty_graph_warns_scores_zero(onto, caplog):
     graph, _ = parse_records("")
     with caplog.at_level("WARNING", logger="kgmon.hallucination"):
-        report = validate_graph(graph, _batch("anything"), onto)
+        report = validate_graph(graph, source_text(_batch("anything")), onto)
     assert report.total == 0
     assert report.score == 0.0
     assert report.verdicts == []
@@ -356,7 +420,7 @@ def test_verdicts_sorted_and_score_is_fraction(onto):
             lines.append(f"E\t{e}\t{rng.choice(classes)}\ta0")
         graph, _ = parse_records("\n".join(lines) + "\n")
         batch = _batch("Alice and Dana visited Globex in Berlin.")
-        report = validate_graph(graph, batch, onto)
+        report = validate_graph(graph, source_text(batch), onto)
         assert [v.entity for v in report.verdicts] == sorted(graph.entities)
         assert report.hallucinated == sum(report.per_stage.values())
         assert report.score == report.hallucinated / report.total

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -269,7 +268,7 @@ def test_non_finite_scores_rejected_before_state_changes(bad):
         ThresholdState(scores=[0.1, bad])
     with pytest.raises(MonitorError, match="non-finite"):
         state.push(bad)
-    row = dataclasses.replace(row, score=bad)
+    row = row._replace(score=bad)
     with pytest.raises(MonitorError, match="non-finite"):
         replay_history([row], warmup_min=1)
 
@@ -418,12 +417,10 @@ def test_tail_read_matches_full_read(
             if not few_left:
                 continue
             few_left -= 1
-        row = dataclasses.replace(
-            baseline_row(ts, batch_id, _ZERO), model=model, score=score
-        )
+        row = baseline_row(ts, batch_id, _ZERO)._replace(model=model, score=score)
         # ensure_ascii=False puts multi-byte UTF-8 into the file, and raw
         # U+2028 and U+0085, at which text mode does not split.
-        line = json.dumps(dataclasses.asdict(row), ensure_ascii=False)
+        line = json.dumps(row._asdict(), ensure_ascii=False)
         parts += [blank, line, end]
     if parts and not final_newline:
         parts.pop()
@@ -478,7 +475,7 @@ def test_tail_read_passes_over_old_lines_of_other_models(
 ):
     path = tmp_path / "history.jsonl"
     old = [baseline_row(ts, "b", _ZERO) for ts in range(3)]
-    few = dataclasses.replace(baseline_row(3, "b", _ZERO), model="few")
+    few = baseline_row(3, "b", _ZERO)._replace(model="few")
     newest = baseline_row(4, "b", _ZERO)
     lines = [oldest, *(r.to_line() for r in old), few.to_line(), newest.to_line()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -498,11 +495,11 @@ def test_tail_read_passes_over_old_lines_of_other_models(
 def _torn_history(path, models, final):
     """Whole rows of `models`, one per timestamp, then the bytes `final`."""
     rows = [
-        dataclasses.replace(baseline_row(ts, "b\u00e9", _ZERO), model=model)
+        baseline_row(ts, "b\u00e9", _ZERO)._replace(model=model)
         for ts, model in enumerate(models)
     ]
     whole = "".join(
-        json.dumps(dataclasses.asdict(r), ensure_ascii=False) + "\n" for r in rows
+        json.dumps(r._asdict(), ensure_ascii=False) + "\n" for r in rows
     ).encode("utf-8")
     path.write_bytes(whole + final)
     return rows, whole
@@ -576,26 +573,52 @@ def test_append_to_an_undamaged_history_only_appends(tmp_path):
     assert path.read_bytes() == b"".join(r.to_line().encode() + b"\n" for r in rows)
 
 
+# The keys of a history line, in wire order.
+_WIRE_FIELDS = (
+    "timestamp", "model", "batch_id", "icr", "ipr", "ci", "hal", "d_icr",
+    "d_ipr", "d_ci", "score", "threshold", "flagged", "hall_total", "hall_failed",
+)
+
+
 def test_history_line_key_order_fixed():
     row = baseline_row(1, "b", MetricVector(icr=0.0, ipr=0.0, ci=0.0))
-    keys = list(json.loads(row.to_line()))
-    assert keys == [
-        "timestamp",
-        "model",
-        "batch_id",
-        "icr",
-        "ipr",
-        "ci",
-        "hal",
-        "d_icr",
-        "d_ipr",
-        "d_ci",
-        "score",
-        "threshold",
-        "flagged",
-        "hall_total",
-        "hall_failed",
-    ]
+    assert tuple(json.loads(row.to_line())) == _WIRE_FIELDS
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.builds(
+        HistoryRow,
+        timestamp=st.integers(0, 2**63),
+        model=st.text(),
+        batch_id=st.text(),
+        icr=_finite,
+        ipr=_finite,
+        ci=_finite,
+        hal=st.none() | _finite,
+        d_icr=_finite,
+        d_ipr=_finite,
+        d_ci=_finite,
+        score=_finite,
+        threshold=st.none() | _finite,
+        flagged=st.booleans(),
+        hall_total=st.integers(0, 10**6),
+        hall_failed=st.integers(0, 10**6),
+    )
+)
+@example(
+    HistoryRow(1, "gpt-\u00e9\u2028\U0001f600", "b\x85", 0.5, 0.25, 0.0, None,
+               -0.0, 1e-300, 2.5, 0.1, None, True, 3, 1)
+)
+def test_to_line_bytes_equal_the_per_field_dump(row):
+    # The line as it was built field by field with getattr, before rows
+    # were tuples; the wire format must not move.
+    old = json.dumps({name: getattr(row, name) for name in _WIRE_FIELDS})
+    assert row.to_line().encode("utf-8") == old.encode("utf-8")
+    assert parse_history_line(row.to_line()) == row
 
 
 def test_parse_history_line_errors():
@@ -648,13 +671,11 @@ def test_parse_history_line_accepts_ints_and_nulls_for_numbers():
 def test_parse_history_line_maps_every_field_by_name():
     # parse_history_line builds the row positionally; give every field a
     # distinct value of its type so a field-order mismatch cannot go unnoticed.
-    values = {
-        name: i for i, name in enumerate(f.name for f in dataclasses.fields(HistoryRow))
-    }
+    values = {name: i for i, name in enumerate(HistoryRow._fields)}
     values.update(model="m", batch_id="b", icr=3.5, flagged=True)
     shuffled = dict(sorted(values.items(), reverse=True))
     row = parse_history_line(json.dumps({**shuffled, "extra": "ignored"}))
-    assert dataclasses.asdict(row) == values
+    assert row._asdict() == values
 
 
 def test_observe_row_copies_fields():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from kgmon.graph import canonical_serialize, parse_records
-from kgmon.hallucination import validate_graph
+from kgmon.hallucination import source_text, validate_graph
 from kgmon.metrics import ci, icr, ipr, metric_vector
 from kgmon.monitor import read_history
 from kgmon.simlab import (
@@ -123,10 +123,10 @@ def test_inject_then_validate_scores_fraction(onto, base_graph):
     from kgmon.extract import ArticleDoc
 
     batch = [ArticleDoc(id="a0", published_at=0, text=text)]
-    clean = validate_graph(base_graph, batch, onto)
+    clean = validate_graph(base_graph, source_text(batch), onto)
     assert clean.score == 0.0
     spec = PerturbationSpec(PerturbationKind.INJECT_ENTITIES, 3.0, 5)
-    report = validate_graph(perturb(base_graph, spec, onto), batch, onto)
+    report = validate_graph(perturb(base_graph, spec, onto), source_text(batch), onto)
     assert report.total == 6 + 3
     assert report.hallucinated == 3
     assert report.score == 3 / 9
@@ -171,7 +171,7 @@ def test_synthetic_stream_shape(onto):
     assert len(graph) == 10
     m = metric_vector(graph, onto)
     assert m.icr == 1.0 and m.ipr == 1.0
-    report = validate_graph(graph, batch, onto)
+    report = validate_graph(graph, source_text(batch), onto)
     assert report.score == 0.0
     later_batch, later = steps[2]
     assert later.timestamp == 2

@@ -673,8 +673,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     ontology = load_ontology(_read_text(config.ontology))
     schedule, flag_asserts = load_schedule(_read_text(args.schedule))
-    if args.steps < 1:
-        raise CliError("steps must be positive")
+    # Checked before run_scenario writes any row.
+    if args.steps < config.warmup_min + 1:
+        raise CliError(
+            f"scenario too short: {args.steps} steps, "
+            f"warmup needs {config.warmup_min + 1}"
+        )
     scenario = ScenarioConfig(
         ontology=ontology,
         weights=config.weights,

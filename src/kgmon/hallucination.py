@@ -80,10 +80,9 @@ def validate_graph(
     article of the batch, and the batch texts are joined by newlines too,
     so no match runs from one article into the next.
 
-    Triple violations are charged to both endpoint entities; each distinct
-    (subject class, property, object class) question is asked once per
-    call. An empty batch makes every entity untraceable by definition; an
-    empty graph scores 0.0. Both degenerate cases log a warning.
+    Triple violations are charged to both endpoint entities. An empty
+    batch makes every entity untraceable by definition; an empty graph
+    scores 0.0. Both degenerate cases log a warning.
     """
     entities = g_llm.entities
     own_text, haystack = source.own_text, source.haystack
@@ -103,7 +102,6 @@ def validate_graph(
         if o != s:
             incident[o].append((s, p, o))
 
-    permissible: dict[tuple[str, str, str], bool] = {}
     verdicts: list[ValidationVerdict] = []
     per_stage = {stage: 0 for stage in FAIL_STAGES}
     for entity in sorted(entities):
@@ -118,11 +116,7 @@ def validate_graph(
             stage, evidence = STAGE_SCHEMA, cls
         else:
             for s, p, o in incident[entity]:
-                key = (entities[s][0], p, entities[o][0])
-                allowed = permissible.get(key)
-                if allowed is None:
-                    allowed = permissible[key] = is_permissible(ontology, *key)
-                if not allowed:
+                if not is_permissible(ontology, entities[s][0], p, entities[o][0]):
                     stage, evidence = STAGE_RULES, f"({s}, {p}, {o})"
                     break
         if stage != STAGE_NONE:

@@ -17,7 +17,7 @@ import os
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 from kgmon.metrics import MetricDelta, MetricVector, metric_delta
 
@@ -313,30 +313,41 @@ def baseline_row(
     )
 
 
-def append_history(path: str, *rows: HistoryRow) -> None:
-    """Append history lines with a single write call, so the rows of one
-    cycle go out together.
+def open_history_for_append(path: str, level: int) -> BinaryIO:
+    """`path` opened for binary appends, ready for whole lines.
 
     When the file does not end in a newline, a write was cut short or the
-    file was edited. A torn last line (see _drop_torn_end) is cut off
-    first; it would be a bad line in the middle once rows follow it. The
-    cut logs at debug level only: an evaluate cycle reads the history
-    before it appends, and that read has warned of the line. An
-    unterminated last line that parses is kept, and the rows start on a
-    new line after it.
+    file was edited. A torn last line (see _drop_torn_end) is cut off,
+    logged at `level`; it would be a bad line in the middle once rows
+    follow it. An unterminated last line that parses is kept, and ended
+    with a newline so the rows start on a line of their own.
     """
-    data = "".join(row.to_line() + "\n" for row in rows).encode("utf-8")
-    with open(path, "a+b") as fh:
+    fh = open(path, "a+b")
+    try:
         end = fh.seek(0, os.SEEK_END)
         if end:
             fh.seek(end - 1)
             if fh.read(1) != b"\n":
                 newest = next(_runs_backward(fh))
-                kept = _drop_torn_end(path, newest, logging.DEBUG)
+                kept = _drop_torn_end(path, newest, level)
                 if len(kept) == len(newest):
-                    data = b"\n" + data
+                    fh.write(b"\n")
                 else:
                     fh.truncate(end - len(newest) + len(kept))
+    except BaseException:
+        fh.close()
+        raise
+    return fh
+
+
+def append_history(path: str, *rows: HistoryRow) -> None:
+    """Append history lines with a single write call, so the rows of one
+    cycle go out together; see open_history_for_append. A torn last line
+    is cut off logging at debug level only: an evaluate cycle reads the
+    history before it appends, and that read has warned of the line.
+    """
+    data = "".join(row.to_line() + "\n" for row in rows).encode("utf-8")
+    with open_history_for_append(path, logging.DEBUG) as fh:
         fh.write(data)
 
 
@@ -419,24 +430,6 @@ def _drop_torn_end(path: str, data: bytes, level: int = logging.WARNING) -> byte
     return data
 
 
-def _read_all(fh, path: str) -> list[HistoryRow]:
-    """Every row of a binary file, front to back; see read_history."""
-    rows: list[HistoryRow] = []
-    for line in fh:  # a binary file ends its lines at \n only
-        if not line.endswith(b"\n"):
-            line = _drop_torn_end(path, line)
-        text = line.decode("utf-8")
-        if "\r" in text:  # text mode also ends a line at a lone \r
-            rows += [
-                parse_history_line(part)
-                for part in text.replace("\r", "\n").split("\n")
-                if part.strip()
-            ]
-        elif text.strip():
-            rows.append(parse_history_line(text))
-    return rows
-
-
 def _runs_backward(fh) -> Iterator[bytes]:
     r"""Yield a binary file in runs of whole lines, last run first.
 
@@ -470,6 +463,16 @@ def _split_lines(run: bytes) -> list[bytes]:
     return run.replace(b"\r", b"\n").split(b"\n")
 
 
+def _parse_run(run: bytes) -> list[HistoryRow]:
+    """The rows of a run in file order; blank lines are skipped."""
+    rows: list[HistoryRow] = []
+    for line in _split_lines(run):
+        text = line.decode("utf-8")
+        if text.strip():
+            rows.append(parse_history_line(text))
+    return rows
+
+
 def _row_of(models: Iterable[str]) -> re.Pattern:
     """A search that finds every line holding a row of one of `models`
     unless the line has a backslash.
@@ -484,11 +487,11 @@ def _row_of(models: Iterable[str]) -> re.Pattern:
 
 
 def _read_tail(
-    fh, path: str, models: Iterable[str], window: int
+    runs: Iterator[bytes], models: Iterable[str], window: int
 ) -> list[HistoryRow]:
-    """The shortest suffix of the rows that holds the last `window` rows of
-    every listed model (all of its rows when it has fewer); see
-    read_history."""
+    """The shortest suffix of the rows in `runs` (newest run first) that
+    holds the last `window` rows of every listed model (all of its rows
+    when it has fewer); see read_history."""
     left = dict.fromkeys(models, window)
     if not left:
         return []
@@ -497,14 +500,8 @@ def _read_tail(
     older: list[bytes] = []  # unparsed runs before rows[-1], newest first
 
     def take(run: bytes) -> None:
-        for line in reversed(_split_lines(run)):
-            text = line.decode("utf-8")
-            if text.strip():
-                rows.append(parse_history_line(text))
+        rows.extend(reversed(_parse_run(run)))
 
-    runs = _runs_backward(fh)
-    # The newest run holds the last line, which may be torn.
-    runs = itertools.chain([_drop_torn_end(path, next(runs, b""))], runs)
     for run in runs:
         if b"\\" not in run and not short.search(run):
             older.append(run)
@@ -546,8 +543,8 @@ def read_history(
     """Parse the history rows of `path`, returned in file order; lines
     split where text mode splits them, and blank lines are skipped.
 
-    Without `models` and `window` every row is parsed and returned. With
-    both, the file is read backwards from its end, and the result is the
+    The file is read backwards from its end. Without `models` and `window`
+    every row is parsed and returned. With both, the result is the
     shortest suffix of the rows that holds the last `window` rows of every
     listed model, or all of its rows when it has fewer (none when it is
     absent). Every line of that suffix is parsed and checked. An older line
@@ -561,9 +558,14 @@ def read_history(
     """
     try:
         with open(path, "rb") as fh:
+            runs = _runs_backward(fh)
+            # The newest run holds the last line, which may be torn.
+            runs = itertools.chain([_drop_torn_end(path, next(runs, b""))], runs)
             if models is None or window is None:
-                return _read_all(fh, path)
-            return _read_tail(fh, path, models, window)
+                # Parsed run by run, so no more than one run's bytes are held.
+                chunks = [_parse_run(run) for run in runs]
+                return [row for chunk in reversed(chunks) for row in chunk]
+            return _read_tail(runs, models, window)
     except UnicodeDecodeError as exc:
         raise UndecodableFileError(
             f"history {path}: not valid UTF-8: {exc.reason}"

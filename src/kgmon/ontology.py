@@ -65,27 +65,20 @@ class Ontology:
         return out
 
     @cached_property
-    def _ancestor_sets(self) -> dict[str, frozenset[str]]:
-        # Derived on first use, so an Ontology built directly answers the
-        # same as one from load_ontology.
-        return {name: frozenset(self.ancestors(name)) for name in self.classes}
-
-    def is_subclass(self, name: str, ancestor: str) -> bool:
-        """True iff `name` equals `ancestor` or lies below it in the forest."""
-        if ancestor not in self.classes:
-            raise OntologyError(f"unknown class: {ancestor!r}")
-        if name == ancestor:
-            return True
-        above = self._ancestor_sets.get(name)
-        if above is None:
-            raise OntologyError(f"unknown class: {name!r}")
-        return ancestor in above
+    def lineage(self) -> dict[str, frozenset[str]]:
+        """Each class mapped to the set of itself and its ancestors, so
+        "is C the same as D or below it" is `D in lineage[C]`. Derived on
+        first use, so an Ontology built directly answers the same as one
+        from load_ontology."""
+        return {
+            name: frozenset((name, *self.ancestors(name))) for name in self.classes
+        }
 
     def descendants(self, name: str) -> list[str]:
         """All classes strictly below `name`, sorted."""
         if name not in self.classes:
             raise OntologyError(f"unknown class: {name!r}")
-        out = [c for c, above in self._ancestor_sets.items() if name in above]
+        out = [c for c, line in self.lineage.items() if name in line and c != name]
         out.sort()
         return out
 
@@ -194,9 +187,9 @@ def is_permissible(
     equals or descends from the property's domain, and the object class
     from its range."""
     pdef = ontology.properties.get(prop)
-    classes = ontology.classes
-    if pdef is None or s_class not in classes or o_class not in classes:
-        return False
-    return ontology.is_subclass(s_class, pdef.domain) and ontology.is_subclass(
-        o_class, pdef.range
+    lineage = ontology.lineage
+    return (
+        pdef is not None
+        and pdef.domain in lineage.get(s_class, ())
+        and pdef.range in lineage.get(o_class, ())
     )

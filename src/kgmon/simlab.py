@@ -30,6 +30,7 @@ from kgmon.monitor import (
     HistoryRow,
     ThresholdState,
     observe,
+    open_history_for_append,
 )
 from kgmon.ontology import Ontology
 
@@ -238,7 +239,8 @@ def run_scenario(
     noise stream under any schedule. False positives are counted on steps
     with no schedule entry. With a history path, each step's row is
     appended through one file handle in step order; if a step raises, the
-    rows of the steps before it stay in the file.
+    rows of the steps before it stay in the file. A torn last line of the
+    history is cut off first, with a warning: nothing has read the file.
     """
     state = ThresholdState(
         capacity=config.capacity, lam=config.lam, warmup_min=config.warmup_min
@@ -250,7 +252,7 @@ def run_scenario(
     steps = 0
 
     history_file = (
-        open(config.history_path, "a", encoding="utf-8")
+        open_history_for_append(config.history_path, logging.WARNING)
         if config.history_path
         else contextlib.nullcontext()
     )
@@ -307,7 +309,7 @@ def run_scenario(
                 if scheduled is None:
                     false_positives += 1
             if history is not None:
-                history.write(row.to_line() + "\n")
+                history.write((row.to_line() + "\n").encode("utf-8"))
 
     if steps < config.warmup_min + 1:
         raise SimulationError(

@@ -731,6 +731,40 @@ def test_simulate_too_short_is_error(ws, capsys):
     assert "ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["5", "0", "-1"])
+def test_rejected_simulate_writes_no_history(ws, capsys, steps):
+    config = _write_config(ws, warmup_min=5, history="sim.jsonl")
+    schedule = ws / "schedule.tsv"
+    schedule.write_text("", encoding="utf-8")
+    rc = main(
+        ["simulate", "--config", config, "--schedule", str(schedule), "--steps", steps]
+    )
+    assert rc == 1
+    assert "scenario too short" in capsys.readouterr().err
+    assert not (ws / "sim.jsonl").exists()
+
+
+def test_simulate_cuts_a_torn_history_line(ws, capsys, caplog):
+    config = _write_config(ws)
+    for ts in (1, 2):
+        assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", ts) == 0
+    history = ws / "history.jsonl"
+    whole = history.read_bytes()
+    # A write cut short: the first 60 bytes of a row, no newline.
+    history.write_bytes(whole + whole.splitlines()[-1][:60])
+    schedule = ws / "schedule.tsv"
+    schedule.write_text("", encoding="utf-8")
+    simulate = ["simulate", "--config", config, "--schedule", str(schedule)]
+    with caplog.at_level("WARNING"):
+        assert main(simulate + ["--steps", "6"]) == 0
+    torn = f"history {history}: dropping a torn last line"
+    assert [r.getMessage().startswith(torn) for r in caplog.records] == [True]
+    assert history.read_bytes().startswith(whole)
+    capsys.readouterr()
+    assert main(["replay", "--history", str(history), "--config", config]) == 0
+    assert "8 rows replayed, 0 mismatches" in capsys.readouterr().out
+
+
 def _seed_report_history(ws):
     lines = [
         {

@@ -19,7 +19,6 @@ from kgmon.extract import (
     ExtractError,
     LiteralItem,
     NerDictionary,
-    OntologyTable,
     PatternRule,
     SlotItem,
     build_baseline,
@@ -35,7 +34,6 @@ from kgmon.graph import (
     canonical_serialize,
     normalize_entity,
 )
-from kgmon.ontology import Ontology, is_permissible
 
 from conftest import DICTIONARY_TEXT
 
@@ -497,9 +495,7 @@ def test_extract_article_entities_match_oracle(onto, rules, pieces):
     # oracle scan, in text order.
     dictionary = load_dictionary(_SCAN_DICTIONARY_TEXT, onto)
     text = "".join(word + gap for word, gap in pieces)
-    entities, _, _ = extract_article(
-        ArticleDoc("d", 0, text), dictionary, rules, OntologyTable(onto, rules)
-    )
+    entities, _, _ = extract_article(ArticleDoc("d", 0, text), dictionary, rules, onto)
     expected = oracle_ner(text, dictionary.surface_class)
     assert [(e.entity, e.cls) for e in entities] == [
         (surface, dictionary.surface_class[surface]) for _, _, surface in expected
@@ -508,9 +504,7 @@ def test_extract_article_entities_match_oracle(onto, rules, pieces):
 
 
 def test_extract_article_fixture(onto, dictionary, rules, article):
-    entities, triples, rejected = extract_article(
-        article, dictionary, rules, OntologyTable(onto, rules)
-    )
+    entities, triples, rejected = extract_article(article, dictionary, rules, onto)
     assert rejected == 0
     assert sorted((e.entity, e.cls, e.provenance) for e in entities) == [
         ("Acme Corp", "Company", "a1"),
@@ -530,7 +524,7 @@ def test_rules_respect_sentence_boundaries(onto, dictionary, rules):
         published_at=0,
         text="Alice Chen works for Globex. Bob Marsh works for Initech.",
     )
-    _, triples, _ = extract_article(doc, dictionary, rules, OntologyTable(onto, rules))
+    _, triples, _ = extract_article(doc, dictionary, rules, onto)
     assert sorted((t.subject, t.object) for t in triples) == [
         ("Alice Chen", "Globex"),
         ("Bob Marsh", "Initech"),
@@ -538,7 +532,7 @@ def test_rules_respect_sentence_boundaries(onto, dictionary, rules):
     split = ArticleDoc(
         id="a3", published_at=0, text="Alice Chen works for. Globex grew."
     )
-    _, triples, _ = extract_article(split, dictionary, rules, OntologyTable(onto, rules))
+    _, triples, _ = extract_article(split, dictionary, rules, onto)
     assert triples == []
 
 
@@ -546,16 +540,14 @@ def test_rule_slot_type_check(onto, dictionary, rules):
     doc = ArticleDoc(
         id="a4", published_at=0, text="Alice Chen works for Bob Marsh."
     )
-    entities, triples, _ = extract_article(
-        doc, dictionary, rules, OntologyTable(onto, rules)
-    )
+    entities, triples, _ = extract_article(doc, dictionary, rules, onto)
     assert len(entities) == 2
     assert triples == []
 
 
 def test_rule_literals_casefold(onto, dictionary, rules):
     doc = ArticleDoc(id="a5", published_at=0, text="Alice Chen WORKS FOR Globex.")
-    _, triples, _ = extract_article(doc, dictionary, rules, OntologyTable(onto, rules))
+    _, triples, _ = extract_article(doc, dictionary, rules, onto)
     assert [(t.subject, t.object) for t in triples] == [("Alice Chen", "Globex")]
 
 
@@ -571,9 +563,7 @@ def test_rule_defensive_permissibility_recheck(onto, dictionary):
         predicate="worksFor",
     )
     doc = ArticleDoc(id="a6", published_at=0, text="Alice Chen works for Bob Marsh.")
-    _, triples, rejected = extract_article(
-        doc, dictionary, [sneaky], OntologyTable(onto, [sneaky])
-    )
+    _, triples, rejected = extract_article(doc, dictionary, [sneaky], onto)
     assert triples == []
     assert rejected == 1
 
@@ -716,7 +706,7 @@ def _render(rng, pieces, surface_class, onto, noise):
         if not is_slot:
             words.append(rng.choice((src, src.upper(), src.lower(), src.title())))
             continue
-        fitting = [s for s, c in surface_class.items() if onto.is_subclass(c, src)]
+        fitting = [s for s, c in surface_class.items() if src in onto.lineage[c]]
         if fitting and rng.random() < 0.8:
             words.append(rng.choice(fitting))
         else:
@@ -744,9 +734,7 @@ def test_extract_article_rules_match_reference(onto):
             for _ in range(rng.randrange(0, 8))
         )
         doc = ArticleDoc(id=f"d{n}", published_at=n, text=text)
-        _, triples, rejected = extract_article(
-            doc, dictionary, rules, OntologyTable(onto, rules)
-        )
+        _, triples, rejected = extract_article(doc, dictionary, rules, onto)
         got = [(t.subject, t.predicate, t.object) for t in triples]
         assert (got, rejected) == reference_rules(text, surface_class, rules, onto)
         triples_seen += len(got)
@@ -816,7 +804,7 @@ def test_extract_article_equals_every_rule_at_every_token(onto, rules, words):
     dictionary = load_dictionary(_DISPATCH_SURFACES, onto)
     text = " ".join(words)
     entities, triples, rejected = extract_article(
-        ArticleDoc("d", 0, text), dictionary, rules, OntologyTable(onto, rules)
+        ArticleDoc("d", 0, text), dictionary, rules, onto
     )
     got = [(t.subject, t.predicate, t.object) for t in triples]
     assert (got, rejected) == reference_rules(text, dictionary.surface_class, rules, onto)
@@ -836,8 +824,7 @@ def test_extract_article_equals_every_rule_at_every_token(onto, rules, words):
     # Twin slot classes: two slot-first rules on Person, one whose second
     # slot wants an Organization and gets a Company, one whose second slot
     # wants a Company; and a Company in the first slot of an Organization
-    # rule. Every article repeats, so later articles reuse what the first
-    # one asked.
+    # rule. The first article comes three times.
     [
         PatternRule("a", (SlotItem("subject", "Person"), LiteralItem(("works",)),
                           SlotItem("object", "Organization")), "worksFor"),
@@ -850,9 +837,9 @@ def test_extract_article_equals_every_rule_at_every_token(onto, rules, words):
     + [["Dana Wu", "works", "Globex", "!", "Globex", "in", "Lake Victoria"]],
 )
 def test_build_baseline_with_one_table_equals_asking_at_every_use(onto, rules, articles):
-    # build_baseline shares one OntologyTable across the batch; the
-    # reference re-derives every subclass and permissibility answer at each
-    # use, article by article, and unions the fragments with build_graph.
+    # The reference re-derives every subclass and permissibility answer at
+    # each use, article by article, and unions the fragments with
+    # build_graph.
     dictionary = load_dictionary(_DISPATCH_SURFACES, onto)
     surface_class = dictionary.surface_class
     docs = [ArticleDoc(f"d{i}", i, " ".join(words)) for i, words in enumerate(articles)]
@@ -871,22 +858,3 @@ def test_build_baseline_with_one_table_equals_asking_at_every_use(onto, rules, a
     graph, diags = build_baseline(docs, dictionary, rules, onto, batch_id="b")
     assert canonical_serialize(graph) == canonical_serialize(expected)
     assert diags == expected_diags
-
-
-def test_build_baseline_asks_the_ontology_once_per_batch(onto, dictionary, rules, article):
-    # The number of ontology questions depends on the classes and rules in
-    # play, not on the number of articles that repeat them.
-    def asked(copies):
-        docs = [ArticleDoc(f"a{i}", i, article.text) for i in range(copies)]
-        with mock.patch.object(
-            Ontology, "is_subclass", autospec=True, side_effect=Ontology.is_subclass
-        ) as subclass, mock.patch.object(
-            extract, "is_permissible", wraps=is_permissible
-        ) as permissible:
-            graph, _ = build_baseline(docs, dictionary, rules, onto)
-        assert len(graph.triples) == 2
-        return subclass.call_count, permissible.call_count
-
-    once = asked(1)
-    assert once[0] > 0 and once[1] > 0
-    assert asked(20) == once

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgmon.ontology import (
     Ontology,
@@ -48,11 +50,16 @@ def test_ancestors_nearest_first(onto):
     assert deep.ancestors("C") == ["B", "A"]
 
 
-def test_is_subclass_reflexive_and_transitive(onto):
-    assert onto.is_subclass("Company", "Company")
-    assert onto.is_subclass("Company", "Organization")
-    assert not onto.is_subclass("Organization", "Company")
-    assert not onto.is_subclass("Person", "Organization")
+def test_lineage_reflexive_and_transitive(onto):
+    assert onto.lineage == {
+        "Person": {"Person"},
+        "Organization": {"Organization"},
+        "Company": {"Company", "Organization"},
+        "Location": {"Location"},
+        "City": {"City", "Location"},
+    }
+    deep = load_ontology("CLASS A\nCLASS B SUBCLASS_OF A\nCLASS C SUBCLASS_OF B\n")
+    assert deep.lineage["C"] == {"A", "B", "C"}
 
 
 def test_directly_constructed_ontology_agrees_with_loaded():
@@ -72,8 +79,9 @@ def test_directly_constructed_ontology_agrees_with_loaded():
         assert direct.descendants(name) == loaded.descendants(name)
         for ancestor in names:
             expected = name == ancestor or ancestor in loaded.ancestors(name)
-            assert direct.is_subclass(name, ancestor) is expected
-            assert loaded.is_subclass(name, ancestor) is expected
+            assert (ancestor in direct.lineage[name]) is expected
+            assert (ancestor in loaded.lineage[name]) is expected
+    assert direct.lineage == loaded.lineage
 
 
 def test_descendants_strict_and_sorted():
@@ -89,10 +97,7 @@ def test_unknown_class_queries_raise(onto):
         onto.ancestors("Nope")
     with pytest.raises(OntologyError):
         onto.descendants("Nope")
-    with pytest.raises(OntologyError):
-        onto.is_subclass("Person", "Nope")
-    with pytest.raises(OntologyError):
-        onto.is_subclass("Nope", "Person")
+    assert "Nope" not in onto.lineage
 
 
 def test_duplicate_declarations_rejected():
@@ -148,6 +153,50 @@ def test_is_permissible_with_subclasses(onto):
     assert not is_permissible(onto, "Person", "ghostProp", "Organization")
     assert not is_permissible(onto, "Ghost", "worksFor", "Organization")
     assert not is_permissible(onto, "Person", "worksFor", "Ghost")
+
+
+@st.composite
+def _forests_with_properties(draw):
+    names = [f"C{i}" for i in range(draw(st.integers(1, 8)))]
+    lines = ["CLASS C0"]
+    for i, name in enumerate(names[1:], start=1):
+        parent = draw(st.none() | st.sampled_from(names[:i]))
+        lines.append(f"CLASS {name}" + (f" SUBCLASS_OF {parent}" if parent else ""))
+    ends = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    for i, (domain, range_) in enumerate(draw(st.lists(ends, max_size=4))):
+        lines.append(f"PROPERTY p{i} DOMAIN {domain} RANGE {range_}")
+    # Declaration order is free; parents may come after their children.
+    draw(st.randoms()).shuffle(lines)
+    return load_ontology("\n".join(lines))
+
+
+def _at_or_below(onto, name, ancestor):
+    while name is not None:
+        if name == ancestor:
+            return True
+        name = onto.classes[name].parent
+    return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(_forests_with_properties())
+def test_is_permissible_agrees_with_its_definition(onto):
+    # Every question over the declared names and an undeclared class and
+    # property: permissible iff all three are declared and each class
+    # equals or lies below its end of the property, walking the parents.
+    classes = [*onto.classes, "Ghost"]
+    for prop in [*onto.properties, "ghostProp"]:
+        pdef = onto.properties.get(prop)
+        for s_class in classes:
+            for o_class in classes:
+                expected = (
+                    pdef is not None
+                    and s_class in onto.classes
+                    and o_class in onto.classes
+                    and _at_or_below(onto, s_class, pdef.domain)
+                    and _at_or_below(onto, o_class, pdef.range)
+                )
+                assert is_permissible(onto, s_class, prop, o_class) is expected
 
 
 def test_source_text_kept_but_not_compared(onto):

@@ -51,7 +51,6 @@ from kgmon.monitor import (
     AnomalyWeights,
     HistoryRow,
     MonitorError,
-    ThresholdState,
     UndecodableFileError,
     append_history,
     baseline_row,
@@ -59,6 +58,7 @@ from kgmon.monitor import (
     observe,
     read_history,
     replay_history,
+    resume_state,
     write_atomic,
 )
 from kgmon.ontology import Ontology, OntologyError, load_ontology
@@ -416,23 +416,6 @@ def _load_pipeline(
     return ontology, dictionary, rules
 
 
-def _bootstrap_state(
-    rows: list[HistoryRow], model: str, config: RunConfig
-) -> ThresholdState:
-    scores = [r.score for r in rows if r.model == model]
-    last_ts = None
-    for row in rows:
-        if row.model == model:
-            last_ts = row.timestamp
-    return ThresholdState(
-        scores=scores[-config.window :],
-        capacity=config.window,
-        lam=config.lam,
-        warmup_min=config.warmup_min,
-        last_timestamp=last_ts,
-    )
-
-
 def _parse_candidates(items: list[str], config: RunConfig) -> dict[str, str]:
     out: dict[str, str] = {}
     for item in items:
@@ -479,7 +462,8 @@ def _evaluate_once(
         batch, dictionary, rules, ontology, batch_id=batch_id, timestamp=timestamp
     )
     base_metrics = metric_vector(g_base, ontology)
-    # The batch text, normalized and casefolded once for every validation.
+    # The batch text, prepared once; every validation of the cycle shares it
+    # and the trace answers it keeps.
     batch_text = source_text(batch)
     if config.weights.w_hal is not None:
         base_report = validate_graph(g_base, batch_text, ontology)
@@ -535,7 +519,13 @@ def _evaluate_once(
 
         report = validate_graph(g_llm, batch_text, ontology)
         cand_metrics = replace(metric_vector(g_llm, ontology), hal=report.score)
-        state = _bootstrap_state(history_rows, model, config)
+        state = resume_state(
+            history_rows,
+            model,
+            capacity=config.window,
+            lam=config.lam,
+            warmup_min=config.warmup_min,
+        )
         row, top_metric = observe(
             state,
             timestamp=timestamp,

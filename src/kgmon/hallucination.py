@@ -5,10 +5,14 @@ Each distinct entity passes through three stages in order: source tracing
 declared), and rule conformance (do its incident triples respect the
 ontology's domain and range constraints). The first failing stage is
 recorded; the score is the fraction of entities that failed anywhere.
+
+One SourceText serves a batch: it holds the batch text as searched, and
+the trace answer of every entity name met so far, so a name that several
+graphs of one batch assert is normalized and searched for once.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from kgmon.extract import ArticleDoc
@@ -47,11 +51,15 @@ class SourceText:
 
     `haystack` is every article's normalized, casefolded text, joined by
     newlines; `own_text` maps an article id to its own such text (texts
-    joined by newlines when articles share an id).
+    joined by newlines when articles share an id). `traced` maps each
+    entity name that validate_graph has met to whether it traces, so every
+    later graph reads the answer instead of searching again; it takes no
+    part in comparison.
     """
 
     haystack: str
     own_text: dict[str, str]
+    traced: dict[str, bool] = field(default_factory=dict, compare=False, repr=False)
 
 
 def source_text(batch: list[ArticleDoc]) -> SourceText:
@@ -80,12 +88,17 @@ def validate_graph(
     article of the batch, and the batch texts are joined by newlines too,
     so no match runs from one article into the next.
 
-    Triple violations are charged to both endpoint entities. An empty
-    batch makes every entity untraceable by definition; an empty graph
-    scores 0.0. Both degenerate cases log a warning.
+    A name's trace answer depends only on the name and the batch, so it is
+    stored in `source` and read back when a later graph asserts the name.
+
+    Triple violations are charged to both endpoint entities; an entity's
+    evidence is its first impermissible triple in sorted order. Each
+    triple's permissibility is asked once. An empty batch makes every
+    entity untraceable by definition; an empty graph scores 0.0. Both
+    degenerate cases log a warning.
     """
     entities = g_llm.entities
-    own_text, haystack = source.own_text, source.haystack
+    own_text, haystack, traced = source.own_text, source.haystack, source.traced
     if not own_text and entities:
         log.warning(
             "empty batch with %d asserted entities: all fail source tracing",
@@ -96,29 +109,34 @@ def validate_graph(
     # target outside the class set.
     schema_classes = set(ontology.classes) | set(ontology.ner_map.values())
 
-    incident: dict[str, list[tuple[str, str, str]]] = {e: [] for e in entities}
-    for s, p, o in sorted(g_llm.triples):
-        incident[s].append((s, p, o))
-        if o != s:
-            incident[o].append((s, p, o))
+    impermissible = [
+        (s, p, o)
+        for s, p, o in g_llm.triples
+        if not is_permissible(ontology, entities[s][0], p, entities[o][0])
+    ]
+    broken: dict[str, str] = {}
+    for s, p, o in sorted(impermissible):
+        evidence = f"({s}, {p}, {o})"
+        broken.setdefault(s, evidence)
+        broken.setdefault(o, evidence)
 
     verdicts: list[ValidationVerdict] = []
     per_stage = {stage: 0 for stage in FAIL_STAGES}
     for entity in sorted(entities):
         cls, provenance = entities[entity]
-        needle = normalize_entity(entity).casefold()
+        hit = traced.get(entity)
+        if hit is None:
+            needle = normalize_entity(entity).casefold()
+            hit = traced[entity] = bool(needle) and (
+                needle in own_text.get(provenance, "") or needle in haystack
+            )
         stage, evidence = STAGE_NONE, ""
-        if not needle or (
-            needle not in own_text.get(provenance, "") and needle not in haystack
-        ):
+        if not hit:
             stage, evidence = STAGE_SOURCE, "absent from batch"
         elif cls not in schema_classes:
             stage, evidence = STAGE_SCHEMA, cls
-        else:
-            for s, p, o in incident[entity]:
-                if not is_permissible(ontology, entities[s][0], p, entities[o][0]):
-                    stage, evidence = STAGE_RULES, f"({s}, {p}, {o})"
-                    break
+        elif entity in broken:
+            stage, evidence = STAGE_RULES, broken[entity]
         if stage != STAGE_NONE:
             per_stage[stage] += 1
         verdicts.append(ValidationVerdict(entity, stage, evidence))

@@ -171,6 +171,32 @@ _HISTORY_FIELDS = HistoryRow._fields
 _history_values = operator.itemgetter(*_HISTORY_FIELDS)
 
 
+def resume_state(
+    rows: Iterable[HistoryRow],
+    model: str,
+    *,
+    capacity: int,
+    lam: float,
+    warmup_min: int,
+) -> ThresholdState:
+    """The ThresholdState of `model` after `rows` (oldest first): its last
+    `capacity` scores as the window and its last timestamp, so the next
+    observation scores and flags as it would at the end of a replay."""
+    scores = []
+    last_timestamp = None
+    for row in rows:
+        if row.model == model:
+            scores.append(row.score)
+            last_timestamp = row.timestamp
+    return ThresholdState(
+        scores=scores[-capacity:],
+        capacity=capacity,
+        lam=lam,
+        warmup_min=warmup_min,
+        last_timestamp=last_timestamp,
+    )
+
+
 def _weighted_terms(
     delta: MetricDelta, weights: AnomalyWeights
 ) -> list[tuple[str, float]]:
@@ -313,14 +339,16 @@ def baseline_row(
     )
 
 
-def open_history_for_append(path: str, level: int) -> BinaryIO:
+def open_history_for_append(path: str) -> BinaryIO:
     """`path` opened for binary appends, ready for whole lines.
 
     When the file does not end in a newline, a write was cut short or the
-    file was edited. A torn last line (see _drop_torn_end) is cut off,
-    logged at `level`; it would be a bad line in the middle once rows
-    follow it. An unterminated last line that parses is kept, and ended
-    with a newline so the rows start on a line of their own.
+    file was edited. A torn last line (see _drop_torn_end) is cut off; it
+    would be a bad line in the middle once rows follow it. That is logged
+    at debug level only: every caller reads the history before it appends,
+    and that read has warned of the line. An unterminated last line that
+    parses is kept, and ended with a newline so the rows start on a line of
+    their own.
     """
     fh = open(path, "a+b")
     try:
@@ -329,7 +357,7 @@ def open_history_for_append(path: str, level: int) -> BinaryIO:
             fh.seek(end - 1)
             if fh.read(1) != b"\n":
                 newest = next(_runs_backward(fh))
-                kept = _drop_torn_end(path, newest, level)
+                kept = _drop_torn_end(path, newest, logging.DEBUG)
                 if len(kept) == len(newest):
                     fh.write(b"\n")
                 else:
@@ -342,12 +370,10 @@ def open_history_for_append(path: str, level: int) -> BinaryIO:
 
 def append_history(path: str, *rows: HistoryRow) -> None:
     """Append history lines with a single write call, so the rows of one
-    cycle go out together; see open_history_for_append. A torn last line
-    is cut off logging at debug level only: an evaluate cycle reads the
-    history before it appends, and that read has warned of the line.
+    cycle go out together; see open_history_for_append.
     """
     data = "".join(row.to_line() + "\n" for row in rows).encode("utf-8")
-    with open_history_for_append(path, logging.DEBUG) as fh:
+    with open_history_for_append(path) as fh:
         fh.write(data)
 
 

@@ -9,6 +9,7 @@ metric deltas to exercise threshold calibration.
 import contextlib
 import json
 import logging
+import os
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -28,9 +29,10 @@ from kgmon.monitor import (
     DEFAULT_WINDOW,
     AnomalyWeights,
     HistoryRow,
-    ThresholdState,
     observe,
     open_history_for_append,
+    read_history,
+    resume_state,
 )
 from kgmon.ontology import Ontology
 
@@ -239,12 +241,26 @@ def run_scenario(
     noise stream under any schedule. False positives are counted on steps
     with no schedule entry. With a history path, each step's row is
     appended through one file handle in step order; if a step raises, the
-    rows of the steps before it stay in the file. A torn last line of the
-    history is cut off first, with a warning: nothing has read the file.
+    rows of the steps before it stay in the file.
+
+    A history that already holds rows of the scenario's model is continued:
+    the threshold window starts from that model's last `capacity` scores,
+    and timestamps go on from its last one, so `replay` of the whole file
+    matches. Without such rows the timestamps are the step numbers. The
+    read that finds them warns of a torn last line, which the append then
+    cuts off.
     """
-    state = ThresholdState(
-        capacity=config.capacity, lam=config.lam, warmup_min=config.warmup_min
+    path = config.history_path
+    state = resume_state(
+        read_history(path, [_MODEL], config.capacity)
+        if path and os.path.exists(path)
+        else [],
+        _MODEL,
+        capacity=config.capacity,
+        lam=config.lam,
+        warmup_min=config.warmup_min,
     )
+    first_timestamp = 0 if state.last_timestamp is None else state.last_timestamp + 1
     noise_rng = random.Random(config.noise_seed)
     records: list[HistoryRow] = []
     first_flag: int | None = None
@@ -252,9 +268,7 @@ def run_scenario(
     steps = 0
 
     history_file = (
-        open_history_for_append(config.history_path, logging.WARNING)
-        if config.history_path
-        else contextlib.nullcontext()
+        open_history_for_append(path) if path else contextlib.nullcontext()
     )
     with history_file as history:
         for step, (batch, g_base) in enumerate(stream):
@@ -294,7 +308,7 @@ def run_scenario(
 
             row, _top = observe(
                 state,
-                timestamp=step,
+                timestamp=first_timestamp + step,
                 model=_MODEL,
                 metrics=cand_m,
                 baseline_metrics=base_m,

@@ -765,6 +765,22 @@ def test_simulate_cuts_a_torn_history_line(ws, capsys, caplog):
     assert "8 rows replayed, 0 mismatches" in capsys.readouterr().out
 
 
+def test_simulate_continues_a_history_that_holds_sim_rows(ws, capsys):
+    config = _write_config(
+        ws, warmup_min=5, history="sim.jsonl", noise_sigma=0.05, noise_seed=3
+    )
+    schedule = ws / "schedule.tsv"
+    schedule.write_text("", encoding="utf-8")
+    simulate = ["simulate", "--config", config, "--schedule", str(schedule)]
+    assert main(simulate + ["--steps", "40"]) == 0
+    assert main(simulate + ["--steps", "40"]) == 0
+    history = str(ws / "sim.jsonl")
+    assert [r.timestamp for r in read_history(history)] == list(range(80))
+    capsys.readouterr()
+    assert main(["replay", "--history", history, "--config", config]) == 0
+    assert "80 rows replayed, 0 mismatches" in capsys.readouterr().out
+
+
 def _seed_report_history(ws):
     lines = [
         {

@@ -3,6 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgmon import hallucination
 from kgmon.extract import ArticleDoc
 from kgmon.graph import KnowledgeGraph, normalize_entity, parse_records
 from kgmon.hallucination import (
@@ -237,7 +238,7 @@ def test_rule_verdicts_equal_a_per_triple_reference(onto, typed, data):
 def test_one_source_text_serves_every_graph(onto, articles, data):
     # One SourceText, validated against several graphs in turn, gives each
     # graph the report that a SourceText prepared for it alone gives, and
-    # is itself left as it was.
+    # its text fields are left as they were.
     batch = [
         ArticleDoc(id=aid, published_at=n, text=text)
         for n, (aid, text) in enumerate(articles)
@@ -283,6 +284,77 @@ def test_one_source_text_serves_every_graph(onto, articles, data):
         assert report == validate_graph(graph, source_text(batch), onto)
         assert report == _reference_report(graph, batch, onto)
     assert shared == source_text(batch)
+
+
+def test_a_name_traces_alike_from_either_article(onto):
+    # "Globex" is asserted from a0, which lacks it, in one graph and from
+    # a1, which has it, in the other; one SourceText serves both, in either
+    # order.
+    batch = _batch("Alice slept.", "Globex expanded.")
+    lacking = KnowledgeGraph(entities={"Globex": ("Company", "a0")})
+    having = KnowledgeGraph(entities={"Globex": ("Company", "a1")})
+    for first, second in ((lacking, having), (having, lacking)):
+        shared = source_text(batch)
+        for graph in (first, second):
+            report = validate_graph(graph, shared, onto)
+            assert report == _reference_report(graph, batch, onto)
+            assert report.verdicts[0].failed_stage == STAGE_NONE
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(hallucination, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hallucination, name, counted)
+    return calls
+
+
+def test_each_triple_is_checked_once(onto, monkeypatch):
+    graph, _ = parse_records(
+        "E\tAlice\tPerson\ta0\n"
+        "E\tBob\tPerson\ta0\n"
+        "E\tGlobex\tOrganization\ta0\n"
+        "E\tBerlin\tCity\ta0\n"
+        "T\tAlice\tworksFor\tGlobex\ta0\n"
+        "T\tBob\tworksFor\tGlobex\ta0\n"
+        "T\tBerlin\tworksFor\tGlobex\ta0\n"
+        "T\tAlice\tworksFor\tBerlin\ta0\n"
+    )
+    batch = _batch("Alice and Bob work for Globex in Berlin.")
+    calls = _counting(monkeypatch, "is_permissible")
+    report = validate_graph(graph, source_text(batch), onto)
+    assert len(calls) <= len(graph.triples)
+    assert report == _reference_report(graph, batch, onto)
+    assert {v.entity: v.evidence for v in report.verdicts} == {
+        "Alice": "(Alice, worksFor, Berlin)",
+        "Berlin": "(Alice, worksFor, Berlin)",
+        "Bob": "",
+        "Globex": "(Berlin, worksFor, Globex)",
+    }
+
+
+def test_each_name_is_normalized_once_per_source_text(onto, monkeypatch):
+    batch = _batch("Alice and Bob left Globex.", "Berlin and Geneva.")
+    shared = source_text(batch)
+    calls = _counting(monkeypatch, "normalize_entity")
+    graphs = [
+        KnowledgeGraph(entities={n: ("Person", aid) for n in names})
+        for names, aid in (
+            (["Alice", "Bob", "Zorblax"], "a0"),
+            (["Alice", "Berlin", "Zorblax"], "a1"),
+            (["Bob", "Berlin", "Geneva", "Zorblax"], "missing"),
+        )
+    ]
+    for graph in graphs:
+        assert validate_graph(graph, shared, onto) == _reference_report(
+            graph, batch, onto
+        )
+    names = [args[0] for args in calls]
+    assert sorted(names) == ["Alice", "Berlin", "Bob", "Geneva", "Zorblax"]
 
 
 def test_all_stages_pass(onto):

@@ -10,10 +10,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgmon import monitor
-from kgmon.cli import RunConfig, _bootstrap_state
 from kgmon.metrics import MetricDelta, MetricVector, metric_delta
 from kgmon.monitor import (
     BASELINE_MODEL,
+    DEFAULT_LAMBDA,
+    DEFAULT_WARMUP,
     DEFAULT_WEIGHTS,
     AnomalyWeights,
     HistoryRow,
@@ -28,6 +29,7 @@ from kgmon.monitor import (
     parse_history_line,
     read_history,
     replay_history,
+    resume_state,
     update_threshold,
 )
 
@@ -440,18 +442,10 @@ def test_tail_read_matches_full_read(
         return all(sum(r.model == m for r in rows) >= need[m] for m in requested)
 
     assert holds(tail) and (not tail or not holds(tail[1:]))
-    config = RunConfig(
-        ontology="",
-        dictionary="",
-        rules="",
-        history=str(path),
-        models=requested,
-        weights=DEFAULT_WEIGHTS,
-        window=window,
-    )
+    params = dict(capacity=window, lam=DEFAULT_LAMBDA, warmup_min=DEFAULT_WARMUP)
     for model in requested:
-        from_tail = _bootstrap_state(tail, model, config)
-        from_full = _bootstrap_state(full, model, config)
+        from_tail = resume_state(tail, model, **params)
+        from_full = resume_state(full, model, **params)
         assert from_tail.scores == from_full.scores
         assert from_tail.last_timestamp == from_full.last_timestamp
 

@@ -628,6 +628,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                 log.warning("feed fetch failed: %s", exc)
                 batch = []
             if batch:
+                fetched = sorted(a.id for a in batch)
                 seen = _read_seen(seen_path)
                 batch = [a for a in batch if a.id not in seen]
                 if not batch:
@@ -645,9 +646,12 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                         candidates,
                     )
                     # Marked seen only after the cycle's rows are appended,
-                    # so a failed cycle's batch is fetched again.
-                    ids = sorted(seen | {a.id for a in batch})
-                    write_atomic(seen_path, "".join(f"{i}\n" for i in ids).encode())
+                    # so a failed cycle's batch is fetched again. Only this
+                    # fetch's ids are kept, so the set grows with the feed,
+                    # not with the monitor's lifetime.
+                    write_atomic(
+                        seen_path, "".join(f"{i}\n" for i in fetched).encode()
+                    )
                 except (CliError, MonitorError, LlmError, OSError) as exc:
                     log.warning("cycle failed: %s", exc)
             cycles_done += 1

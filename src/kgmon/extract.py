@@ -38,7 +38,7 @@ _Hit = tuple[int, str, str]
 # marshal data of (surface_class, aliases, lengths).
 INDEX_SUFFIX = ".kgmon-index"
 # Part of the key; marshal data is specific to the interpreter that wrote it.
-_INDEX_FORMAT = f"kgmon dictionary index 2 {sys.implementation.cache_tag}\n".encode()
+_INDEX_FORMAT = f"kgmon dictionary index 3 {sys.implementation.cache_tag}\n".encode()
 _DIGEST_SIZE = 32
 
 
@@ -104,6 +104,7 @@ def load_dictionary(text: str, ontology: Ontology) -> NerDictionary:
     """
     find_punctuation = kernels.find_punctuation
     token_texts = kernels.token_texts
+    class_names = {name: name for name in ontology.classes}
     surface_class: dict[str, str] = {}
     # Key -> smallest surface, for the keys of punctuated surfaces.
     smallest: dict[str, str] = {}
@@ -116,8 +117,12 @@ def load_dictionary(text: str, ontology: Ontology) -> NerDictionary:
         cls = fields[1].strip()
         if not words or not cls:
             raise ExtractError(f"dictionary line {lineno}: empty field")
-        if cls not in ontology.classes:
+        # The ontology's own name object: the index then holds one string
+        # per class, and its marshal body stores the rest as back-references.
+        name = class_names.get(cls)
+        if name is None:
             raise ExtractError(f"dictionary line {lineno}: unknown class {cls!r}")
+        cls = name
         surface = " ".join(words)
         held_cls = surface_class.get(surface)
         if held_cls is not None:

@@ -986,6 +986,29 @@ def test_load_batch_feed_dedupes_via_seen(ws, monkeypatch):
     assert (ws / "history.jsonl.seen").read_text(encoding="utf-8") == "f1\nf2\n"
 
 
+def test_monitor_seen_set_holds_only_the_latest_fetch(ws, monkeypatch):
+    # f1 leaves the feed after cycle 1 and is forgotten, so when it comes
+    # back in cycle 3 it is evaluated again.
+    config = _monitor_workspace(ws, monkeypatch)
+    f3 = "f3\t12\tGlobex is based in Geneva.\n"
+    fetches = iter([_F1 + _F2, _F2 + f3, _F1 + f3])
+    seen_after = []
+
+    def fetch(url):
+        seen_path = ws / "history.jsonl.seen"
+        if seen_path.exists():
+            seen_after.append(seen_path.read_text(encoding="utf-8"))
+        return next(fetches)
+
+    monkeypatch.setattr(cli, "_feed_get", fetch)
+    rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "3"])
+    assert rc == 0
+    seen_after.append((ws / "history.jsonl.seen").read_text(encoding="utf-8"))
+    assert seen_after == ["f1\nf2\n", "f2\nf3\n", "f1\nf3\n"]
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [r.model for r in rows] == ["GT", "probe"] * 3
+
+
 def _disk_full(*_args):
     raise OSError(errno.ENOSPC, "No space left on device")
 

@@ -139,7 +139,7 @@ def reference_load_dictionary(text, ontology):
             raise ExtractError(f"dictionary line {lineno}: empty field")
         if cls not in ontology.classes:
             raise ExtractError(f"dictionary line {lineno}: unknown class {cls!r}")
-        toks = tuple(kernels.TOKEN_RE.findall(surface))
+        toks = tuple(oracle_tokenize(surface))
         if not toks:
             raise ExtractError(f"dictionary line {lineno}: surface has no tokens")
         if surface in surface_class:
@@ -301,13 +301,9 @@ def test_dictionary_index_of_format_1_is_rewritten(onto, tmp_path):
     for surface in fresh.surface_class:
         toks = tuple(kernels.token_texts(surface))
         tuple_keyed[toks] = min(tuple_keyed.get(toks, surface), surface)
-    old_tag = f"kgmon dictionary index 1 {sys.implementation.cache_tag}\n".encode()
-    old_key = hashlib.sha256(old_tag)
-    old_key.update(json.dumps(sorted(onto.classes)).encode())
-    old_key.update(raw)
     body = marshal.dumps((fresh.surface_class, tuple_keyed, fresh.lengths))
     index = Path(str(path) + INDEX_SUFFIX)
-    index.write_bytes(_forged(old_key.digest(), body))
+    index.write_bytes(_forged(_key_of_format(1, raw, onto), body))
 
     with mock.patch.object(extract, "load_dictionary", wraps=load_dictionary) as parse:
         assert load_dictionary_file(str(path), onto) == fresh
@@ -321,6 +317,51 @@ def test_dictionary_index_of_format_1_is_rewritten(onto, tmp_path):
     assert index.read_bytes() == Path(str(other) + INDEX_SUFFIX).read_bytes()
     with _no_parse():
         assert load_dictionary_file(str(path), onto) == fresh
+
+
+def test_dictionary_index_of_format_2_is_rewritten(onto, tmp_path):
+    # Format 2 held a class string of its own per surface, where format 3
+    # holds one per class; the bodies load to equal dicts, so only the
+    # format tag in the key tells them apart.
+    path = tmp_path / "dictionary.tsv"
+    path.write_text(_SCAN_DICTIONARY_TEXT, encoding="utf-8")
+    raw = path.read_bytes()
+    fresh = load_dictionary(_SCAN_DICTIONARY_TEXT, onto)
+    per_surface = {s: c.encode().decode() for s, c in fresh.surface_class.items()}
+    assert len({id(c) for c in per_surface.values()}) == len(per_surface)
+    body = marshal.dumps((per_surface, fresh.aliases, fresh.lengths))
+    index = Path(str(path) + INDEX_SUFFIX)
+    index.write_bytes(_forged(_key_of_format(2, raw, onto), body))
+
+    with mock.patch.object(extract, "load_dictionary", wraps=load_dictionary) as parse:
+        assert load_dictionary_file(str(path), onto) == fresh
+    assert parse.call_count == 1
+    # Back-references make the rewritten body smaller.
+    assert len(index.read_bytes()) - 2 * 32 < len(body)
+    with _no_parse():
+        assert load_dictionary_file(str(path), onto) == fresh
+
+
+def test_dictionary_index_holds_one_string_per_class(onto, tmp_path):
+    path = tmp_path / "dictionary.tsv"
+    path.write_text(_SCAN_DICTIONARY_TEXT, encoding="utf-8")
+    parsed = load_dictionary_file(str(path), onto)
+    with _no_parse():
+        loaded = load_dictionary_file(str(path), onto)
+    assert loaded == parsed
+    names = {id(name) for name in onto.classes}
+    assert {id(c) for c in parsed.surface_class.values()} <= names
+    for d in (parsed, loaded):
+        classes = list(d.surface_class.values())
+        assert len({id(c) for c in classes}) == len(set(classes)) < len(classes)
+
+
+def _key_of_format(number, raw, onto):
+    tag = f"kgmon dictionary index {number} {sys.implementation.cache_tag}\n".encode()
+    key = hashlib.sha256(tag)
+    key.update(json.dumps(sorted(onto.classes)).encode())
+    key.update(raw)
+    return key.digest()
 
 
 def _forged(key, body):

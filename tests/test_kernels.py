@@ -1,5 +1,7 @@
+import itertools
 import random
 import string
+import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -75,6 +77,21 @@ def test_normalized_surface_tokens(text):
     assert (kernels.find_punctuation(surface) is not None) == has_punct
     if not has_punct:
         assert tokens == surface.split()
+
+
+# Put between consecutive code points, so that each one meets a letter, a
+# space, ASCII punctuation or another code point on either side.
+_CODE_POINT_FILLERS = ("a", " ", ".", "", "Z-", " (", "\t9")
+
+
+def test_tokenize_matches_reference_on_every_code_point():
+    fillers = itertools.cycle(_CODE_POINT_FILLERS)
+    end = sys.maxunicode + 1
+    for start in range(0, end, 4096):
+        text = "".join(
+            chr(cp) + next(fillers) for cp in range(start, min(start + 4096, end))
+        )
+        assert kernels.token_texts(text) == _reference_tokenize(text), hex(start)
 
 
 def test_tokenize_basic():

@@ -318,9 +318,14 @@ def _unescape_text(text: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _UNESCAPED[m.group(1)], text)
 
 
+# The line breaks of a text-mode read. str.splitlines also breaks at
+# U+2028, U+0085, form feeds and more, which article text may hold.
+_LINE_BREAK_RE = re.compile(r"\r\n?|\n")
+
+
 def _parse_batch_text(text: str) -> list[ArticleDoc]:
     articles: list[ArticleDoc] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK_RE.split(text), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         fields = raw.split("\t", 2)
@@ -452,12 +457,13 @@ def _evaluate_once(
     batch_id: str,
     timestamp: int,
     candidates: dict[str, str],
-    transport=None,
+    endpoint: tuple[EndpointConfig, PromptTemplate] | None,
 ) -> bool:
     """Shared evaluate cycle: baseline row first, then one observed row per
-    candidate in model-name order. The rows are appended in one write once
-    all are computed, so a rejected cycle leaves the history untouched.
-    Returns True when any model flagged."""
+    candidate in model-name order. `endpoint` is the loaded endpoint config
+    and prompt template, needed when a candidate is "live". The rows are
+    appended in one write once all are computed, so a rejected cycle leaves
+    the history untouched. Returns True when any model flagged."""
     g_base, _diags = build_baseline(
         batch, dictionary, rules, ontology, batch_id=batch_id, timestamp=timestamp
     )
@@ -477,23 +483,18 @@ def _evaluate_once(
     new_rows = [baseline_row(timestamp, batch_id, base_metrics)]
     alerts = []
 
-    endpoint_loaded: tuple[EndpointConfig, PromptTemplate] | None = None
     any_success = False
     for model in sorted(candidates):
         source = candidates[model]
         try:
             if source == "live":
-                if endpoint_loaded is None:
-                    endpoint_loaded = _load_endpoint(config)
-                endpoint, template = endpoint_loaded
                 g_llm, ing = extract_batch(
                     batch,
-                    replace(endpoint, model_name=model),
-                    template,
+                    replace(endpoint[0], model_name=model),
+                    endpoint[1],
                     ontology,
                     batch_id=batch_id,
                     timestamp=timestamp,
-                    transport=transport,
                 )
                 unparsed = ing.unparsed_lines
             else:
@@ -571,8 +572,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not config.models:
         raise CliError("config lists no models to evaluate")
     candidates = _parse_candidates(args.candidate, config)
-    if "live" in candidates.values():
-        _load_endpoint(config)  # fail on config problems before extraction
+    # Loaded before the pipeline, so config problems fail before extraction.
+    endpoint = _load_endpoint(config) if "live" in candidates.values() else None
     ontology, dictionary, rules = _load_pipeline(
         config.ontology, config.dictionary, config.rules
     )
@@ -587,6 +588,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         _batch_label(args.batch),
         timestamp,
         candidates,
+        endpoint,
     )
     return 2 if flagged else 0
 
@@ -608,7 +610,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     ontology, dictionary, rules = _load_pipeline(
         config.ontology, config.dictionary, config.rules
     )
-    _load_endpoint(config)  # fail on config problems before the loop starts
+    # Read once: every cycle uses the endpoint config read here, and config
+    # problems fail before the loop starts.
+    endpoint = _load_endpoint(config)
     candidates = {model: "live" for model in config.models}
     seen_path = config.history + ".seen"
 
@@ -644,6 +648,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                         _batch_label(config.feed_url),
                         cycle_ts,
                         candidates,
+                        endpoint,
                     )
                     # Marked seen only after the cycle's rows are appended,
                     # so a failed cycle's batch is fetched again. Only this

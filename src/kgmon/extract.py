@@ -341,13 +341,15 @@ def extract_article(
     dictionary: NerDictionary,
     rules: list[PatternRule],
     ontology: Ontology,
-) -> tuple[list[EntityAssertion], list[TripleAssertion], int]:
-    """Extract one article's assertion fragment.
+) -> tuple[list[EntityAssertion], list[TripleAssertion]]:
+    """Extract one article's assertion fragment: (entities, triples).
 
     Every dictionary hit yields an entity assertion whether or not a rule
     fires on it. Rules match within single sentences against contiguous
-    token runs. Returns (entities, triples, rejected_triples); rejections
-    can only happen if a rule slipped past load-time permissibility checks.
+    token runs. A rule fires only if its predicate admits its slot
+    classes, the test by which load_rules drops rules. A bound entity's
+    class equals or descends from its slot's class, so every triple of an
+    admitted rule is permissible.
     """
     token_texts = kernels.token_texts(article.text)
     surface_class = dictionary.surface_class
@@ -377,16 +379,22 @@ def extract_article(
     literal_starts: dict[str, list[int]] = {}
     # Slot class -> token after the match (None: any) -> start positions.
     slot_starts: dict[str, dict[str | None, list[int]]] = {}
-    # Per rule, the start list it is tried at.
-    rule_starts: list[list[int]] = []
+    # Per admitted rule, the start list it is tried at.
+    rule_starts: list[tuple[PatternRule, list[int]]] = []
     for rule in rules:
+        slots = {
+            item.role: item.cls for item in rule.items if isinstance(item, SlotItem)
+        }
+        subject_cls, object_cls = slots.get("subject", ""), slots.get("object", "")
+        if not is_permissible(ontology, subject_cls, rule.predicate, object_cls):
+            continue
         first, second = rule.items[0], rule.items[1]
         if isinstance(first, LiteralItem):
             starts = literal_starts.setdefault(first.tokens[0], [])
         else:
             after = second.tokens[0] if isinstance(second, LiteralItem) else None
             starts = slot_starts.setdefault(first.cls, {}).setdefault(after, [])
-        rule_starts.append(starts)
+        rule_starts.append((rule, starts))
     if literal_starts:
         for pos, tok in enumerate(folded):
             starts = literal_starts.get(tok)
@@ -417,29 +425,16 @@ def extract_article(
                         starts.append(pos)
 
     triples: list[TripleAssertion] = []
-    rejected = 0
-    for rule, starts in zip(rules, rule_starts):
+    for rule, starts in rule_starts:
         for pos in starts:
             bound = _match_rule_at(
                 rule, pos, sentence_end[pos], folded, match_at, lineage
             )
             if bound is None:
                 continue
-            (_, subj, subj_cls), (_, obj, obj_cls) = bound["subject"], bound["object"]
-            if not is_permissible(ontology, subj_cls, rule.predicate, obj_cls):
-                rejected += 1
-                log.warning(
-                    "rule %s produced impermissible triple (%s, %s, %s)",
-                    rule.rule_id,
-                    subj,
-                    rule.predicate,
-                    obj,
-                )
-                continue
-            triples.append(
-                TripleAssertion(subj, rule.predicate, obj, article_id)
-            )
-    return entities, triples, rejected
+            (_, subj, _), (_, obj, _) = bound["subject"], bound["object"]
+            triples.append(TripleAssertion(subj, rule.predicate, obj, article_id))
+    return entities, triples
 
 
 def build_baseline(
@@ -451,7 +446,8 @@ def build_baseline(
     timestamp: int = 0,
 ) -> tuple[KnowledgeGraph, GraphDiagnostics]:
     """Extract each article and union the fragments into one batch graph.
-    The result is independent of article order."""
+    The result is independent of article order. Article ids must be unique
+    within the batch."""
     ids = [a.id for a in articles]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -459,16 +455,11 @@ def build_baseline(
 
     entity_records: list[EntityAssertion] = []
     triple_records: list[TripleAssertion] = []
-    rejected = 0
     for article in articles:
-        ents, trips, rej = extract_article(article, dictionary, rules, ontology)
+        ents, trips = extract_article(article, dictionary, rules, ontology)
         entity_records.extend(ents)
         triple_records.extend(trips)
-        rejected += rej
 
-    graph, diags = build_graph(
+    return build_graph(
         entity_records, triple_records, batch_id=batch_id, timestamp=timestamp
     )
-    if rejected:
-        diags.notes.append(f"{rejected} rule triples failed permissibility")
-    return graph, diags

@@ -53,7 +53,6 @@ class GraphDiagnostics:
     malformed_lines: int = 0
     closure_violations: int = 0
     class_conflicts: int = 0
-    notes: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,6 @@ def build_graph(
     for rec in triple_records:
         if rec.subject not in entities or rec.object not in entities:
             diags.closure_violations += 1
-            diags.notes.append(
-                f"dropped triple with unasserted endpoint: "
-                f"({rec.subject}, {rec.predicate}, {rec.object})"
-            )
             continue
         key = (rec.subject, rec.predicate, rec.object)
         if key in triples:

@@ -50,8 +50,10 @@ class SourceText:
     batch and shared by every graph validated against it.
 
     `haystack` is every article's normalized, casefolded text, joined by
-    newlines; `own_text` maps an article id to its own such text (texts
-    joined by newlines when articles share an id). `traced` maps each
+    newlines; `own_text` maps an article id to its own such text. Ids are
+    unique in a batch from load_batch or build_baseline; should they
+    repeat, the last article's text is kept, and a name found only in an
+    earlier one still traces through `haystack`. `traced` maps each
     entity name that validate_graph has met to whether it traces, so every
     later graph reads the answer instead of searching again; it takes no
     part in comparison.
@@ -65,10 +67,7 @@ class SourceText:
 def source_text(batch: list[ArticleDoc]) -> SourceText:
     """The SourceText of `batch`."""
     folded = [normalize_entity(article.text).casefold() for article in batch]
-    own_text: dict[str, str] = {}
-    for article, text in zip(batch, folded):
-        held = own_text.get(article.id)
-        own_text[article.id] = text if held is None else f"{held}\n{text}"
+    own_text = {article.id: text for article, text in zip(batch, folded)}
     return SourceText(haystack="\n".join(folded), own_text=own_text)
 
 
@@ -82,11 +81,10 @@ def validate_graph(
     An entity traces when its normalized, casefolded surface is a substring
     of some article's normalized, casefolded text; there is no fuzzy
     matching. The article the entity was asserted from is tried first, and
-    the whole batch only on a miss. That order changes no verdict: the
-    needle never contains a newline, so a hit in the asserted article (its
-    texts joined by newlines when articles share an id) is a hit within one
-    article of the batch, and the batch texts are joined by newlines too,
-    so no match runs from one article into the next.
+    the whole batch only on a miss. That order changes no verdict: a hit
+    in the asserted article is a hit within one article of the batch, and
+    the batch texts are joined by newlines, which no needle contains, so
+    no match runs from one article into the next.
 
     A name's trace answer depends only on the name and the batch, so it is
     stored in `source` and read back when a later graph asserts the name.
@@ -104,10 +102,6 @@ def validate_graph(
             "empty batch with %d asserted entities: all fail source tracing",
             len(entities),
         )
-
-    # NER-map targets are schema-aligned even if a loader ever admits a
-    # target outside the class set.
-    schema_classes = set(ontology.classes) | set(ontology.ner_map.values())
 
     impermissible = [
         (s, p, o)
@@ -133,7 +127,7 @@ def validate_graph(
         stage, evidence = STAGE_NONE, ""
         if not hit:
             stage, evidence = STAGE_SOURCE, "absent from batch"
-        elif cls not in schema_classes:
+        elif cls not in ontology.classes:
             stage, evidence = STAGE_SCHEMA, cls
         elif entity in broken:
             stage, evidence = STAGE_RULES, broken[entity]

@@ -79,7 +79,6 @@ class PromptTemplate:
 @dataclass(frozen=True)
 class ExtractionResponse:
     article_id: str
-    raw: str
     graph: KnowledgeGraph
     unparsed_lines: int
     # What build_graph dropped or collapsed within this article's block.
@@ -143,7 +142,6 @@ def parse_llm_response(raw: str, article_id: str) -> ExtractionResponse:
     if begin is None or end is None:
         return ExtractionResponse(
             article_id=article_id,
-            raw=raw,
             graph=KnowledgeGraph(batch_id=article_id),
             unparsed_lines=len(lines),
         )
@@ -166,7 +164,6 @@ def parse_llm_response(raw: str, article_id: str) -> ExtractionResponse:
     graph, diags = build_graph(entities, triples, batch_id=article_id)
     return ExtractionResponse(
         article_id=article_id,
-        raw=raw,
         graph=graph,
         unparsed_lines=unparsed,
         closure_violations=diags.closure_violations,

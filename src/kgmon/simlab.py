@@ -282,15 +282,14 @@ def run_scenario(
                 else:
                     graph_spec = scheduled
 
+            base_m = metric_vector(g_base, config.ontology)
             if graph_spec is not None:
                 try:
                     candidate = perturb(g_base, graph_spec, config.ontology)
                 except SimulationError as exc:
                     raise SimulationError(f"step {step}: {exc}") from exc
-                base_m = metric_vector(g_base, config.ontology)
                 cand_m = metric_vector(candidate, config.ontology)
             else:
-                base_m = metric_vector(g_base, config.ontology)
                 cand_m = base_m
             clean = metric_delta(cand_m, base_m)
 

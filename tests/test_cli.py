@@ -246,6 +246,32 @@ def test_load_batch_file_errors(tmp_path):
         load_batch(str(tmp_path / "ghost"))
 
 
+# Characters at which str.splitlines breaks but a text-mode read does not.
+_NOT_LINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_batch_text_keeps_unicode_line_separators_in_the_article(char):
+    feed = f"a1\t0\tOne line{char}same article.\na2\t1\tTwo.\n"
+    articles = load_batch("https://feed.example/b", http_get=lambda _url: feed)
+    assert [(a.id, a.text) for a in articles] == [
+        ("a1", f"One line{char}same article."),
+        ("a2", "Two."),
+    ]
+
+
+def test_batch_text_breaks_lines_as_text_mode_does():
+    feed = "a1\t0\tOne.\r\na2\t1\tTwo.\ra3\t2\tThree.\n"
+    articles = load_batch("https://feed.example/b", http_get=lambda _url: feed)
+    assert [(a.id, a.text) for a in articles] == [
+        ("a1", "One."), ("a2", "Two."), ("a3", "Three."),
+    ]
+    # Each \r\n is one line break, so error messages count lines right.
+    bad = "a1\t0\tOne.\r\n\r\nno fields\u2028here\r\n"
+    with pytest.raises(CliError, match="batch line 3: expected id"):
+        load_batch("https://feed.example/b", http_get=lambda _url: bad)
+
+
 def test_load_batch_directory(tmp_path, caplog):
     d = tmp_path / "articles"
     d.mkdir()
@@ -781,6 +807,28 @@ def test_simulate_continues_a_history_that_holds_sim_rows(ws, capsys):
     assert "80 rows replayed, 0 mismatches" in capsys.readouterr().out
 
 
+def test_simulate_flags_sustained_drift_only_at_its_onset(ws, capsys):
+    # One property dropped at every step from 20 on. Flagged scores join
+    # the threshold window, so after five flags the drifted level is the
+    # window's own and no later step is flagged. Steps 7, 15 and 16 are
+    # noise-only false positives.
+    config = _write_config(
+        ws, warmup_min=5, window=30, noise_sigma=0.002, history="sim.jsonl"
+    )
+    schedule = ws / "schedule.tsv"
+    schedule.write_text(
+        "".join(f"{step}\tdrop-properties\t1\t{step}\n" for step in range(20, 60)),
+        encoding="utf-8",
+    )
+    rc = main(
+        ["simulate", "--config", config, "--schedule", str(schedule), "--steps", "60"]
+    )
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flagged_steps"] == [7, 15, 16, 20, 21, 22, 23, 24]
+    assert payload["false_positive_count"] == 3
+
+
 def _seed_report_history(ws):
     lines = [
         {
@@ -1007,6 +1055,46 @@ def test_monitor_seen_set_holds_only_the_latest_fetch(ws, monkeypatch):
     assert seen_after == ["f1\nf2\n", "f2\nf3\n", "f1\nf3\n"]
     rows = read_history(str(ws / "history.jsonl"))
     assert [r.model for r in rows] == ["GT", "probe"] * 3
+
+
+def test_endpoint_config_is_read_once_per_command(ws, monkeypatch):
+    # monitor keeps the endpoint config and template it read at start: a
+    # template edited between cycles is not picked up.
+    config = _monitor_workspace(ws, monkeypatch)
+    loads = []
+    load_endpoint = cli._load_endpoint
+
+    def counted(run_config):
+        loads.append(run_config)
+        return load_endpoint(run_config)
+
+    monkeypatch.setattr(cli, "_load_endpoint", counted)
+    fetches = iter([_F1, _F1 + _F2])
+
+    def fetch(url):
+        if (ws / "history.jsonl").exists():
+            (ws / "template.txt").write_text(
+                "Changed:\n{{ONTOLOGY}}\n{{ARTICLE}}\n", encoding="utf-8"
+            )
+        return next(fetches)
+
+    monkeypatch.setattr(cli, "_feed_get", fetch)
+    prompts = []
+    transport = llm._http_transport
+
+    def recording(config, token, prompt):
+        prompts.append(prompt)
+        return transport(config, token, prompt)
+
+    monkeypatch.setattr(llm, "_http_transport", recording)
+    rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
+    assert rc == 0
+    assert len(loads) == 1
+    assert [p.startswith("Schema:") for p in prompts] == [True, True]
+    loads.clear()
+    config = _write_config(ws, endpoint_config="endpoint.json", history="live.jsonl")
+    assert _evaluate(ws, config, "probe=live", 1) == 0
+    assert len(loads) == 1
 
 
 def _disk_full(*_args):

@@ -34,6 +34,7 @@ from kgmon.graph import (
     canonical_serialize,
     normalize_entity,
 )
+from kgmon.ontology import load_ontology
 
 from conftest import DICTIONARY_TEXT
 
@@ -536,7 +537,7 @@ def test_extract_article_entities_match_oracle(onto, rules, pieces):
     # oracle scan, in text order.
     dictionary = load_dictionary(_SCAN_DICTIONARY_TEXT, onto)
     text = "".join(word + gap for word, gap in pieces)
-    entities, _, _ = extract_article(ArticleDoc("d", 0, text), dictionary, rules, onto)
+    entities, _ = extract_article(ArticleDoc("d", 0, text), dictionary, rules, onto)
     expected = oracle_ner(text, dictionary.surface_class)
     assert [(e.entity, e.cls) for e in entities] == [
         (surface, dictionary.surface_class[surface]) for _, _, surface in expected
@@ -545,8 +546,7 @@ def test_extract_article_entities_match_oracle(onto, rules, pieces):
 
 
 def test_extract_article_fixture(onto, dictionary, rules, article):
-    entities, triples, rejected = extract_article(article, dictionary, rules, onto)
-    assert rejected == 0
+    entities, triples = extract_article(article, dictionary, rules, onto)
     assert sorted((e.entity, e.cls, e.provenance) for e in entities) == [
         ("Acme Corp", "Company", "a1"),
         ("Acme Corp", "Company", "a1"),
@@ -565,7 +565,7 @@ def test_rules_respect_sentence_boundaries(onto, dictionary, rules):
         published_at=0,
         text="Alice Chen works for Globex. Bob Marsh works for Initech.",
     )
-    _, triples, _ = extract_article(doc, dictionary, rules, onto)
+    _, triples = extract_article(doc, dictionary, rules, onto)
     assert sorted((t.subject, t.object) for t in triples) == [
         ("Alice Chen", "Globex"),
         ("Bob Marsh", "Initech"),
@@ -573,7 +573,7 @@ def test_rules_respect_sentence_boundaries(onto, dictionary, rules):
     split = ArticleDoc(
         id="a3", published_at=0, text="Alice Chen works for. Globex grew."
     )
-    _, triples, _ = extract_article(split, dictionary, rules, onto)
+    _, triples = extract_article(split, dictionary, rules, onto)
     assert triples == []
 
 
@@ -581,18 +581,22 @@ def test_rule_slot_type_check(onto, dictionary, rules):
     doc = ArticleDoc(
         id="a4", published_at=0, text="Alice Chen works for Bob Marsh."
     )
-    entities, triples, _ = extract_article(doc, dictionary, rules, onto)
+    entities, triples = extract_article(doc, dictionary, rules, onto)
     assert len(entities) == 2
     assert triples == []
 
 
 def test_rule_literals_casefold(onto, dictionary, rules):
     doc = ArticleDoc(id="a5", published_at=0, text="Alice Chen WORKS FOR Globex.")
-    _, triples, _ = extract_article(doc, dictionary, rules, onto)
+    _, triples = extract_article(doc, dictionary, rules, onto)
     assert [(t.subject, t.object) for t in triples] == [("Alice Chen", "Globex")]
 
 
-def test_rule_defensive_permissibility_recheck(onto, dictionary):
+def test_rule_that_load_rules_drops_never_fires(onto, dictionary):
+    # A directly built rule fires only if load_rules would keep it. In the
+    # first ontology no Person is also an Organization; in the second the
+    # subject slot's class sits above worksFor's domain, so a bound Person
+    # would make a permissible triple, yet the rule still never fires.
     sneaky = PatternRule(
         rule_id="rx",
         items=(
@@ -604,9 +608,49 @@ def test_rule_defensive_permissibility_recheck(onto, dictionary):
         predicate="worksFor",
     )
     doc = ArticleDoc(id="a6", published_at=0, text="Alice Chen works for Bob Marsh.")
-    _, triples, rejected = extract_article(doc, dictionary, [sneaky], onto)
-    assert triples == []
-    assert rejected == 1
+    assert extract_article(doc, dictionary, [sneaky], onto)[1] == []
+
+    wide = load_ontology(
+        "CLASS Agent\nCLASS Person SUBCLASS_OF Agent\nCLASS Organization\n"
+        "PROPERTY worksFor DOMAIN Person RANGE Organization\n"
+    )
+    template = "{subject:Agent} works for {object:Organization}"
+    assert load_rules(f"r\t{template}\tworksFor\n", wide) == []
+    above = PatternRule(
+        rule_id="r",
+        items=(
+            SlotItem("subject", "Agent"),
+            LiteralItem(("works",)),
+            LiteralItem(("for",)),
+            SlotItem("object", "Organization"),
+        ),
+        predicate="worksFor",
+    )
+    people = load_dictionary("Alice Chen\tPerson\nGlobex\tOrganization\n", wide)
+    doc = ArticleDoc(id="a7", published_at=0, text="Alice Chen works for Globex.")
+    assert extract_article(doc, people, [above], wide)[1] == []
+
+
+def test_each_rule_is_admitted_once_per_call(onto, dictionary, rules, monkeypatch):
+    calls = []
+    real = extract.is_permissible
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(extract, "is_permissible", counted)
+    doc = ArticleDoc(
+        id="a8",
+        published_at=0,
+        text=(
+            "Alice Chen works for Acme Corp. Bob Marsh works for Globex. "
+            "Dana Wu works for Initech. Acme Corp is based in Berlin."
+        ),
+    )
+    _, triples = extract_article(doc, dictionary, rules, onto)
+    assert len(triples) == 4 > len(rules)
+    assert len(calls) <= len(rules)
 
 
 def _corpus(rng, n, surfaces):
@@ -661,12 +705,26 @@ def test_build_baseline_empty_batch(onto, dictionary, rules):
     assert diags.malformed_lines == 0
 
 
-def reference_rules(text, surface_class, rules, onto):
-    # Every rule at every token of every sentence, the plain R x T loop.
-    # Returns (triples, rejected) in emission order.
-    def below(cls, ancestor):
-        return cls == ancestor or ancestor in onto.ancestors(cls)
+def _below(onto, cls, ancestor):
+    return cls == ancestor or ancestor in onto.ancestors(cls)
 
+
+def admissible(rules, onto):
+    # The rules whose predicate admits their slot classes.
+    kept = []
+    for rule in rules:
+        slots = {item.role: item.cls for item in rule.items if isinstance(item, SlotItem)}
+        prop = onto.properties[rule.predicate]
+        if _below(onto, slots["subject"], prop.domain) and _below(
+            onto, slots["object"], prop.range
+        ):
+            kept.append(rule)
+    return kept
+
+
+def reference_rules(text, surface_class, rules, onto):
+    # Every rule that load_rules would keep, at every token of every
+    # sentence: the plain R x T loop. Returns the triples in emission order.
     texts = oracle_tokenize(text)
     match_at = {
         start: (count, surface)
@@ -680,8 +738,8 @@ def reference_rules(text, surface_class, rules, onto):
     if start < len(texts):
         sentences.append((start, len(texts)))
 
-    triples, rejected = [], 0
-    for rule in rules:
+    triples = []
+    for rule in admissible(rules, onto):
         for start, end in sentences:
             for pos in range(start, end):
                 cursor, bound = pos, {}
@@ -696,26 +754,20 @@ def reference_rules(text, surface_class, rules, onto):
                         hit = match_at.get(cursor)
                         if hit is None or cursor + hit[0] > end:
                             break
-                        cls = surface_class[hit[1]]
-                        if not below(cls, item.cls):
+                        if not _below(onto, surface_class[hit[1]], item.cls):
                             break
-                        bound[item.role] = (hit[1], cls)
+                        bound[item.role] = hit[1]
                         cursor += hit[0]
                 else:
-                    (subj, s_cls), (obj, o_cls) = bound["subject"], bound["object"]
-                    prop = onto.properties[rule.predicate]
-                    if below(s_cls, prop.domain) and below(o_cls, prop.range):
-                        triples.append((subj, rule.predicate, obj))
-                    else:
-                        rejected += 1
-    return triples, rejected
+                    triples.append((bound["subject"], rule.predicate, bound["object"]))
+    return triples
 
 
 def _random_rule(rng, i, onto, literals):
     # One subject and one object slot in either order, up to two literals
     # anywhere, so some rules start with a literal. Slot classes mostly
     # follow the predicate's domain and range; the rule is built directly,
-    # so an impermissible one survives to exercise the rejected count.
+    # so an inadmissible one survives to exercise extraction's own test.
     # Returns the rule and, per item, its literal's source or slot class.
     prop = onto.properties[rng.choice(sorted(onto.properties))]
     classes = sorted(onto.classes)
@@ -755,7 +807,7 @@ def _render(rng, pieces, surface_class, onto, noise):
     return " ".join(words)
 
 
-def test_extract_article_rules_match_reference(onto):
+def test_extract_article_rules_match_reference(onto, monkeypatch):
     # "St. Louis" runs past the sentence end its "." makes, so a slot bound
     # to it never fits inside one sentence.
     surface_class = dict(line.split("\t") for line in DICTIONARY_TEXT.splitlines())
@@ -763,10 +815,19 @@ def test_extract_article_rules_match_reference(onto):
     dictionary = load_dictionary(
         "".join(f"{s}\t{c}\n" for s, c in surface_class.items()), onto
     )
+    # extract_article's admission answers, one per rule of the last call.
+    answers = []
+    real = extract.is_permissible
+
+    def recorded(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(extract, "is_permissible", recorded)
     literals = ["works", "for", "based in", "Co-Founded", "Ms.", "!", "IS"]
     noise = ["the", "board", "said", ".", "?", "in"]
     rng = random.Random(7)
-    triples_seen = rejected_seen = 0
+    triples_seen = inadmissible_seen = 0
     for n in range(300):
         drawn = [_random_rule(rng, i, onto, literals) for i in range(rng.randrange(1, 5))]
         rules = [rule for rule, _ in drawn]
@@ -775,12 +836,34 @@ def test_extract_article_rules_match_reference(onto):
             for _ in range(rng.randrange(0, 8))
         )
         doc = ArticleDoc(id=f"d{n}", published_at=n, text=text)
-        _, triples, rejected = extract_article(doc, dictionary, rules, onto)
+        answers.clear()
+        _, triples = extract_article(doc, dictionary, rules, onto)
         got = [(t.subject, t.predicate, t.object) for t in triples]
-        assert (got, rejected) == reference_rules(text, surface_class, rules, onto)
+        assert got == reference_rules(text, surface_class, rules, onto)
+        assert all(
+            real(onto, surface_class[s], p, surface_class[o]) for s, p, o in got
+        )
+        # extract_article admits exactly the rules load_rules keeps.
+        assert len(answers) == len(rules)
+        admitted = [rule.rule_id for rule, ok in zip(rules, answers) if ok]
+        rules_text = "".join(
+            f"{rule.rule_id}\t{_template(rule, pieces)}\t{rule.predicate}\n"
+            for rule, pieces in drawn
+        )
+        assert [rule.rule_id for rule in load_rules(rules_text, onto)] == admitted
+        assert [rule.rule_id for rule in admissible(rules, onto)] == admitted
         triples_seen += len(got)
-        rejected_seen += rejected
-    assert triples_seen > 100 and rejected_seen > 100
+        inadmissible_seen += len(rules) - len(admitted)
+    assert triples_seen > 100 and inadmissible_seen > 100
+
+
+def _template(rule, pieces):
+    # The rules TSV template of a _random_rule: each slot as {role:Class},
+    # each literal as the text it was tokenized from.
+    return " ".join(
+        f"{{{item.role}:{item.cls}}}" if isinstance(item, SlotItem) else src
+        for item, (_, src) in zip(rule.items, pieces)
+    )
 
 
 # Rule items for the dispatch test: slots of every class, and literals of
@@ -844,11 +927,11 @@ _DISPATCH_WORDS = [line.split("\t")[0] for line in _DISPATCH_SURFACES.splitlines
 def test_extract_article_equals_every_rule_at_every_token(onto, rules, words):
     dictionary = load_dictionary(_DISPATCH_SURFACES, onto)
     text = " ".join(words)
-    entities, triples, rejected = extract_article(
+    entities, triples = extract_article(
         ArticleDoc("d", 0, text), dictionary, rules, onto
     )
     got = [(t.subject, t.predicate, t.object) for t in triples]
-    assert (got, rejected) == reference_rules(text, dictionary.surface_class, rules, onto)
+    assert got == reference_rules(text, dictionary.surface_class, rules, onto)
     assert [e.entity for e in entities] == [
         s for _, _, s in oracle_ner(text, dictionary.surface_class)
     ]
@@ -884,18 +967,15 @@ def test_build_baseline_with_one_table_equals_asking_at_every_use(onto, rules, a
     dictionary = load_dictionary(_DISPATCH_SURFACES, onto)
     surface_class = dictionary.surface_class
     docs = [ArticleDoc(f"d{i}", i, " ".join(words)) for i, words in enumerate(articles)]
-    entities, triples, rejected = [], [], 0
+    entities, triples = [], []
     for doc in docs:
         entities += [
             EntityAssertion(s, surface_class[s], doc.id)
             for _, _, s in oracle_ner(doc.text, surface_class)
         ]
-        got, rej = reference_rules(doc.text, surface_class, rules, onto)
+        got = reference_rules(doc.text, surface_class, rules, onto)
         triples += [TripleAssertion(s, p, o, doc.id) for s, p, o in got]
-        rejected += rej
     expected, expected_diags = build_graph(entities, triples, batch_id="b")
-    if rejected:
-        expected_diags.notes.append(f"{rejected} rule triples failed permissibility")
     graph, diags = build_baseline(docs, dictionary, rules, onto, batch_id="b")
     assert canonical_serialize(graph) == canonical_serialize(expected)
     assert diags == expected_diags

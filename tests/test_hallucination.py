@@ -116,7 +116,6 @@ def _reference_report(g, batch, onto):
     """validate_graph written out plainly: every needle searched in all the
     articles joined by newlines, every triple's classes checked anew."""
     haystack = "\n".join(normalize_entity(a.text).casefold() for a in batch)
-    schema = set(onto.classes) | set(onto.ner_map.values())
     verdicts = []
     for entity in sorted(g.entities):
         cls = g.entities[entity][0]
@@ -124,7 +123,7 @@ def _reference_report(g, batch, onto):
         stage, evidence = STAGE_NONE, ""
         if not (needle and needle in haystack):
             stage, evidence = STAGE_SOURCE, "absent from batch"
-        elif cls not in schema:
+        elif cls not in onto.classes:
             stage, evidence = STAGE_SCHEMA, cls
         else:
             for s, p, o in sorted(g.triples):

@@ -92,7 +92,6 @@ def test_parse_llm_response_happy_path():
         "Globex": ("Organization", "art-9"),
     }
     assert resp.graph.triples == {("Alice Chen", "worksFor", "Globex"): "art-9"}
-    assert resp.raw == raw
 
 
 def test_parse_llm_response_counts_garbled_lines():

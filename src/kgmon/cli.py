@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import requests
-
 from kgmon.extract import (
     ArticleDoc,
     ExtractError,
@@ -34,6 +32,7 @@ from kgmon.extract import (
 )
 from kgmon.graph import canonical_serialize
 from kgmon.hallucination import source_text, validate_graph
+from kgmon.kernels import split_lines
 from kgmon.llm import (
     EndpointConfig,
     LlmError,
@@ -318,14 +317,9 @@ def _unescape_text(text: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _UNESCAPED[m.group(1)], text)
 
 
-# The line breaks of a text-mode read. str.splitlines also breaks at
-# U+2028, U+0085, form feeds and more, which article text may hold.
-_LINE_BREAK_RE = re.compile(r"\r\n?|\n")
-
-
 def _parse_batch_text(text: str) -> list[ArticleDoc]:
     articles: list[ArticleDoc] = []
-    for lineno, raw in enumerate(_LINE_BREAK_RE.split(text), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         fields = raw.split("\t", 2)
@@ -353,6 +347,11 @@ def _parse_batch_text(text: str) -> list[ArticleDoc]:
 
 
 def _feed_get(url: str) -> str:
+    # Imported here, at one of the two request sites: requests and its
+    # dependencies are about 10 MB and half of the import time of
+    # kgmon.cli, which an offline command would pay for nothing.
+    import requests
+
     response = requests.get(url, timeout=30)
     response.raise_for_status()
     return response.text
@@ -504,7 +503,7 @@ def _evaluate_once(
                 unparsed = ing.malformed_lines
         except CliError:
             raise
-        except (OSError, LlmError, requests.RequestException, ValueError) as exc:
+        except (OSError, LlmError, ValueError) as exc:
             log.warning("model %s extraction failed: %s", model, exc)
             continue
         any_success = True
@@ -628,7 +627,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             cycle_ts = int(time.time())
             try:
                 batch = load_batch(config.feed_url)
-            except (CliError, requests.RequestException, OSError) as exc:
+            except (CliError, OSError) as exc:
                 log.warning("feed fetch failed: %s", exc)
                 batch = []
             if batch:
@@ -884,8 +883,8 @@ def main(argv=None) -> int:
         LlmError,
         UndecodableFileError,
         UnicodeDecodeError,
+        # Covers every requests.RequestException, which derives from it.
         OSError,
-        requests.RequestException,
     ) as exc:
         print(f"ERROR {exc}", file=sys.stderr)
         return 1

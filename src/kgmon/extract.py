@@ -38,7 +38,7 @@ _Hit = tuple[int, str, str]
 # marshal data of (surface_class, aliases, lengths).
 INDEX_SUFFIX = ".kgmon-index"
 # Part of the key; marshal data is specific to the interpreter that wrote it.
-_INDEX_FORMAT = f"kgmon dictionary index 3 {sys.implementation.cache_tag}\n".encode()
+_INDEX_FORMAT = f"kgmon dictionary index 4 {sys.implementation.cache_tag}\n".encode()
 _DIGEST_SIZE = 32
 
 
@@ -90,7 +90,7 @@ class NerDictionary:
 
 
 def _iter_data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(kernels.split_lines(text), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         yield lineno, raw
@@ -201,7 +201,7 @@ def load_dictionary_file(path: str, ontology: Ontology) -> NerDictionary:
         return NerDictionary(*index)
     try:
         # Decoded bytes split into the same lines as a text-mode read:
-        # splitlines breaks at \r\n and \r as well as \n.
+        # split_lines breaks at \r\n and \r as well as \n.
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UndecodableFileError(f"{path}: not valid UTF-8: {exc.reason}") from exc

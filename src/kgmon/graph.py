@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from kgmon.kernels import split_lines
+
 __all__ = [
     "EntityAssertion",
     "TripleAssertion",
@@ -168,7 +170,7 @@ def parse_records(
     entity_records: list[EntityAssertion] = []
     triple_records: list[TripleAssertion] = []
     malformed = 0
-    for raw in text.splitlines():
+    for raw in split_lines(text):
         if not raw.strip():
             continue
         rec = parse_record_line(raw)

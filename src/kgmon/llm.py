@@ -5,17 +5,18 @@ sentinel-delimited record block as the only accepted output grammar, and
 an offline path that reads pre-extracted record files. Model-supplied
 provenance is always overwritten with the article id; a model must not be
 able to forge source attribution.
+
+`requests` and the worker thread pool are imported by the functions that
+use them, so importing this module, as every kgmon command does, loads
+neither; only a batch sent to an endpoint pays for them.
 """
 
 import logging
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from urllib.parse import urlparse
-
-import requests
 
 from kgmon.extract import ArticleDoc
 from kgmon.graph import (
@@ -27,6 +28,7 @@ from kgmon.graph import (
     parse_record_line,
     parse_records,
 )
+from kgmon.kernels import split_lines
 from kgmon.ontology import Ontology
 
 log = logging.getLogger(__name__)
@@ -129,7 +131,7 @@ def parse_llm_response(raw: str, article_id: str) -> ExtractionResponse:
     missing sentinels yield an empty graph with every line counted, which
     makes a non-conforming model loudly visible without crashing.
     """
-    lines = raw.splitlines()
+    lines = split_lines(raw)
     begin = end = None
     for i, line in enumerate(lines):
         stripped = line.strip()
@@ -172,6 +174,12 @@ def parse_llm_response(raw: str, article_id: str) -> ExtractionResponse:
 
 
 def _http_transport(config: EndpointConfig, token: str, prompt: str) -> str:
+    # Imported here, at one of the two request sites: requests and its
+    # dependencies are about 10 MB and half of the import time of
+    # kgmon.cli, which an offline command would pay for nothing. Worker
+    # threads run this; the import lock serializes their first import.
+    import requests
+
     response = requests.post(
         config.url,
         json={
@@ -238,6 +246,8 @@ def extract_batch(
             return parse_llm_response(raw, article.id)
         except Exception as exc:  # noqa: BLE001 - reported per article
             return exc
+
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
         results = list(pool.map(work, batch))

@@ -8,6 +8,8 @@ validation) queries it read-only.
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from kgmon.kernels import split_lines
+
 __all__ = [
     "OntologyError",
     "ClassDef",
@@ -111,7 +113,7 @@ def load_ontology(document: str) -> Ontology:
     properties: dict[str, PropertyDef] = {}
     ner_map: dict[str, str] = {}
 
-    for lineno, raw in enumerate(document.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(document), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

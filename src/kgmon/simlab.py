@@ -21,6 +21,7 @@ from kgmon.graph import (
     instantiated_classes,
     instantiated_properties,
 )
+from kgmon.kernels import split_lines
 from kgmon.metrics import MetricDelta, metric_delta, metric_vector
 from kgmon.monitor import (
     DEFAULT_LAMBDA,
@@ -374,7 +375,7 @@ def load_schedule(text: str) -> tuple[dict[int, PerturbationSpec], list[int]]:
     optional `ASSERT_FLAG_AT step` directives."""
     schedule: dict[int, PerturbationSpec] = {}
     asserts: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from kgmon.extract import ArticleDoc, load_dictionary, load_rules
@@ -28,6 +30,36 @@ DICTIONARY_TEXT = (
     "Geneva\tCity\n"
     "Lake Victoria\tLocation\n"
 )
+
+# Characters at which str.splitlines breaks but a text-mode read does not.
+NOT_LINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+def codepoint(char):
+    """A test id for one character."""
+    return f"U+{ord(char):04X}"
+
+
+def text_mode_lines(text):
+    """The lines a text-mode read of `text` yields, without their breaks."""
+    return [line.rstrip("\n") for line in io.StringIO(text, newline=None)]
+
+
+class FakeResponse:
+    """What the tests' stand-ins for requests.get and requests.post return."""
+
+    def __init__(self, text="", body=None, error=None):
+        self.text = text
+        self._body = body
+        self._error = error
+
+    def raise_for_status(self):
+        if self._error is not None:
+            raise self._error
+
+    def json(self):
+        return self._body
+
 
 RULES_TEXT = (
     "r1\t{subject:Person} works for {object:Organization}\tworksFor\n"

@@ -5,9 +5,14 @@ import json
 import os
 import random
 import re
+import shutil
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +27,14 @@ from kgmon.cli import (
 from kgmon.extract import INDEX_SUFFIX
 from kgmon.monitor import UndecodableFileError, read_history
 
-from conftest import DICTIONARY_TEXT, ONTOLOGY_TEXT, RULES_TEXT
+from conftest import (
+    DICTIONARY_TEXT,
+    NOT_LINE_BREAKS,
+    ONTOLOGY_TEXT,
+    RULES_TEXT,
+    FakeResponse,
+    codepoint,
+)
 
 BATCH_LINE = (
     "b1\t100\tAlice Chen works for Acme Corp. Acme Corp is based in Berlin.\n"
@@ -246,11 +258,7 @@ def test_load_batch_file_errors(tmp_path):
         load_batch(str(tmp_path / "ghost"))
 
 
-# Characters at which str.splitlines breaks but a text-mode read does not.
-_NOT_LINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
-
-
-@pytest.mark.parametrize("char", _NOT_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=codepoint)
 def test_batch_text_keeps_unicode_line_separators_in_the_article(char):
     feed = f"a1\t0\tOne line{char}same article.\na2\t1\tTwo.\n"
     articles = load_batch("https://feed.example/b", http_get=lambda _url: feed)
@@ -1326,3 +1334,156 @@ def test_evaluate_live_endpoint_out_of_range_is_a_config_error(ws, monkeypatch, 
     assert f"ERROR endpoint config {path}: timeout must be positive" in err
     assert "extraction failed" not in err
     assert not (ws / "history.jsonl").exists()
+
+
+# The feed and model requests run for real below, with requests.get and
+# requests.post replaced on the requests module: no connection is made.
+_REAL_FEED_GET = cli._feed_get
+
+
+def test_feed_get_requests_the_feed_url(monkeypatch):
+    calls = []
+
+    def get(url, **kwargs):
+        calls.append((url, kwargs))
+        return FakeResponse(text=_F1 + _F2)
+
+    monkeypatch.setattr(requests, "get", get)
+    articles = load_batch("https://feed.example/batches")
+    assert [a.id for a in articles] == ["f1", "f2"]
+    assert calls == [("https://feed.example/batches", {"timeout": 30})]
+    monkeypatch.setattr(
+        requests, "get",
+        lambda url, **kw: FakeResponse(error=requests.HTTPError("503 Server Error")),
+    )
+    with pytest.raises(requests.HTTPError, match="503"):
+        load_batch("https://feed.example/batches")
+
+
+def test_evaluate_feed_connection_error_is_one_error_line(ws, monkeypatch, capsys):
+    def refused(url, **kwargs):
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(requests, "get", refused)
+    config = _write_config(ws)
+    argv = ["evaluate", "--config", config, "--batch", "https://feed.example/b"]
+    rc = main(argv + ["--candidate", f"probe={ws / 'good.rec'}", "--timestamp", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["ERROR connection refused"]
+    assert not (ws / "history.jsonl").exists()
+
+
+def test_monitor_feed_connection_error_is_logged_and_retried(ws, monkeypatch, caplog):
+    config = _monitor_workspace(ws, monkeypatch)
+    monkeypatch.setattr(cli, "_feed_get", _REAL_FEED_GET)
+    responses = iter([requests.ConnectionError("connection refused"), _F1 + _F2])
+
+    def get(url, **kwargs):
+        response = next(responses)
+        if isinstance(response, Exception):
+            raise response
+        return FakeResponse(text=response)
+
+    monkeypatch.setattr(requests, "get", get)
+    with caplog.at_level("WARNING"):
+        rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
+    assert rc == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "feed fetch failed: connection refused"
+    ]
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [r.model for r in rows] == ["GT", "probe"]
+
+
+# Run in a fresh interpreter: this one may have imported requests already.
+_OFFLINE_COMMANDS = """
+import json, sys
+from kgmon.cli import main
+ws, run, sim = sys.argv[1:]
+codes = [
+    main(["build-baseline", "--ontology", ws + "/ontology.txt",
+          "--dict", ws + "/dictionary.tsv", "--rules", ws + "/rules.tsv",
+          "--batch", ws + "/batch.tsv", "--out", ws + "/baseline.rec"]),
+    main(["evaluate", "--config", run, "--batch", ws + "/batch.tsv",
+          "--candidate", "probe=" + ws + "/good.rec", "--timestamp", "1"]),
+    main(["simulate", "--config", sim, "--schedule", ws + "/schedule.tsv",
+          "--steps", "30"]),
+    main(["report", "--history", ws + "/history.jsonl"]),
+    main(["replay", "--history", ws + "/history.jsonl", "--config", run]),
+]
+loaded = [m for m in ("requests", "urllib3", "concurrent.futures") if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _src_env():
+    return {**os.environ, "PYTHONPATH": _SRC}
+
+
+def test_offline_commands_load_no_http_stack(ws):
+    sim = _write_config(ws, warmup_min=5, noise_sigma=0.01, history="sim.jsonl")
+    sim = str(Path(sim).rename(ws / "sim.json"))
+    run = _write_config(ws)
+    (ws / "schedule.tsv").write_text("12\tdrop-classes\t3\t5\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", _OFFLINE_COMMANDS, str(ws), run, sim],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outcome = json.loads(proc.stdout.splitlines()[-1])
+    assert outcome == {"codes": [0, 0, 0, 0, 0], "loaded": []}
+
+
+def _other_pythons():
+    """Each python3.1x on PATH that starts, other than this interpreter's
+    version."""
+    found = []
+    for minor in range(10, 20):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None or minor == sys.version_info.minor:
+            continue
+        probe = subprocess.run(
+            [exe, "-c", f"import sys; print(sys.version_info[:2] == (3, {minor}))"],
+            capture_output=True, text=True, timeout=60,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == "True":
+            found.append(exe)
+    return found
+
+
+def test_simulate_and_replay_do_not_depend_on_the_python_version(ws):
+    pythons = _other_pythons()
+    if not pythons:
+        pytest.skip("no python3.1x of another version on PATH starts")
+    schedule = ws / "schedule.tsv"
+    schedule.write_text(
+        "60\tdrop-classes\t3\t5\n120\tdepth-skew\t0.5\t7\n", encoding="utf-8"
+    )
+
+    def config_for(history):
+        path = _write_config(
+            ws, warmup_min=5, noise_sigma=0.01, noise_seed=3, history=history
+        )
+        return str(Path(path).rename(ws / f"{history}.json"))
+
+    simulate = ["simulate", "--schedule", str(schedule), "--steps", "200"]
+    config = config_for("sim.jsonl")
+    assert main(simulate + ["--config", config]) == 0
+    expected = (ws / "sim.jsonl").read_bytes()
+    for exe in pythons:
+        history = f"sim-{Path(exe).name}.jsonl"
+        other = [exe, "-m", "kgmon.cli"]
+        proc = subprocess.run(
+            other + simulate + ["--config", config_for(history)],
+            capture_output=True, text=True, env=_src_env(), timeout=300,
+        )
+        assert proc.returncode == 0, (exe, proc.stderr)
+        assert (ws / history).read_bytes() == expected, exe
+        proc = subprocess.run(
+            other + ["replay", "--history", str(ws / "sim.jsonl"), "--config", config],
+            capture_output=True, text=True, env=_src_env(), timeout=300,
+        )
+        assert proc.returncode == 0, (exe, proc.stderr)
+        assert proc.stdout.splitlines()[-1] == "200 rows replayed, 0 mismatches"

@@ -36,7 +36,7 @@ from kgmon.graph import (
 )
 from kgmon.ontology import load_ontology
 
-from conftest import DICTIONARY_TEXT
+from conftest import DICTIONARY_TEXT, NOT_LINE_BREAKS, codepoint, text_mode_lines
 
 _ORACLE_TOKEN_RE = re.compile(
     "[" + re.escape(string.punctuation) + "]"
@@ -128,7 +128,7 @@ def reference_load_dictionary(text, ontology):
     surface_class = {}
     surfaces = {}
     by_first = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text_mode_lines(text), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
         fields = raw.split("\t")
@@ -182,7 +182,8 @@ def _load_outcome(load, text, onto):
 
 # Surface words with and without ASCII punctuation (some tokenize alike),
 # the gaps between them (Unicode whitespace included), classes (known,
-# unknown, blank, padded) and the line breaks str.splitlines honours.
+# unknown, blank, padded), the line breaks of a text-mode read and some of
+# the further breaks of str.splitlines, which stay inside a line.
 _DICT_WORDS = ["Acme", "Corp", "St.", "St", ".", "Louis", "A.B", "x-y", "\u00e9", "\u4eba", "#1"]
 _DICT_GAPS = ["", " ", "  ", "\xa0", "\u3000", "\x1f"]
 _DICT_CLASSES = ["Company", "City", "Person", "Organization", " City ", "Ghost", ""]
@@ -355,6 +356,49 @@ def test_dictionary_index_holds_one_string_per_class(onto, tmp_path):
     for d in (parsed, loaded):
         classes = list(d.surface_class.values())
         assert len({id(c) for c in classes}) == len(set(classes)) < len(classes)
+
+
+def test_dictionary_index_of_format_3_is_rewritten(onto, tmp_path):
+    # Format 3 was written when dictionary lines also broke at \x1c and the
+    # other breaks of str.splitlines, so a comment holding one ended early
+    # and the rest of it was an entry. The body is valid either way; only
+    # the format tag in the key tells the two parses apart.
+    text = "# kept\x1cAcme\tCompany\nBerlin\tCity\n"
+    path = tmp_path / "dictionary.tsv"
+    path.write_text(text, encoding="utf-8")
+    raw = path.read_bytes()
+    old = load_dictionary("# kept\nAcme\tCompany\nBerlin\tCity\n", onto)
+    body = marshal.dumps((old.surface_class, old.aliases, old.lengths))
+    Path(str(path) + INDEX_SUFFIX).write_bytes(_forged(_key_of_format(3, raw, onto), body))
+
+    with mock.patch.object(extract, "load_dictionary", wraps=load_dictionary) as parse:
+        fresh = load_dictionary_file(str(path), onto)
+    assert parse.call_count == 1
+    assert fresh.surface_class == {"Berlin": "City"}
+    with _no_parse():
+        assert load_dictionary_file(str(path), onto) == fresh
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=codepoint)
+def test_dictionary_surface_keeps_unicode_line_separators(onto, tmp_path, char):
+    text = f"Acme{char}Corp\tCompany\nBerlin\tCity\n"
+    expected = {"Acme Corp": "Company", "Berlin": "City"}
+    assert load_dictionary(text, onto).surface_class == expected
+    path = tmp_path / "dictionary.tsv"
+    path.write_text(text, encoding="utf-8")
+    assert load_dictionary_file(str(path), onto).surface_class == expected
+    with _no_parse():
+        assert load_dictionary_file(str(path), onto).surface_class == expected
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_dictionary_breaks_lines_as_text_mode_does(onto, brk):
+    text = brk.join(["# note", "Acme Corp\tCompany", "Berlin\tCity", ""])
+    d = load_dictionary(text, onto)
+    assert d.surface_class == {"Acme Corp": "Company", "Berlin": "City"}
+    # Line numbers count each \r\n once.
+    with pytest.raises(ExtractError, match="dictionary line 3: expected 2 fields"):
+        load_dictionary(brk.join(["Berlin\tCity", "", "Acme", ""]), onto)
 
 
 def _key_of_format(number, raw, onto):

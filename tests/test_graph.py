@@ -20,6 +20,8 @@ from kgmon.graph import (
     parse_records,
 )
 
+from conftest import NOT_LINE_BREAKS, codepoint
+
 
 def _random_graph(rng, tag="g"):
     entities = [
@@ -261,3 +263,18 @@ def test_build_graph_equals_min_over_all_records(entity_records, triple_records)
     assert list(graph.triples.items()) == list(triples.items())
     assert diags.class_conflicts == conflicts
     assert diags.closure_violations == dropped
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=codepoint)
+def test_parse_records_keeps_unicode_line_separators_in_a_record(char):
+    graph, diags = parse_records(f"E\tAl{char}ice\tPerson\ta1\nE\tBob\tPerson\ta1\n")
+    assert graph.entities == {"Al ice": ("Person", "a1"), "Bob": ("Person", "a1")}
+    assert diags.malformed_lines == 0
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_parse_records_breaks_lines_as_text_mode_does(brk):
+    text = brk.join(["E\tAlice\tPerson\ta1", "", "bad", "E\tBob\tPerson\ta1", ""])
+    graph, diags = parse_records(text)
+    assert list(graph.entities) == ["Alice", "Bob"]
+    assert diags.malformed_lines == 1

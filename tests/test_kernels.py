@@ -11,6 +11,8 @@ from kgmon.extract import load_dictionary
 from kgmon.graph import normalize_entity
 from kgmon.ontology import load_ontology
 
+from conftest import NOT_LINE_BREAKS, text_mode_lines
+
 _PUNCT = frozenset(string.punctuation)
 
 
@@ -230,3 +232,24 @@ def test_find_matches_tie_smaller_than_its_key():
         d = load_dictionary("".join(f"{s}\tThing\n" for s in surfaces), _THING)
         assert d.aliases == {". \x01": ".\x01"}
         assert _scan(surfaces, [".", "\x01"]) == [(0, 2, ".\x01")]
+
+
+_LINE_ALPHABET = "ab \t\n\r" + "".join(NOT_LINE_BREAKS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=_LINE_ALPHABET, max_size=24))
+@example("")
+@example("a\r\n\r\nb\r")
+@example("\n\r\r\n")
+@example("a\u2028b\x1c\n\x85")
+def test_split_lines_breaks_as_a_text_mode_read(text):
+    assert kernels.split_lines(text) == text_mode_lines(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab \t\n\r", max_size=24))
+def test_split_lines_is_splitlines_where_only_text_mode_breaks_occur(text):
+    # So loader line numbers and the count of lines in a response without
+    # sentinels stay as they were.
+    assert kernels.split_lines(text) == text.splitlines()

@@ -1,6 +1,7 @@
 import threading
 
 import pytest
+import requests
 
 from kgmon import llm
 from kgmon.extract import ArticleDoc
@@ -13,6 +14,8 @@ from kgmon.llm import (
     parse_llm_response,
     render_prompt,
 )
+
+from conftest import NOT_LINE_BREAKS, FakeResponse, codepoint
 
 TEMPLATE = load_template(
     "Schema:\n{{ONTOLOGY}}\nArticle:\n{{ARTICLE}}\nEmit records between "
@@ -305,3 +308,67 @@ def test_ingest_offline(tmp_path):
     assert graph.batch_id == "b" and graph.timestamp == 4
     with pytest.raises(OSError):
         ingest_offline(str(tmp_path / "missing.txt"))
+
+
+# The model request runs for real below, with requests.post replaced on the
+# requests module: no connection is made.
+def test_http_transport_posts_the_prompt(onto, token_env, monkeypatch):
+    calls = []
+
+    def post(url, **kwargs):
+        calls.append((url, kwargs))
+        return FakeResponse(body={"text": _block("E\tAlice Chen\tPerson\tz")})
+
+    monkeypatch.setattr(requests, "post", post)
+    article = _article()
+    graph, diags = extract_batch(
+        [article], _config(temperature=0.25, timeout=7.5), TEMPLATE, onto
+    )
+    assert graph.entities == {"Alice Chen": ("Person", "art-0")}
+    assert diags.failures == []
+    assert calls == [
+        (
+            "https://models.example/v1/complete",
+            {
+                "json": {
+                    "model": "probe-1",
+                    "temperature": 0.25,
+                    "prompt": render_prompt(TEMPLATE, article, onto),
+                },
+                "headers": {"Authorization": "Bearer sk-test"},
+                "timeout": 7.5,
+            },
+        )
+    ]
+
+
+def test_http_transport_raises_http_errors(monkeypatch):
+    error = requests.HTTPError("429 Client Error: Too Many Requests")
+    monkeypatch.setattr(requests, "post", lambda url, **kw: FakeResponse(error=error))
+    with pytest.raises(requests.HTTPError, match="429"):
+        llm._http_transport(_config(), "sk-test", "prompt")
+
+
+@pytest.mark.parametrize("body", [{"choices": []}, ["text"], None])
+def test_http_transport_needs_a_text_field(monkeypatch, body):
+    monkeypatch.setattr(requests, "post", lambda url, **kw: FakeResponse(body=body))
+    with pytest.raises(LlmError, match="no text field"):
+        llm._http_transport(_config(), "sk-test", "prompt")
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=codepoint)
+def test_parse_llm_response_keeps_unicode_line_separators_in_a_record(char):
+    raw = _block(f"E\tAl{char}ice\tPerson\tz", "E\tBob\tPerson\tz")
+    resp = parse_llm_response(raw, "a1")
+    assert resp.graph.entities == {"Al ice": ("Person", "a1"), "Bob": ("Person", "a1")}
+    assert resp.unparsed_lines == 0
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_parse_llm_response_breaks_lines_as_text_mode_does(brk):
+    raw = brk.join(["BEGIN_KG", "E\tAlice\tPerson\tz", "garbled", "END_KG", ""])
+    resp = parse_llm_response(raw, "a1")
+    assert list(resp.graph.entities) == ["Alice"]
+    assert resp.unparsed_lines == 1
+    # Without sentinels every line counts, the trailing break adding none.
+    assert parse_llm_response(brk.join(["one", "two", ""]), "a1").unparsed_lines == 2

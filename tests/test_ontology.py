@@ -11,7 +11,7 @@ from kgmon.ontology import (
     load_ontology,
 )
 
-from conftest import ONTOLOGY_TEXT
+from conftest import NOT_LINE_BREAKS, ONTOLOGY_TEXT, codepoint
 
 
 def test_load_counts_and_lookup(onto):
@@ -229,3 +229,18 @@ def test_random_forests_depth_consistency():
                 cur = parent_of[cur]
             assert onto.depths[name] == expect
             assert len(onto.ancestors(name)) == expect
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=codepoint)
+def test_ontology_comment_keeps_unicode_line_separators(char):
+    onto = load_ontology(f"# people{char}and places\nCLASS A\nCLASS B SUBCLASS_OF A\n")
+    assert set(onto.classes) == {"A", "B"}
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_ontology_breaks_lines_as_text_mode_does(brk):
+    onto = load_ontology(brk.join(["# note", "CLASS A", "CLASS B SUBCLASS_OF A", ""]))
+    assert onto.classes["B"].parent == "A"
+    # Line numbers count each \r\n once.
+    with pytest.raises(OntologyError, match="line 3: malformed"):
+        load_ontology(brk.join(["CLASS A", "", "CLASS", ""]))

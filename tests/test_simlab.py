@@ -19,6 +19,8 @@ from kgmon.simlab import (
     synthetic_stream,
 )
 
+from conftest import NOT_LINE_BREAKS, codepoint
+
 
 @pytest.fixture
 def base_graph(onto):
@@ -341,3 +343,18 @@ def test_load_schedule_parses_and_validates():
         load_schedule("-1\tdrop-classes\t2\t0\n")
     with pytest.raises(SimulationError, match="ASSERT_FLAG_AT"):
         load_schedule("ASSERT_FLAG_AT five\n")
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=codepoint)
+def test_schedule_comment_keeps_unicode_line_separators(char):
+    schedule, asserts = load_schedule(f"# drop{char}classes\n12\tdrop-classes\t3\t5\n")
+    assert list(schedule) == [12] and asserts == []
+
+
+@pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_schedule_breaks_lines_as_text_mode_does(brk):
+    text = brk.join(["12\tdrop-classes\t3\t5", "ASSERT_FLAG_AT 12", ""])
+    schedule, asserts = load_schedule(text)
+    assert list(schedule) == [12] and asserts == [12]
+    with pytest.raises(SimulationError, match="schedule line 3: expected 4 fields"):
+        load_schedule(brk.join(["# x", "", "12\tdrop-classes", ""]))

@@ -330,19 +330,14 @@ def _parse_batch_text(text: str) -> list[ArticleDoc]:
         article_id = fields[0].strip()
         if not article_id:
             raise CliError(f"batch line {lineno}: empty article id")
+        # Checked, as outside input, though nothing reads the value.
         try:
-            published = int(fields[1])
+            int(fields[1])
         except ValueError as exc:
             raise CliError(
                 f"batch line {lineno}: published_at must be an integer"
             ) from exc
-        articles.append(
-            ArticleDoc(
-                id=article_id,
-                published_at=published,
-                text=_unescape_text(fields[2]),
-            )
-        )
+        articles.append(ArticleDoc(id=article_id, text=_unescape_text(fields[2])))
     return articles
 
 
@@ -354,7 +349,11 @@ def _feed_get(url: str) -> str:
 
     response = requests.get(url, timeout=30)
     response.raise_for_status()
-    return response.text
+    # Decoded as a batch file is, not by requests' guess of the charset.
+    try:
+        return response.content.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"feed {url}: not valid UTF-8: {exc.reason}") from exc
 
 
 def _is_url(source: str) -> bool:
@@ -374,13 +373,7 @@ def load_batch(source: str, http_get=None) -> list[ArticleDoc]:
             if not text.strip():
                 log.warning("skipping empty article file %s", path.name)
                 continue
-            articles.append(
-                ArticleDoc(
-                    id=path.stem,
-                    published_at=int(path.stat().st_mtime),
-                    text=text,
-                )
-            )
+            articles.append(ArticleDoc(id=path.stem, text=text))
     elif os.path.isfile(source):
         articles = _parse_batch_text(_read_text(source))
     else:
@@ -463,9 +456,7 @@ def _evaluate_once(
     and prompt template, needed when a candidate is "live". The rows are
     appended in one write once all are computed, so a rejected cycle leaves
     the history untouched. Returns True when any model flagged."""
-    g_base, _diags = build_baseline(
-        batch, dictionary, rules, ontology, batch_id=batch_id, timestamp=timestamp
-    )
+    g_base, _diags = build_baseline(batch, dictionary, rules, ontology)
     base_metrics = metric_vector(g_base, ontology)
     # The batch text, prepared once; every validation of the cycle shares it
     # and the trace answers it keeps.
@@ -488,31 +479,22 @@ def _evaluate_once(
         try:
             if source == "live":
                 g_llm, ing = extract_batch(
-                    batch,
-                    replace(endpoint[0], model_name=model),
-                    endpoint[1],
-                    ontology,
-                    batch_id=batch_id,
-                    timestamp=timestamp,
+                    batch, replace(endpoint[0], model_name=model), endpoint[1], ontology
                 )
-                unparsed = ing.unparsed_lines
             else:
-                g_llm, ing = ingest_offline(
-                    source, batch_id=batch_id, timestamp=timestamp
-                )
-                unparsed = ing.malformed_lines
+                g_llm, ing = ingest_offline(source)
         except CliError:
             raise
         except (OSError, LlmError, ValueError) as exc:
             log.warning("model %s extraction failed: %s", model, exc)
             continue
         any_success = True
-        if unparsed or ing.closure_violations or ing.class_conflicts:
+        if ing.malformed_lines or ing.closure_violations or ing.class_conflicts:
             log.warning(
                 "model %s candidate: %d unparsed lines, %d closure violations, "
                 "%d class conflicts",
                 model,
-                unparsed,
+                ing.malformed_lines,
                 ing.closure_violations,
                 ing.class_conflicts,
             )
@@ -554,9 +536,7 @@ def cmd_build_baseline(args: argparse.Namespace) -> int:
         args.ontology, args.dictionary, args.rules
     )
     batch = load_batch(args.batch)
-    graph, diags = build_baseline(
-        batch, dictionary, rules, ontology, batch_id=_batch_label(args.batch)
-    )
+    graph, diags = build_baseline(batch, dictionary, rules, ontology)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(canonical_serialize(graph))
     print(

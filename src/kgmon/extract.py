@@ -49,7 +49,6 @@ class ExtractError(ValueError):
 @dataclass(frozen=True)
 class ArticleDoc:
     id: str
-    published_at: int
     text: str
 
 
@@ -442,8 +441,6 @@ def build_baseline(
     dictionary: NerDictionary,
     rules: list[PatternRule],
     ontology: Ontology,
-    batch_id: str = "",
-    timestamp: int = 0,
 ) -> tuple[KnowledgeGraph, GraphDiagnostics]:
     """Extract each article and union the fragments into one batch graph.
     The result is independent of article order. Article ids must be unique
@@ -460,6 +457,4 @@ def build_baseline(
         entity_records.extend(ents)
         triple_records.extend(trips)
 
-    return build_graph(
-        entity_records, triple_records, batch_id=batch_id, timestamp=timestamp
-    )
+    return build_graph(entity_records, triple_records)

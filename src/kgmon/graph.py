@@ -62,14 +62,11 @@ class KnowledgeGraph:
     """Deduplicated entity-type assertions and triples.
 
     `entities` maps entity id to (class, provenance); `triples` maps
-    (subject, predicate, object) to provenance. Content equality ignores
-    batch metadata.
+    (subject, predicate, object) to provenance.
     """
 
     entities: dict[str, tuple[str, str]] = field(default_factory=dict)
     triples: dict[tuple[str, str, str], str] = field(default_factory=dict)
-    batch_id: str = field(default="", compare=False)
-    timestamp: int = field(default=0, compare=False)
 
     def __len__(self) -> int:
         return len(self.entities)
@@ -83,8 +80,6 @@ def normalize_entity(surface: str) -> str:
 def build_graph(
     entity_records: list[EntityAssertion],
     triple_records: list[TripleAssertion],
-    batch_id: str = "",
-    timestamp: int = 0,
 ) -> tuple[KnowledgeGraph, GraphDiagnostics]:
     """Assemble a valid graph from raw assertion lists.
 
@@ -123,10 +118,7 @@ def build_graph(
         else:
             triples[key] = rec.provenance
 
-    graph = KnowledgeGraph(
-        entities=entities, triples=triples, batch_id=batch_id, timestamp=timestamp
-    )
-    return graph, diags
+    return KnowledgeGraph(entities=entities, triples=triples), diags
 
 
 # `\s` matches exactly the characters that str.split() breaks on.
@@ -158,9 +150,7 @@ def parse_record_line(line: str) -> EntityAssertion | TripleAssertion | None:
     return None
 
 
-def parse_records(
-    text: str, batch_id: str = "", timestamp: int = 0
-) -> tuple[KnowledgeGraph, GraphDiagnostics]:
+def parse_records(text: str) -> tuple[KnowledgeGraph, GraphDiagnostics]:
     """Parse E/T record text into a graph.
 
     Malformed lines are skipped and counted, never fatal. Triples may
@@ -182,9 +172,7 @@ def parse_records(
         else:
             triple_records.append(rec)
 
-    graph, diags = build_graph(
-        entity_records, triple_records, batch_id=batch_id, timestamp=timestamp
-    )
+    graph, diags = build_graph(entity_records, triple_records)
     diags.malformed_lines = malformed
     return graph, diags
 

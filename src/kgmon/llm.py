@@ -25,10 +25,10 @@ from kgmon.graph import (
     KnowledgeGraph,
     TripleAssertion,
     build_graph,
-    parse_record_line,
     parse_records,
 )
 from kgmon.kernels import split_lines
+from kgmon.monitor import UndecodableFileError
 from kgmon.ontology import Ontology
 
 log = logging.getLogger(__name__)
@@ -78,23 +78,13 @@ class PromptTemplate:
     text: str
 
 
-@dataclass(frozen=True)
-class ExtractionResponse:
-    article_id: str
-    graph: KnowledgeGraph
-    unparsed_lines: int
-    # What build_graph dropped or collapsed within this article's block.
-    closure_violations: int = 0
-    class_conflicts: int = 0
-
-
 @dataclass
-class BatchDiagnostics:
+class BatchDiagnostics(GraphDiagnostics):
+    """The counts of every article's block added up, and the articles that
+    failed or needed retries."""
+
     failures: list[str] = field(default_factory=list)
     retried: dict[str, int] = field(default_factory=dict)
-    unparsed_lines: int = 0
-    closure_violations: int = 0
-    class_conflicts: int = 0
 
 
 def load_template(text: str) -> PromptTemplate:
@@ -124,10 +114,13 @@ def render_prompt(
     return text
 
 
-def parse_llm_response(raw: str, article_id: str) -> ExtractionResponse:
-    """Parse the first sentinel-delimited block of a model response.
+def parse_llm_response(
+    raw: str, article_id: str
+) -> tuple[KnowledgeGraph, GraphDiagnostics]:
+    """Parse the first sentinel-delimited block of a model response as
+    record text, every assertion attributed to `article_id`.
 
-    Lines inside the block that fail the record grammar count as unparsed;
+    Lines inside the block that fail the record grammar count as malformed;
     missing sentinels yield an empty graph with every line counted, which
     makes a non-conforming model loudly visible without crashing.
     """
@@ -142,35 +135,14 @@ def parse_llm_response(raw: str, article_id: str) -> ExtractionResponse:
             end = i
             break
     if begin is None or end is None:
-        return ExtractionResponse(
-            article_id=article_id,
-            graph=KnowledgeGraph(batch_id=article_id),
-            unparsed_lines=len(lines),
-        )
+        return KnowledgeGraph(), GraphDiagnostics(malformed_lines=len(lines))
 
-    entities: list[EntityAssertion] = []
-    triples: list[TripleAssertion] = []
-    unparsed = 0
-    for line in lines[begin + 1 : end]:
-        if not line.strip():
-            continue
-        record = parse_record_line(line)
-        if record is None:
-            unparsed += 1
-            continue
-        record = record._replace(provenance=article_id)
-        if isinstance(record, EntityAssertion):
-            entities.append(record)
-        else:
-            triples.append(record)
-    graph, diags = build_graph(entities, triples, batch_id=article_id)
-    return ExtractionResponse(
-        article_id=article_id,
-        graph=graph,
-        unparsed_lines=unparsed,
-        closure_violations=diags.closure_violations,
-        class_conflicts=diags.class_conflicts,
-    )
+    # The lines hold no line break, so joined they split back into the same
+    # lines. Provenance is overwritten after the dedup: every assertion has
+    # the same one then, so the dedup keeps the same classes and counts.
+    graph, diags = parse_records("\n".join(lines[begin + 1 : end]))
+    entities = {e: (cls, article_id) for e, (cls, _) in graph.entities.items()}
+    return KnowledgeGraph(entities, dict.fromkeys(graph.triples, article_id)), diags
 
 
 def _http_transport(config: EndpointConfig, token: str, prompt: str) -> str:
@@ -197,19 +169,24 @@ def _http_transport(config: EndpointConfig, token: str, prompt: str) -> str:
     return str(body["text"])
 
 
+def _is_permanent(exc: Exception) -> bool:
+    """An HTTP client error that asking again cannot mend: a 4xx status
+    other than 408 (request timeout) and 429 (too many requests). The status
+    is read duck-typed, so this needs no requests import."""
+    status = getattr(getattr(exc, "response", None), "status_code", None)
+    return isinstance(status, int) and 400 <= status < 500 and status not in (408, 429)
+
+
 def _call_with_retries(config, token, prompt, transport):
     delay = 1.0
-    last_error: Exception | None = None
     for attempt in range(config.max_retries + 1):
         try:
             return transport(config, token, prompt), attempt
-        except Exception as exc:  # noqa: BLE001 - every failure is retryable here
-            last_error = exc
-            if attempt < config.max_retries:
-                _sleep(delay + random.uniform(0.0, delay / 2))
-                delay *= 2
-    assert last_error is not None
-    raise last_error
+        except Exception as exc:  # noqa: BLE001 - retried unless permanent
+            if attempt == config.max_retries or _is_permanent(exc):
+                raise
+            _sleep(delay + random.uniform(0.0, delay / 2))
+            delay *= 2
 
 
 def extract_batch(
@@ -217,8 +194,6 @@ def extract_batch(
     config: EndpointConfig,
     template: PromptTemplate,
     ontology: Ontology,
-    batch_id: str = "",
-    timestamp: int = 0,
     transport=None,
 ) -> tuple[KnowledgeGraph, BatchDiagnostics]:
     """Request one extraction per article and union the fragments.
@@ -237,7 +212,9 @@ def extract_batch(
 
     diags = BatchDiagnostics()
 
-    def work(article: ArticleDoc) -> ExtractionResponse | Exception:
+    def work(
+        article: ArticleDoc,
+    ) -> tuple[KnowledgeGraph, GraphDiagnostics] | Exception:
         try:
             prompt = render_prompt(template, article, ontology)
             raw, attempts = _call_with_retries(config, token, prompt, transport)
@@ -261,16 +238,16 @@ def extract_batch(
             log.warning("extraction failed for article %s: %s", article.id, result)
             continue
         succeeded += 1
-        diags.unparsed_lines += result.unparsed_lines
-        diags.closure_violations += result.closure_violations
-        diags.class_conflicts += result.class_conflicts
+        fragment, counts = result
+        diags.malformed_lines += counts.malformed_lines
+        diags.closure_violations += counts.closure_violations
+        diags.class_conflicts += counts.class_conflicts
         entities.extend(
-            EntityAssertion(e, c, p)
-            for e, (c, p) in result.graph.entities.items()
+            EntityAssertion(e, c, p) for e, (c, p) in fragment.entities.items()
         )
         triples.extend(
             TripleAssertion(s, p, o, prov)
-            for (s, p, o), prov in result.graph.triples.items()
+            for (s, p, o), prov in fragment.triples.items()
         )
 
     if batch and succeeded == 0:
@@ -279,19 +256,18 @@ def extract_batch(
             + "; ".join(diags.failures)
         )
 
-    graph, build_diags = build_graph(
-        entities, triples, batch_id=batch_id, timestamp=timestamp
-    )
+    graph, build_diags = build_graph(entities, triples)
     # The fragments are closed, so the union can add only cross-article
     # class conflicts.
     diags.class_conflicts += build_diags.class_conflicts
     return graph, diags
 
 
-def ingest_offline(
-    path: str, batch_id: str = "", timestamp: int = 0
-) -> tuple[KnowledgeGraph, GraphDiagnostics]:
+def ingest_offline(path: str) -> tuple[KnowledgeGraph, GraphDiagnostics]:
     """Read a pre-extracted record file; equivalent to parsing its text."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_records(text, batch_id=batch_id, timestamp=timestamp)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise UndecodableFileError(f"{path}: not valid UTF-8: {exc.reason}") from exc
+    return parse_records(text)

@@ -121,12 +121,7 @@ def perturb(
             for t, prov in g.triples.items()
             if t[0] in entities and t[2] in entities
         }
-        return KnowledgeGraph(
-            entities=entities,
-            triples=triples,
-            batch_id=g.batch_id,
-            timestamp=g.timestamp,
-        )
+        return KnowledgeGraph(entities=entities, triples=triples)
 
     if spec.kind is PerturbationKind.DROP_PROPERTIES:
         k = int(spec.magnitude)
@@ -141,12 +136,7 @@ def perturb(
             for (s, p, o), prov in g.triples.items()
             if p not in doomed
         }
-        return KnowledgeGraph(
-            entities=dict(g.entities),
-            triples=triples,
-            batch_id=g.batch_id,
-            timestamp=g.timestamp,
-        )
+        return KnowledgeGraph(entities=dict(g.entities), triples=triples)
 
     if spec.kind is PerturbationKind.INJECT_ENTITIES:
         n = int(spec.magnitude)
@@ -159,12 +149,7 @@ def perturb(
             # surfaces are guaranteed untraceable to any batch text.
             surface = f"{SYNTHETIC_PREFIX}-{spec.seed}-{i:04d}"
             entities[surface] = (rng.choice(classes), SYNTHETIC_PREFIX)
-        return KnowledgeGraph(
-            entities=entities,
-            triples=dict(g.triples),
-            batch_id=g.batch_id,
-            timestamp=g.timestamp,
-        )
+        return KnowledgeGraph(entities=entities, triples=dict(g.triples))
 
     if spec.kind is PerturbationKind.DEPTH_SKEW:
         deepest = _deepest_descendants(ontology)
@@ -177,12 +162,7 @@ def perturb(
         for e in chosen:
             cls, prov = entities[e]
             entities[e] = (deepest[cls], prov)
-        return KnowledgeGraph(
-            entities=entities,
-            triples=dict(g.triples),
-            batch_id=g.batch_id,
-            timestamp=g.timestamp,
-        )
+        return KnowledgeGraph(entities=entities, triples=dict(g.triples))
 
     raise SimulationError(
         "delta-noise perturbs scenario deltas, not graphs; schedule it in a run"
@@ -233,7 +213,8 @@ def run_scenario(
     schedule: Mapping[int, PerturbationSpec],
     config: ScenarioConfig,
 ) -> ScenarioResult:
-    """Drive the monitor over a (batch, baseline) stream.
+    """Drive the monitor over a (batch, baseline) stream. A step's row
+    takes its batch_id from the id of the batch's first article.
 
     Each step's candidate is the baseline perturbed per the schedule
     (identity when absent). A scheduled delta-noise entry overrides the
@@ -313,7 +294,7 @@ def run_scenario(
                 metrics=cand_m,
                 baseline_metrics=base_m,
                 weights=config.weights,
-                batch_id=g_base.batch_id,
+                batch_id=batch[0].id,
                 delta=noised,
             )
             records.append(row)
@@ -361,13 +342,7 @@ def synthetic_stream(
             obj = surfaces[pdef.range][1]
             triples[(subj, pname, obj)] = article_id
         text = ". ".join(sorted(entities)) + "."
-        batch = [ArticleDoc(id=article_id, published_at=step, text=text)]
-        yield batch, KnowledgeGraph(
-            entities=entities,
-            triples=triples,
-            batch_id=article_id,
-            timestamp=step,
-        )
+        yield [ArticleDoc(id=article_id, text=text)], KnowledgeGraph(entities, triples)
 
 
 def load_schedule(text: str) -> tuple[dict[int, PerturbationSpec], list[int]]:

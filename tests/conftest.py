@@ -49,7 +49,7 @@ class FakeResponse:
     """What the tests' stand-ins for requests.get and requests.post return."""
 
     def __init__(self, text="", body=None, error=None):
-        self.text = text
+        self.content = text.encode("utf-8")
         self._body = body
         self._error = error
 
@@ -86,6 +86,5 @@ def rules(onto):
 def article():
     return ArticleDoc(
         id="a1",
-        published_at=100,
         text="Alice Chen works for Acme Corp. Acme Corp is based in Berlin.",
     )

@@ -246,7 +246,7 @@ def _corpus(rng: random.Random, n: int) -> list[ArticleDoc]:
                     f"{rng.choice(_PEOPLE)} visited {rng.choice(_PLACES)} twice."
                 )
         articles.append(
-            ArticleDoc(id=f"a{i:03d}", published_at=i, text=" ".join(sentences))
+            ArticleDoc(id=f"a{i:03d}", text=" ".join(sentences))
         )
     return articles
 
@@ -262,9 +262,7 @@ def test_baseline_build_is_deterministic(onto, dictionary, rules):
         for run in range(10):
             shuffled = articles[:]
             rng.shuffle(shuffled)
-            g, diags = build_baseline(
-                shuffled, dictionary, rules, onto, batch_id="b0", timestamp=0
-            )
+            g, diags = build_baseline(shuffled, dictionary, rules, onto)
             assert diags.malformed_lines == 0
             text = canonical_serialize(g)
             if reference is None:
@@ -283,7 +281,7 @@ def test_hallucination_scoring(onto):
             "Alice Chen works for Acme Corp. Acme Corp is based in Berlin. "
             "Globex shipped goods across Lake Victoria."
         )
-        batch = [ArticleDoc(id="n1", published_at=5, text=text)]
+        batch = [ArticleDoc(id="n1", text=text)]
         clean = KnowledgeGraph(
             entities={
                 "Alice Chen": ("Person", "n1"),
@@ -298,8 +296,6 @@ def test_hallucination_scoring(onto):
                 ("Alice Chen", "worksFor", "Acme Corp"): "n1",
                 ("Acme Corp", "locatedIn", "Berlin"): "n1",
             },
-            batch_id="n1",
-            timestamp=5,
         )
         base = validate_graph(clean, source_text(batch), onto)
         assert base.total == 7
@@ -319,7 +315,6 @@ def test_hallucination_scoring(onto):
         exo_batch = [
             ArticleDoc(
                 id="x1",
-                published_at=6,
                 text="Gliese 581g may hold water, observers said.",
             )
         ]

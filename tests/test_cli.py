@@ -240,7 +240,6 @@ def test_load_batch_file_unescapes(tmp_path):
     assert articles[0].text == "line one\nline two"
     assert articles[1].text == "plain\ttext with tab kept"
     assert [a.id for a in articles] == ["e1", "e2"]
-    assert articles[0].published_at == 5
 
 
 def test_load_batch_file_errors(tmp_path):
@@ -475,6 +474,22 @@ def test_evaluate_all_candidates_failed(ws, capsys):
     assert rc == 1
     assert "ERROR every candidate extraction failed" in capsys.readouterr().err
     assert (ws / "history.jsonl").read_bytes() == before
+
+
+def test_evaluate_undecodable_candidate_warns_with_its_path(ws, caplog):
+    (ws / "dirty.rec").write_bytes(b"E\tAl\xffice\tPerson\ta1\n")
+    config = _write_config(ws, models=["dirty", "probe"])
+    argv = ["evaluate", "--config", config, "--batch", str(ws / "batch.tsv")]
+    argv += ["--candidate", f"dirty={ws / 'dirty.rec'}"]
+    argv += ["--candidate", f"probe={ws / 'good.rec'}", "--timestamp", "1"]
+    with caplog.at_level("WARNING"):
+        assert main(argv) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"model dirty extraction failed: {ws / 'dirty.rec'}: "
+        "not valid UTF-8: invalid start byte"
+    ]
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [r.model for r in rows] == ["GT", "probe"]
 
 
 def test_evaluate_all_candidates_failed_creates_no_history(ws, capsys):
@@ -813,6 +828,20 @@ def test_simulate_continues_a_history_that_holds_sim_rows(ws, capsys):
     capsys.readouterr()
     assert main(["replay", "--history", history, "--config", config]) == 0
     assert "80 rows replayed, 0 mismatches" in capsys.readouterr().out
+
+
+def test_simulate_rows_carry_the_step_batch_id(ws):
+    config = _write_config(ws, warmup_min=5, history="sim.jsonl")
+    schedule = ws / "schedule.tsv"
+    schedule.write_text("7\tdrop-classes\t1\t2\n", encoding="utf-8")
+    simulate = ["simulate", "--config", config, "--schedule", str(schedule)]
+    assert main(simulate + ["--steps", "12"]) == 0
+    assert main(simulate + ["--steps", "8"]) == 0
+    rows = read_history(str(ws / "sim.jsonl"))
+    ids = [f"sim-{step:05d}" for step in range(12)]
+    ids += [f"sim-{step:05d}" for step in range(8)]
+    assert [r.batch_id for r in rows] == ids
+    assert [r.timestamp for r in rows] == list(range(20))
 
 
 def test_simulate_flags_sustained_drift_only_at_its_onset(ws, capsys):
@@ -1358,6 +1387,55 @@ def test_feed_get_requests_the_feed_url(monkeypatch):
     )
     with pytest.raises(requests.HTTPError, match="503"):
         load_batch("https://feed.example/batches")
+
+
+def _feed_response(body: bytes):
+    """A response as requests.get builds it for a body served as
+    tab-separated text with no charset."""
+    response = requests.models.Response()
+    response.status_code = 200
+    response.headers["Content-Type"] = "text/tab-separated-values"
+    response.encoding = requests.utils.get_encoding_from_headers(response.headers)
+    response._content = body
+    return response
+
+
+def test_feed_is_decoded_as_utf8(monkeypatch):
+    body = "f1\t10\tZ\u00fcrich grew.\n".encode("utf-8")
+    monkeypatch.setattr(requests, "get", lambda url, **kw: _feed_response(body))
+    articles = load_batch("https://feed.example/batches")
+    assert [a.text for a in articles] == ["Z\u00fcrich grew."]
+
+
+def test_evaluate_feed_not_utf8_is_one_error_line(ws, monkeypatch, capsys):
+    body = b"f1\t10\t\xff Alice Chen works for Acme Corp.\n"
+    monkeypatch.setattr(requests, "get", lambda url, **kw: _feed_response(body))
+    config = _write_config(ws)
+    argv = ["evaluate", "--config", config, "--batch", "https://feed.example/b"]
+    rc = main(argv + ["--candidate", f"probe={ws / 'good.rec'}", "--timestamp", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ERROR feed https://feed.example/b: not valid UTF-8: invalid start byte"
+    ]
+    assert not (ws / "history.jsonl").exists()
+
+
+def test_monitor_feed_not_utf8_is_logged_and_retried(ws, monkeypatch, caplog):
+    config = _monitor_workspace(ws, monkeypatch)
+    monkeypatch.setattr(cli, "_feed_get", _REAL_FEED_GET)
+    bodies = iter([b"f1\t10\t\xff\n", (_F1 + _F2).encode("utf-8")])
+    monkeypatch.setattr(
+        requests, "get", lambda url, **kw: _feed_response(next(bodies))
+    )
+    with caplog.at_level("WARNING"):
+        rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
+    assert rc == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "feed fetch failed: feed https://feed.example/batches: "
+        "not valid UTF-8: invalid start byte"
+    ]
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [r.model for r in rows] == ["GT", "probe"]
 
 
 def test_evaluate_feed_connection_error_is_one_error_line(ws, monkeypatch, capsys):

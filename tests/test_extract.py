@@ -581,7 +581,7 @@ def test_extract_article_entities_match_oracle(onto, rules, pieces):
     # oracle scan, in text order.
     dictionary = load_dictionary(_SCAN_DICTIONARY_TEXT, onto)
     text = "".join(word + gap for word, gap in pieces)
-    entities, _ = extract_article(ArticleDoc("d", 0, text), dictionary, rules, onto)
+    entities, _ = extract_article(ArticleDoc("d", text), dictionary, rules, onto)
     expected = oracle_ner(text, dictionary.surface_class)
     assert [(e.entity, e.cls) for e in entities] == [
         (surface, dictionary.surface_class[surface]) for _, _, surface in expected
@@ -606,7 +606,6 @@ def test_extract_article_fixture(onto, dictionary, rules, article):
 def test_rules_respect_sentence_boundaries(onto, dictionary, rules):
     doc = ArticleDoc(
         id="a2",
-        published_at=0,
         text="Alice Chen works for Globex. Bob Marsh works for Initech.",
     )
     _, triples = extract_article(doc, dictionary, rules, onto)
@@ -614,24 +613,20 @@ def test_rules_respect_sentence_boundaries(onto, dictionary, rules):
         ("Alice Chen", "Globex"),
         ("Bob Marsh", "Initech"),
     ]
-    split = ArticleDoc(
-        id="a3", published_at=0, text="Alice Chen works for. Globex grew."
-    )
+    split = ArticleDoc(id="a3", text="Alice Chen works for. Globex grew.")
     _, triples = extract_article(split, dictionary, rules, onto)
     assert triples == []
 
 
 def test_rule_slot_type_check(onto, dictionary, rules):
-    doc = ArticleDoc(
-        id="a4", published_at=0, text="Alice Chen works for Bob Marsh."
-    )
+    doc = ArticleDoc(id="a4", text="Alice Chen works for Bob Marsh.")
     entities, triples = extract_article(doc, dictionary, rules, onto)
     assert len(entities) == 2
     assert triples == []
 
 
 def test_rule_literals_casefold(onto, dictionary, rules):
-    doc = ArticleDoc(id="a5", published_at=0, text="Alice Chen WORKS FOR Globex.")
+    doc = ArticleDoc(id="a5", text="Alice Chen WORKS FOR Globex.")
     _, triples = extract_article(doc, dictionary, rules, onto)
     assert [(t.subject, t.object) for t in triples] == [("Alice Chen", "Globex")]
 
@@ -651,7 +646,7 @@ def test_rule_that_load_rules_drops_never_fires(onto, dictionary):
         ),
         predicate="worksFor",
     )
-    doc = ArticleDoc(id="a6", published_at=0, text="Alice Chen works for Bob Marsh.")
+    doc = ArticleDoc(id="a6", text="Alice Chen works for Bob Marsh.")
     assert extract_article(doc, dictionary, [sneaky], onto)[1] == []
 
     wide = load_ontology(
@@ -671,7 +666,7 @@ def test_rule_that_load_rules_drops_never_fires(onto, dictionary):
         predicate="worksFor",
     )
     people = load_dictionary("Alice Chen\tPerson\nGlobex\tOrganization\n", wide)
-    doc = ArticleDoc(id="a7", published_at=0, text="Alice Chen works for Globex.")
+    doc = ArticleDoc(id="a7", text="Alice Chen works for Globex.")
     assert extract_article(doc, people, [above], wide)[1] == []
 
 
@@ -686,7 +681,6 @@ def test_each_rule_is_admitted_once_per_call(onto, dictionary, rules, monkeypatc
     monkeypatch.setattr(extract, "is_permissible", counted)
     doc = ArticleDoc(
         id="a8",
-        published_at=0,
         text=(
             "Alice Chen works for Acme Corp. Bob Marsh works for Globex. "
             "Dana Wu works for Initech. Acme Corp is based in Berlin."
@@ -708,31 +702,25 @@ def _corpus(rng, n, surfaces):
             )
             if rng.random() < 0.12:
                 words.append(".")
-        articles.append(
-            ArticleDoc(id=f"doc-{i:03d}", published_at=i, text=" ".join(words))
-        )
+        articles.append(ArticleDoc(id=f"doc-{i:03d}", text=" ".join(words)))
     return articles
 
 
 def test_build_baseline_deterministic(onto, dictionary, rules):
     rng = random.Random(41)
     articles = _corpus(rng, 30, list(dictionary.surface_class))
-    ref_graph, _ = build_baseline(articles, dictionary, rules, onto, batch_id="b")
+    ref_graph, _ = build_baseline(articles, dictionary, rules, onto)
     ref = canonical_serialize(ref_graph)
     assert ref
     for _ in range(9):
         shuffled = articles[:]
         rng.shuffle(shuffled)
-        g, _ = build_baseline(shuffled, dictionary, rules, onto, batch_id="b")
+        g, _ = build_baseline(shuffled, dictionary, rules, onto)
         assert canonical_serialize(g) == ref
 
 
-def test_build_baseline_provenance_and_metadata(onto, dictionary, rules, article):
-    graph, diags = build_baseline(
-        [article], dictionary, rules, onto, batch_id="batch-7", timestamp=77
-    )
-    assert graph.batch_id == "batch-7"
-    assert graph.timestamp == 77
+def test_build_baseline_provenance(onto, dictionary, rules, article):
+    graph, diags = build_baseline([article], dictionary, rules, onto)
     assert graph.entities["Alice Chen"] == ("Person", "a1")
     assert graph.triples[("Alice Chen", "worksFor", "Acme Corp")] == "a1"
     assert diags.closure_violations == 0
@@ -879,7 +867,7 @@ def test_extract_article_rules_match_reference(onto, monkeypatch):
             _render(rng, rng.choice(drawn)[1], surface_class, onto, noise)
             for _ in range(rng.randrange(0, 8))
         )
-        doc = ArticleDoc(id=f"d{n}", published_at=n, text=text)
+        doc = ArticleDoc(id=f"d{n}", text=text)
         answers.clear()
         _, triples = extract_article(doc, dictionary, rules, onto)
         got = [(t.subject, t.predicate, t.object) for t in triples]
@@ -972,7 +960,7 @@ def test_extract_article_equals_every_rule_at_every_token(onto, rules, words):
     dictionary = load_dictionary(_DISPATCH_SURFACES, onto)
     text = " ".join(words)
     entities, triples = extract_article(
-        ArticleDoc("d", 0, text), dictionary, rules, onto
+        ArticleDoc("d", text), dictionary, rules, onto
     )
     got = [(t.subject, t.predicate, t.object) for t in triples]
     assert got == reference_rules(text, dictionary.surface_class, rules, onto)
@@ -1010,7 +998,7 @@ def test_build_baseline_with_one_table_equals_asking_at_every_use(onto, rules, a
     # build_graph.
     dictionary = load_dictionary(_DISPATCH_SURFACES, onto)
     surface_class = dictionary.surface_class
-    docs = [ArticleDoc(f"d{i}", i, " ".join(words)) for i, words in enumerate(articles)]
+    docs = [ArticleDoc(f"d{i}", " ".join(words)) for i, words in enumerate(articles)]
     entities, triples = [], []
     for doc in docs:
         entities += [
@@ -1019,7 +1007,7 @@ def test_build_baseline_with_one_table_equals_asking_at_every_use(onto, rules, a
         ]
         got = reference_rules(doc.text, surface_class, rules, onto)
         triples += [TripleAssertion(s, p, o, doc.id) for s, p, o in got]
-    expected, expected_diags = build_graph(entities, triples, batch_id="b")
-    graph, diags = build_baseline(docs, dictionary, rules, onto, batch_id="b")
+    expected, expected_diags = build_graph(entities, triples)
+    graph, diags = build_baseline(docs, dictionary, rules, onto)
     assert canonical_serialize(graph) == canonical_serialize(expected)
     assert diags == expected_diags

@@ -42,7 +42,7 @@ def _random_graph(rng, tag="g"):
         )
         for _ in range(rng.randrange(0, 10))
     ]
-    graph, _ = build_graph(entities, triples, batch_id=tag, timestamp=1)
+    graph, _ = build_graph(entities, triples)
     return graph
 
 
@@ -99,12 +99,11 @@ def test_parse_records_counts_and_content():
         "T\tAlice\tworksFor\tAcme\ta1\n"
         "T\tAlice\tworksFor\tGhost\ta1\n"
     )
-    graph, diags = parse_records(text, batch_id="b", timestamp=9)
+    graph, diags = parse_records(text)
     assert diags.malformed_lines == 1
     assert diags.closure_violations == 1
     assert graph.entities == {"Alice": ("Person", "a1"), "Acme": ("Organization", "a1")}
     assert graph.triples == {("Alice", "worksFor", "Acme"): "a1"}
-    assert graph.batch_id == "b" and graph.timestamp == 9
 
 
 def test_triple_may_precede_entity_declarations():

@@ -22,7 +22,7 @@ from kgmon.ontology import is_permissible
 
 def _batch(*texts):
     return [
-        ArticleDoc(id=f"a{i}", published_at=i, text=t) for i, t in enumerate(texts)
+        ArticleDoc(id=f"a{i}", text=t) for i, t in enumerate(texts)
     ]
 
 
@@ -65,8 +65,8 @@ def test_trace_never_spans_two_articles(onto):
 
 def test_articles_sharing_an_id_never_run_together(onto):
     batch = [
-        ArticleDoc(id="a0", published_at=0, text="Shares rose at Acme"),
-        ArticleDoc(id="a0", published_at=1, text="Corp said nothing."),
+        ArticleDoc(id="a0", text="Shares rose at Acme"),
+        ArticleDoc(id="a0", text="Corp said nothing."),
     ]
     graph = KnowledgeGraph(
         entities={"Acme": ("Company", "a0"), "AcmeCorp": ("Company", "a0")}
@@ -159,10 +159,7 @@ def _reference_report(g, batch, onto):
     data=st.data(),
 )
 def test_own_article_first_traces_as_the_whole_batch(onto, articles, data):
-    batch = [
-        ArticleDoc(id=aid, published_at=n, text=text)
-        for n, (aid, text) in enumerate(articles)
-    ]
+    batch = [ArticleDoc(id=aid, text=text) for aid, text in articles]
     ids = sorted({a.id for a in batch})
     joined = data.draw(st.sampled_from(["", " "])).join(a.text for a in batch)
 
@@ -238,10 +235,7 @@ def test_one_source_text_serves_every_graph(onto, articles, data):
     # One SourceText, validated against several graphs in turn, gives each
     # graph the report that a SourceText prepared for it alone gives, and
     # its text fields are left as they were.
-    batch = [
-        ArticleDoc(id=aid, published_at=n, text=text)
-        for n, (aid, text) in enumerate(articles)
-    ]
+    batch = [ArticleDoc(id=aid, text=text) for aid, text in articles]
     shared = source_text(batch)
     joined = " ".join(text for _, text in articles)
     needles = st.one_of(

@@ -2,9 +2,12 @@ import threading
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgmon import llm
 from kgmon.extract import ArticleDoc
+from kgmon.graph import parse_records
 from kgmon.llm import (
     EndpointConfig,
     LlmError,
@@ -14,6 +17,7 @@ from kgmon.llm import (
     parse_llm_response,
     render_prompt,
 )
+from kgmon.monitor import UndecodableFileError
 
 from conftest import NOT_LINE_BREAKS, FakeResponse, codepoint
 
@@ -39,7 +43,7 @@ def token_env(monkeypatch):
 
 
 def _article(i=0, text="Alice Chen works for Globex."):
-    return ArticleDoc(id=f"art-{i}", published_at=i, text=text)
+    return ArticleDoc(id=f"art-{i}", text=text)
 
 
 def _block(*records):
@@ -88,13 +92,13 @@ def test_parse_llm_response_happy_path():
         "E\tGlobex\tOrganization\tx",
         "T\tAlice Chen\tworksFor\tGlobex\ty",
     )
-    resp = parse_llm_response(raw, "art-9")
-    assert resp.unparsed_lines == 0
-    assert resp.graph.entities == {
+    graph, diags = parse_llm_response(raw, "art-9")
+    assert diags.malformed_lines == 0
+    assert graph.entities == {
         "Alice Chen": ("Person", "art-9"),
         "Globex": ("Organization", "art-9"),
     }
-    assert resp.graph.triples == {("Alice Chen", "worksFor", "Globex"): "art-9"}
+    assert graph.triples == {("Alice Chen", "worksFor", "Globex"): "art-9"}
 
 
 def test_parse_llm_response_counts_garbled_lines():
@@ -105,21 +109,21 @@ def test_parse_llm_response_counts_garbled_lines():
         "",
         "T\tAlice Chen\tworksFor\tGlobex\ta",
     )
-    resp = parse_llm_response(raw, "a1")
-    assert resp.unparsed_lines == 2
-    assert len(resp.graph) == 1
-    assert resp.graph.triples == {}
+    graph, diags = parse_llm_response(raw, "a1")
+    assert diags.malformed_lines == 2
+    assert len(graph) == 1
+    assert graph.triples == {}
 
 
 def test_parse_llm_response_missing_sentinels():
     raw = "no sentinels here\nE\tAlice\tPerson\ta\n"
-    resp = parse_llm_response(raw, "a1")
-    assert len(resp.graph) == 0
-    assert resp.unparsed_lines == 2
+    graph, diags = parse_llm_response(raw, "a1")
+    assert len(graph) == 0
+    assert diags.malformed_lines == 2
     half = "BEGIN_KG\nE\tAlice\tPerson\ta\n"
-    resp = parse_llm_response(half, "a1")
-    assert len(resp.graph) == 0
-    assert resp.unparsed_lines == 2
+    graph, diags = parse_llm_response(half, "a1")
+    assert len(graph) == 0
+    assert diags.malformed_lines == 2
 
 
 def test_parse_llm_response_first_block_wins():
@@ -127,14 +131,39 @@ def test_parse_llm_response_first_block_wins():
         "BEGIN_KG\nE\tAlice\tPerson\tx\nEND_KG\n"
         "BEGIN_KG\nE\tBob\tPerson\tx\nEND_KG\n"
     )
-    resp = parse_llm_response(raw, "a1")
-    assert list(resp.graph.entities) == ["Alice"]
+    graph, _ = parse_llm_response(raw, "a1")
+    assert list(graph.entities) == ["Alice"]
 
 
 def test_parse_llm_response_indented_sentinels():
     raw = "  BEGIN_KG  \nE\tAlice\tPerson\tx\n\tEND_KG\n"
-    resp = parse_llm_response(raw, "a1")
-    assert list(resp.graph.entities) == ["Alice"]
+    graph, _ = parse_llm_response(raw, "a1")
+    assert list(graph.entities) == ["Alice"]
+
+
+_NAME = st.sampled_from(["Alice", "Bob  Marsh", " Acme Corp", "Ghost", ""])
+_TOKEN = st.sampled_from(["Person", "Organization", "City", "two words", ""])
+_RECORD = st.one_of(
+    st.builds("E\t{}\t{}\ta1".format, _NAME, _TOKEN),
+    st.builds("T\t{}\t{}\t{}\ta1".format, _NAME, _TOKEN, _NAME),
+    # Anything else on one line, a sentinel aside.
+    st.text(st.characters(blacklist_characters="\n\r"), max_size=12).filter(
+        lambda line: line.strip() not in ("BEGIN_KG", "END_KG")
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RECORD, max_size=12))
+def test_parse_llm_response_block_parses_as_record_text(lines):
+    # A model's block and a record file of the same lines give one graph
+    # and the same three counts.
+    text = "".join(line + "\n" for line in lines)
+    graph, diags = parse_llm_response(f"chatter\nBEGIN_KG\n{text}END_KG\n", "a1")
+    expected, expected_diags = parse_records(text)
+    assert list(graph.entities.items()) == list(expected.entities.items())
+    assert list(graph.triples.items()) == list(expected.triples.items())
+    assert diags == expected_diags
 
 
 def test_extract_batch_requires_token(onto, monkeypatch):
@@ -168,15 +197,13 @@ def test_extract_batch_merges_fragments(onto, token_env):
         _article(1, "second article"),
     ]
     graph, diags = extract_batch(
-        batch, _config(), TEMPLATE, onto, batch_id="b7", timestamp=3,
-        transport=transport,
+        batch, _config(), TEMPLATE, onto, transport=transport
     )
-    assert graph.batch_id == "b7" and graph.timestamp == 3
     assert set(graph.entities) == {"Alice Chen", "Globex", "Berlin"}
     # Same entity from two articles keeps the smaller provenance id.
     assert graph.entities["Globex"] == ("Organization", "art-0")
     assert diags.failures == []
-    assert diags.unparsed_lines == 0
+    assert diags.malformed_lines == 0
 
 
 def test_extract_batch_reports_per_article_build_diagnostics(onto, token_env):
@@ -273,6 +300,43 @@ def test_retries_exhausted(onto, token_env, monkeypatch):
     assert len(sleeps) == 2
 
 
+def _http_error(status):
+    response = requests.models.Response()
+    response.status_code = status
+    response.reason = "Status"
+    response.url = "https://models.example/v1/complete"
+    return FakeResponse(error=requests.HTTPError(f"{status} Error", response=response))
+
+
+def test_client_error_is_not_retried(onto, token_env, monkeypatch):
+    sleeps, calls = [], []
+    monkeypatch.setattr(llm, "_sleep", sleeps.append)
+
+    def post(url, **kwargs):
+        calls.append(url)
+        return _http_error(401)
+
+    monkeypatch.setattr(requests, "post", post)
+    with pytest.raises(LlmError, match="all 1 article extractions failed: art-0: 401"):
+        extract_batch([_article()], _config(max_retries=2), TEMPLATE, onto)
+    assert (len(calls), sleeps) == (1, [])
+
+
+@pytest.mark.parametrize("status", [503, 429, 408])
+def test_transient_http_errors_are_retried(onto, token_env, monkeypatch, status):
+    sleeps, calls = [], []
+    monkeypatch.setattr(llm, "_sleep", sleeps.append)
+
+    def post(url, **kwargs):
+        calls.append(url)
+        return _http_error(status)
+
+    monkeypatch.setattr(requests, "post", post)
+    with pytest.raises(LlmError, match=f"art-0: {status}"):
+        extract_batch([_article()], _config(max_retries=2), TEMPLATE, onto)
+    assert (len(calls), len(sleeps)) == (3, 2)
+
+
 def test_parallelism_bounded(onto, token_env, monkeypatch):
     monkeypatch.setattr(llm, "_sleep", lambda s: None)
     lock = threading.Lock()
@@ -302,12 +366,20 @@ def test_ingest_offline(tmp_path):
         "T\tAlice\tworksFor\tGlobex\ta1\nnot a record\n",
         encoding="utf-8",
     )
-    graph, diags = ingest_offline(str(path), batch_id="b", timestamp=4)
+    graph, diags = ingest_offline(str(path))
     assert len(graph) == 2
     assert diags.malformed_lines == 1
-    assert graph.batch_id == "b" and graph.timestamp == 4
     with pytest.raises(OSError):
         ingest_offline(str(tmp_path / "missing.txt"))
+
+
+def test_ingest_offline_undecodable_file_names_it(tmp_path):
+    path = tmp_path / "records.txt"
+    path.write_bytes(b"E\tAl\xffice\tPerson\ta1\n")
+    with pytest.raises(UndecodableFileError) as caught:
+        ingest_offline(str(path))
+    assert str(caught.value) == f"{path}: not valid UTF-8: invalid start byte"
+    assert isinstance(caught.value, ValueError)
 
 
 # The model request runs for real below, with requests.post replaced on the
@@ -359,16 +431,17 @@ def test_http_transport_needs_a_text_field(monkeypatch, body):
 @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=codepoint)
 def test_parse_llm_response_keeps_unicode_line_separators_in_a_record(char):
     raw = _block(f"E\tAl{char}ice\tPerson\tz", "E\tBob\tPerson\tz")
-    resp = parse_llm_response(raw, "a1")
-    assert resp.graph.entities == {"Al ice": ("Person", "a1"), "Bob": ("Person", "a1")}
-    assert resp.unparsed_lines == 0
+    graph, diags = parse_llm_response(raw, "a1")
+    assert graph.entities == {"Al ice": ("Person", "a1"), "Bob": ("Person", "a1")}
+    assert diags.malformed_lines == 0
 
 
 @pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=["CRLF", "CR"])
 def test_parse_llm_response_breaks_lines_as_text_mode_does(brk):
     raw = brk.join(["BEGIN_KG", "E\tAlice\tPerson\tz", "garbled", "END_KG", ""])
-    resp = parse_llm_response(raw, "a1")
-    assert list(resp.graph.entities) == ["Alice"]
-    assert resp.unparsed_lines == 1
+    graph, diags = parse_llm_response(raw, "a1")
+    assert list(graph.entities) == ["Alice"]
+    assert diags.malformed_lines == 1
     # Without sentinels every line counts, the trailing break adding none.
-    assert parse_llm_response(brk.join(["one", "two", ""]), "a1").unparsed_lines == 2
+    _, diags = parse_llm_response(brk.join(["one", "two", ""]), "a1")
+    assert diags.malformed_lines == 2

@@ -56,6 +56,7 @@ from kgmon.monitor import (
     normalize_weights,
     observe,
     read_history,
+    read_text,
     replay_history,
     resume_state,
     write_atomic,
@@ -116,14 +117,6 @@ def _setup_logging() -> None:
         root.setLevel(logging.WARNING)
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise UndecodableFileError(f"{path}: not valid UTF-8: {exc.reason}") from exc
-
-
 def _resolve(base: Path, value: str) -> str:
     path = Path(value)
     return str(path if path.is_absolute() else base / path)
@@ -153,7 +146,7 @@ def _read_config(path: str, label: str, keys: set, required: tuple) -> dict:
     file gets: valid JSON, an object, no unknown keys, no missing required
     keys. Messages start with `label` and the path."""
     try:
-        payload = json.loads(_read_text(path))
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise CliError(f"{label} {path}: {exc}") from exc
     if not isinstance(payload, dict):
@@ -303,7 +296,7 @@ def _load_endpoint(config: RunConfig) -> tuple[EndpointConfig, PromptTemplate]:
         )
     except LlmError as exc:
         raise CliError(f"{where}: {exc}") from exc
-    return endpoint, load_template(_read_text(template))
+    return endpoint, load_template(read_text(template))
 
 
 # Escapes are read left to right without overlap: an escaped backslash
@@ -360,22 +353,21 @@ def _is_url(source: str) -> bool:
     return source.startswith(("http://", "https://"))
 
 
-def load_batch(source: str, http_get=None) -> list[ArticleDoc]:
+def load_batch(source: str) -> list[ArticleDoc]:
     """Load articles from a directory of .txt files, a batch record file,
     or a feed URL. An empty batch warns, never errors."""
     if _is_url(source):
-        text = (_feed_get if http_get is None else http_get)(source)
-        articles = _parse_batch_text(text)
+        articles = _parse_batch_text(_feed_get(source))
     elif os.path.isdir(source):
         articles = []
         for path in sorted(Path(source).glob("*.txt")):
-            text = _read_text(str(path))
+            text = read_text(str(path))
             if not text.strip():
                 log.warning("skipping empty article file %s", path.name)
                 continue
             articles.append(ArticleDoc(id=path.stem, text=text))
     elif os.path.isfile(source):
-        articles = _parse_batch_text(_read_text(source))
+        articles = _parse_batch_text(read_text(source))
     else:
         raise CliError(f"batch source not found: {source}")
 
@@ -392,7 +384,7 @@ def _read_seen(path: str) -> set[str]:
     """The article ids in the seen-set file at `path`; none if it is absent."""
     if not os.path.exists(path):
         return set()
-    return {line.strip() for line in _read_text(path).split("\n") if line.strip()}
+    return {line.strip() for line in read_text(path).split("\n") if line.strip()}
 
 
 def _batch_label(source: str) -> str:
@@ -407,9 +399,9 @@ def _batch_label(source: str) -> str:
 def _load_pipeline(
     ontology_path: str, dictionary_path: str, rules_path: str
 ) -> tuple[Ontology, NerDictionary, list[PatternRule]]:
-    ontology = load_ontology(_read_text(ontology_path))
+    ontology = load_ontology(read_text(ontology_path))
     dictionary = load_dictionary_file(dictionary_path, ontology)
-    rules = load_rules(_read_text(rules_path), ontology)
+    rules = load_rules(read_text(rules_path), ontology)
     return ontology, dictionary, rules
 
 
@@ -422,8 +414,6 @@ def _parse_candidates(items: list[str], config: RunConfig) -> dict[str, str]:
         model, source = model.strip(), source.strip()
         if not model or not source:
             raise CliError(f"candidate must be MODEL=PATH or MODEL=live: {item!r}")
-        if model == BASELINE_MODEL:
-            raise CliError(f"{BASELINE_MODEL!r} is reserved for baseline rows")
         if model in out:
             raise CliError(f"duplicate candidate model {model!r}")
         if model not in config.models:
@@ -483,8 +473,6 @@ def _evaluate_once(
                 )
             else:
                 g_llm, ing = ingest_offline(source)
-        except CliError:
-            raise
         except (OSError, LlmError, ValueError) as exc:
             log.warning("model %s extraction failed: %s", model, exc)
             continue
@@ -548,8 +536,6 @@ def cmd_build_baseline(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
-    if not config.models:
-        raise CliError("config lists no models to evaluate")
     candidates = _parse_candidates(args.candidate, config)
     # Loaded before the pipeline, so config problems fail before extraction.
     endpoint = _load_endpoint(config) if "live" in candidates.values() else None
@@ -649,8 +635,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
-    ontology = load_ontology(_read_text(config.ontology))
-    schedule, flag_asserts = load_schedule(_read_text(args.schedule))
+    ontology = load_ontology(read_text(config.ontology))
+    schedule, flag_asserts = load_schedule(read_text(args.schedule))
     # Checked before run_scenario writes any row.
     if args.steps < config.warmup_min + 1:
         raise CliError(
@@ -710,22 +696,20 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not os.path.isfile(args.history):
         raise CliError(f"history not found: {args.history}")
     rows = read_history(args.history)
-    # The same lines as text, for records mode, as a text-mode read splits
-    # them (\r and \r\n arrive as \n). A torn last line, which
-    # read_history skips, is the one line that zip leaves out.
-    lines = [line for line in _read_text(args.history).split("\n") if line.strip()]
-    pairs = list(zip(rows, lines))
-    if args.timestamp is not None:
-        pairs = [(r, l) for r, l in pairs if r.timestamp == args.timestamp]
-
     if args.format == "records":
-        if args.model is not None:
-            pairs = [(r, l) for r, l in pairs if r.model == args.model]
-        for _row, line in pairs:
-            print(line)
+        # The same lines as text, as a text-mode read splits them (\r and
+        # \r\n arrive as \n). A torn last line, which read_history skips,
+        # is the one line that zip leaves out.
+        lines = [line for line in read_text(args.history).split("\n") if line.strip()]
+        for row, line in zip(rows, lines):
+            if (args.timestamp is None or row.timestamp == args.timestamp) and (
+                args.model is None or row.model == args.model
+            ):
+                print(line)
         return 0
 
-    rows = [r for r, _ in pairs]
+    if args.timestamp is not None:
+        rows = [r for r in rows if r.timestamp == args.timestamp]
     tables: list[str] = []
     for ts in sorted({r.timestamp for r in rows}):
         ts_rows = [r for r in rows if r.timestamp == ts]
@@ -862,7 +846,6 @@ def main(argv=None) -> int:
         SimulationError,
         LlmError,
         UndecodableFileError,
-        UnicodeDecodeError,
         # Covers every requests.RequestException, which derives from it.
         OSError,
     ) as exc:

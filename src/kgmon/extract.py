@@ -84,9 +84,6 @@ class NerDictionary:
     aliases: dict[str, str]
     lengths: dict[str, tuple[int, ...]]
 
-    def __len__(self) -> int:
-        return len(self.surface_class)
-
 
 def _iter_data_lines(text: str):
     for lineno, raw in enumerate(kernels.split_lines(text), start=1):
@@ -443,13 +440,8 @@ def build_baseline(
     ontology: Ontology,
 ) -> tuple[KnowledgeGraph, GraphDiagnostics]:
     """Extract each article and union the fragments into one batch graph.
-    The result is independent of article order. Article ids must be unique
-    within the batch."""
-    ids = [a.id for a in articles]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ExtractError(f"duplicate article ids in batch: {', '.join(dupes)}")
-
+    The result is independent of article order. Article ids must be unique,
+    as `load_batch` makes them."""
     entity_records: list[EntityAssertion] = []
     triple_records: list[TripleAssertion] = []
     for article in articles:

@@ -68,9 +68,6 @@ class KnowledgeGraph:
     entities: dict[str, tuple[str, str]] = field(default_factory=dict)
     triples: dict[tuple[str, str, str], str] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.entities)
-
 
 def normalize_entity(surface: str) -> str:
     """Trim and collapse internal whitespace to single spaces, preserving case."""

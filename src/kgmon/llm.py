@@ -28,7 +28,7 @@ from kgmon.graph import (
     parse_records,
 )
 from kgmon.kernels import split_lines
-from kgmon.monitor import UndecodableFileError
+from kgmon.monitor import read_text
 from kgmon.ontology import Ontology
 
 log = logging.getLogger(__name__)
@@ -177,11 +177,11 @@ def _is_permanent(exc: Exception) -> bool:
     return isinstance(status, int) and 400 <= status < 500 and status not in (408, 429)
 
 
-def _call_with_retries(config, token, prompt, transport):
+def _call_with_retries(config, token, prompt):
     delay = 1.0
     for attempt in range(config.max_retries + 1):
         try:
-            return transport(config, token, prompt), attempt
+            return _http_transport(config, token, prompt), attempt
         except Exception as exc:  # noqa: BLE001 - retried unless permanent
             if attempt == config.max_retries or _is_permanent(exc):
                 raise
@@ -194,7 +194,6 @@ def extract_batch(
     config: EndpointConfig,
     template: PromptTemplate,
     ontology: Ontology,
-    transport=None,
 ) -> tuple[KnowledgeGraph, BatchDiagnostics]:
     """Request one extraction per article and union the fragments.
 
@@ -207,8 +206,6 @@ def extract_batch(
         raise LlmError(
             f"auth token variable {config.auth_env!r} is unset or empty"
         )
-    if transport is None:
-        transport = _http_transport
 
     diags = BatchDiagnostics()
 
@@ -217,7 +214,7 @@ def extract_batch(
     ) -> tuple[KnowledgeGraph, GraphDiagnostics] | Exception:
         try:
             prompt = render_prompt(template, article, ontology)
-            raw, attempts = _call_with_retries(config, token, prompt, transport)
+            raw, attempts = _call_with_retries(config, token, prompt)
             if attempts:
                 diags.retried[article.id] = attempts
             return parse_llm_response(raw, article.id)
@@ -265,9 +262,4 @@ def extract_batch(
 
 def ingest_offline(path: str) -> tuple[KnowledgeGraph, GraphDiagnostics]:
     """Read a pre-extracted record file; equivalent to parsing its text."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise UndecodableFileError(f"{path}: not valid UTF-8: {exc.reason}") from exc
-    return parse_records(text)
+    return parse_records(read_text(path))

@@ -57,18 +57,18 @@ def icr(g: KnowledgeGraph, ontology: Ontology) -> float:
     Classes asserted in the graph but absent from the ontology never count;
     they are hallucination evidence, not coverage.
     """
-    if ontology.class_count == 0:
+    if not ontology.classes:
         raise MetricsError("icr undefined: ontology declares no classes")
     inst = instantiated_classes(g) & set(ontology.classes)
-    return len(inst) / ontology.class_count
+    return len(inst) / len(ontology.classes)
 
 
 def ipr(g: KnowledgeGraph, ontology: Ontology) -> float:
     """Fraction of ontology properties used by at least one triple."""
-    if ontology.property_count == 0:
+    if not ontology.properties:
         raise MetricsError("ipr undefined: ontology declares no properties")
     used = instantiated_properties(g) & set(ontology.properties)
-    return len(used) / ontology.property_count
+    return len(used) / len(ontology.properties)
 
 
 def ci(g: KnowledgeGraph, ontology: Ontology) -> float:

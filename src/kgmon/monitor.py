@@ -57,6 +57,15 @@ class UndecodableFileError(ValueError):
     """
 
 
+def read_text(path: str) -> str:
+    """The whole file at `path`, decoded as strict UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UndecodableFileError(f"{path}: not valid UTF-8: {exc.reason}") from exc
+
+
 @dataclass(frozen=True)
 class AnomalyWeights:
     w_icr: float

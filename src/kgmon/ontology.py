@@ -1,4 +1,4 @@
-"""Schema definition: class forest, properties with domain/range, NER-tag map.
+"""Schema definition: class forest and properties with domain/range.
 
 The ontology is loaded once from a line-oriented text file and treated as
 immutable afterwards; every downstream component (extraction, metrics,
@@ -43,17 +43,8 @@ class Ontology:
 
     classes: dict[str, ClassDef]
     properties: dict[str, PropertyDef]
-    ner_map: dict[str, str]
     depths: dict[str, int]
     source: str = field(compare=False, default="")
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
-    @property
-    def property_count(self) -> int:
-        return len(self.properties)
 
     def ancestors(self, name: str) -> list[str]:
         """Chain of parents from `name` up to its root, nearest first."""
@@ -107,7 +98,8 @@ def load_ontology(document: str) -> Ontology:
 
     Declarations may appear in any order; parents and NER-map targets are
     resolved after the whole document is read. Rejects duplicate names,
-    unknown references, and subclass cycles.
+    unknown references, and subclass cycles. NERMAP lines are checked like
+    the others and otherwise unused: nothing downstream reads the map.
     """
     classes: dict[str, ClassDef] = {}
     properties: dict[str, PropertyDef] = {}
@@ -153,7 +145,6 @@ def load_ontology(document: str) -> Ontology:
     return Ontology(
         classes=classes,
         properties=properties,
-        ner_map=ner_map,
         depths=depths,
         source=document,
     )

@@ -9,6 +9,7 @@ metric deltas to exercise threshold calibration.
 import contextlib
 import json
 import logging
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -72,6 +73,8 @@ class PerturbationSpec:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise SimulationError("seed must be nonnegative")
+        if not math.isfinite(self.magnitude):
+            raise SimulationError(f"{self.kind.value} magnitude must be finite")
         if self.kind in _COUNT_KINDS:
             if self.magnitude < 1 or not float(self.magnitude).is_integer():
                 raise SimulationError(
@@ -247,14 +250,12 @@ def run_scenario(
     records: list[HistoryRow] = []
     first_flag: int | None = None
     false_positives = 0
-    steps = 0
 
     history_file = (
         open_history_for_append(path) if path else contextlib.nullcontext()
     )
     with history_file as history:
         for step, (batch, g_base) in enumerate(stream):
-            steps += 1
             scheduled = schedule.get(step)
             sigma = config.noise_sigma
             graph_spec = None
@@ -306,10 +307,6 @@ def run_scenario(
             if history is not None:
                 history.write((row.to_line() + "\n").encode("utf-8"))
 
-    if steps < config.warmup_min + 1:
-        raise SimulationError(
-            f"scenario too short: {steps} steps, warmup needs {config.warmup_min + 1}"
-        )
     return ScenarioResult(
         records=records,
         first_flag_step=first_flag,
@@ -356,11 +353,15 @@ def load_schedule(text: str) -> tuple[dict[int, PerturbationSpec], list[int]]:
             continue
         if line.startswith("ASSERT_FLAG_AT"):
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            try:
+                (step,) = map(int, parts[1:])
+            except ValueError as exc:
                 raise SimulationError(
                     f"schedule line {lineno}: ASSERT_FLAG_AT needs one step number"
-                )
-            asserts.append(int(parts[1]))
+                ) from exc
+            if step < 0:
+                raise SimulationError(f"schedule line {lineno}: negative step")
+            asserts.append(step)
             continue
         fields = raw.split("\t")
         if len(fields) != 4:

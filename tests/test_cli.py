@@ -257,26 +257,31 @@ def test_load_batch_file_errors(tmp_path):
         load_batch(str(tmp_path / "ghost"))
 
 
+def _load_feed(monkeypatch, text):
+    monkeypatch.setattr(cli, "_feed_get", lambda _url: text)
+    return load_batch("https://feed.example/b")
+
+
 @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=codepoint)
-def test_batch_text_keeps_unicode_line_separators_in_the_article(char):
+def test_batch_text_keeps_unicode_line_separators_in_the_article(char, monkeypatch):
     feed = f"a1\t0\tOne line{char}same article.\na2\t1\tTwo.\n"
-    articles = load_batch("https://feed.example/b", http_get=lambda _url: feed)
+    articles = _load_feed(monkeypatch, feed)
     assert [(a.id, a.text) for a in articles] == [
         ("a1", f"One line{char}same article."),
         ("a2", "Two."),
     ]
 
 
-def test_batch_text_breaks_lines_as_text_mode_does():
+def test_batch_text_breaks_lines_as_text_mode_does(monkeypatch):
     feed = "a1\t0\tOne.\r\na2\t1\tTwo.\ra3\t2\tThree.\n"
-    articles = load_batch("https://feed.example/b", http_get=lambda _url: feed)
+    articles = _load_feed(monkeypatch, feed)
     assert [(a.id, a.text) for a in articles] == [
         ("a1", "One."), ("a2", "Two."), ("a3", "Three."),
     ]
     # Each \r\n is one line break, so error messages count lines right.
     bad = "a1\t0\tOne.\r\n\r\nno fields\u2028here\r\n"
     with pytest.raises(CliError, match="batch line 3: expected id"):
-        load_batch("https://feed.example/b", http_get=lambda _url: bad)
+        _load_feed(monkeypatch, bad)
 
 
 def test_load_batch_directory(tmp_path, caplog):
@@ -464,6 +469,24 @@ def test_evaluate_candidate_parse_errors(ws, capsys):
     assert _evaluate(ws, config, "probe", 1) == 1
     assert _evaluate(ws, config, f"GT={ws / 'good.rec'}", 1) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "models, model", [(["probe"], "GT"), ([], "probe")], ids=["baseline", "no-models"]
+)
+def test_evaluate_unlisted_candidate_writes_no_history(ws, capsys, models, model):
+    config = _write_config(ws, models=models)
+    assert _evaluate(ws, config, f"{model}={ws / 'good.rec'}", 1) == 1
+    assert capsys.readouterr().err.startswith("ERROR ")
+    assert not (ws / "history.jsonl").exists()
+
+
+def test_evaluate_batch_with_repeated_id_writes_no_history(ws, capsys):
+    (ws / "batch.tsv").write_text(BATCH_LINE + BATCH_LINE, encoding="utf-8")
+    config = _write_config(ws)
+    assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 1) == 1
+    assert capsys.readouterr().err == "ERROR duplicate article ids in batch: b1\n"
+    assert not (ws / "history.jsonl").exists()
 
 
 def test_evaluate_all_candidates_failed(ws, capsys):
@@ -793,6 +816,39 @@ def test_rejected_simulate_writes_no_history(ws, capsys, steps):
     assert not (ws / "sim.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("ASSERT_FLAG_AT \u00b2", "ASSERT_FLAG_AT needs one step number"),
+        ("ASSERT_FLAG_AT -3", "negative step"),
+    ],
+    ids=["superscript", "negative"],
+)
+def test_simulate_bad_assert_step_is_one_error_line(ws, capsys, line, message):
+    config = _write_config(ws, warmup_min=5, history="sim.jsonl")
+    schedule = ws / "schedule.tsv"
+    schedule.write_text(f"# steps\n{line}\n", encoding="utf-8")
+    rc = main(
+        ["simulate", "--config", config, "--schedule", str(schedule), "--steps", "12"]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"ERROR schedule line 2: {message}\n"
+    assert not (ws / "sim.jsonl").exists()
+
+
+@pytest.mark.parametrize("magnitude", ["nan", "inf"])
+def test_simulate_rejects_a_non_finite_noise_sigma(ws, capsys, magnitude):
+    config = _write_config(ws, warmup_min=5, history="sim.jsonl")
+    schedule = ws / "schedule.tsv"
+    schedule.write_text(f"7\tdelta-noise\t{magnitude}\t0\n", encoding="utf-8")
+    rc = main(
+        ["simulate", "--config", config, "--schedule", str(schedule), "--steps", "12"]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "ERROR delta-noise magnitude must be finite\n"
+    assert not (ws / "sim.jsonl").exists()
+
+
 def test_simulate_cuts_a_torn_history_line(ws, capsys, caplog):
     config = _write_config(ws)
     for ts in (1, 2):
@@ -1052,7 +1108,8 @@ def test_load_batch_feed_dedupes_via_seen(ws, monkeypatch):
     # articles whose ids are not in the seen-set yet.
     config = _monitor_workspace(ws, monkeypatch)
     feed = "https://feed.example/batches"
-    assert [a.id for a in load_batch(feed, http_get=lambda u: _F1 + _F2)] == ["f1", "f2"]
+    monkeypatch.setattr(cli, "_feed_get", lambda url: _F1 + _F2)
+    assert [a.id for a in load_batch(feed)] == ["f1", "f2"]
     fetches = iter([_F1, _F1 + _F2])
     monkeypatch.setattr(cli, "_feed_get", lambda url: next(fetches))
     prompts = []
@@ -1069,6 +1126,19 @@ def test_load_batch_feed_dedupes_via_seen(ws, monkeypatch):
     rows = read_history(str(ws / "history.jsonl"))
     assert [r.model for r in rows] == ["GT", "probe", "GT", "probe"]
     assert (ws / "history.jsonl.seen").read_text(encoding="utf-8") == "f1\nf2\n"
+
+
+def test_monitor_feed_with_repeated_id_appends_nothing(ws, monkeypatch, caplog):
+    config = _monitor_workspace(ws, monkeypatch)
+    monkeypatch.setattr(cli, "_feed_get", lambda url: _F1 + _F1)
+    with caplog.at_level("WARNING"):
+        rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "1"])
+    assert rc == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "feed fetch failed: duplicate article ids in batch: f1"
+    ]
+    assert not (ws / "history.jsonl").exists()
+    assert not (ws / "history.jsonl.seen").exists()
 
 
 def test_monitor_seen_set_holds_only_the_latest_fetch(ws, monkeypatch):

@@ -85,7 +85,7 @@ def scan(text, dictionary):
 
 
 def test_load_dictionary_happy_path(onto, dictionary):
-    assert len(dictionary) == 9
+    assert len(dictionary.surface_class) == 9
     assert dictionary.surface_class["Acme Corp"] == "Company"
     # "Acme" only starts "Acme Corp": alone it is no match.
     assert scan("Acme hired Acme Corp", dictionary) == [(2, 2, "Acme Corp", "Company")]
@@ -93,7 +93,7 @@ def test_load_dictionary_happy_path(onto, dictionary):
 
 def test_load_dictionary_normalization_and_repeats(onto):
     d = load_dictionary("Acme   Corp\tCompany\nAcme Corp\tCompany\n", onto)
-    assert len(d) == 1
+    assert len(d.surface_class) == 1
     assert d.surface_class == {"Acme Corp": "Company"}
 
 
@@ -450,7 +450,7 @@ def test_dictionary_index_path_taken_by_directory(onto, dictionary, tmp_path):
 
 def test_comments_and_blanks_skipped(onto):
     d = load_dictionary("# header\n\nBerlin\tCity\n", onto)
-    assert len(d) == 1
+    assert len(d.surface_class) == 1
 
 
 def test_load_rules_happy_path(onto, rules):
@@ -726,14 +726,9 @@ def test_build_baseline_provenance(onto, dictionary, rules, article):
     assert diags.closure_violations == 0
 
 
-def test_build_baseline_duplicate_ids(onto, dictionary, rules, article):
-    with pytest.raises(ExtractError, match="duplicate article ids"):
-        build_baseline([article, article], dictionary, rules, onto)
-
-
 def test_build_baseline_empty_batch(onto, dictionary, rules):
     graph, diags = build_baseline([], dictionary, rules, onto)
-    assert len(graph) == 0
+    assert len(graph.entities) == 0
     assert diags.malformed_lines == 0
 
 

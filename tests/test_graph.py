@@ -198,7 +198,7 @@ def test_canonical_serialize_empty():
     assert canonical_serialize(KnowledgeGraph()) == ""
     graph, _ = parse_records("")
     assert graph == KnowledgeGraph()
-    assert len(graph) == 0
+    assert len(graph.entities) == 0
 
 
 def _reference_build_graph(entity_records, triple_records):

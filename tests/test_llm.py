@@ -111,18 +111,18 @@ def test_parse_llm_response_counts_garbled_lines():
     )
     graph, diags = parse_llm_response(raw, "a1")
     assert diags.malformed_lines == 2
-    assert len(graph) == 1
+    assert len(graph.entities) == 1
     assert graph.triples == {}
 
 
 def test_parse_llm_response_missing_sentinels():
     raw = "no sentinels here\nE\tAlice\tPerson\ta\n"
     graph, diags = parse_llm_response(raw, "a1")
-    assert len(graph) == 0
+    assert len(graph.entities) == 0
     assert diags.malformed_lines == 2
     half = "BEGIN_KG\nE\tAlice\tPerson\ta\n"
     graph, diags = parse_llm_response(half, "a1")
-    assert len(graph) == 0
+    assert len(graph.entities) == 0
     assert diags.malformed_lines == 2
 
 
@@ -169,18 +169,13 @@ def test_parse_llm_response_block_parses_as_record_text(lines):
 def test_extract_batch_requires_token(onto, monkeypatch):
     monkeypatch.delenv("KGMON_TEST_TOKEN", raising=False)
     calls = []
+    monkeypatch.setattr(llm, "_http_transport", lambda *a: calls.append(a))
     with pytest.raises(LlmError, match="KGMON_TEST_TOKEN"):
-        extract_batch(
-            [_article()],
-            _config(),
-            TEMPLATE,
-            onto,
-            transport=lambda *a: calls.append(a),
-        )
+        extract_batch([_article()], _config(), TEMPLATE, onto)
     assert calls == []
 
 
-def test_extract_batch_merges_fragments(onto, token_env):
+def test_extract_batch_merges_fragments(onto, token_env, monkeypatch):
     def transport(config, token, prompt):
         assert token == "sk-test"
         assert "Article:" in prompt
@@ -196,9 +191,8 @@ def test_extract_batch_merges_fragments(onto, token_env):
         _article(0, "first article"),
         _article(1, "second article"),
     ]
-    graph, diags = extract_batch(
-        batch, _config(), TEMPLATE, onto, transport=transport
-    )
+    monkeypatch.setattr(llm, "_http_transport", transport)
+    graph, diags = extract_batch(batch, _config(), TEMPLATE, onto)
     assert set(graph.entities) == {"Alice Chen", "Globex", "Berlin"}
     # Same entity from two articles keeps the smaller provenance id.
     assert graph.entities["Globex"] == ("Organization", "art-0")
@@ -206,7 +200,9 @@ def test_extract_batch_merges_fragments(onto, token_env):
     assert diags.malformed_lines == 0
 
 
-def test_extract_batch_reports_per_article_build_diagnostics(onto, token_env):
+def test_extract_batch_reports_per_article_build_diagnostics(
+    onto, token_env, monkeypatch
+):
     # Each article's graph is closed and conflict-free by the time the
     # fragments are united, so only the per-article counts see these.
     def transport(config, token, prompt):
@@ -219,48 +215,44 @@ def test_extract_batch_reports_per_article_build_diagnostics(onto, token_env):
         return _block("E\tGlobex\tOrganization\tz")
 
     batch = [_article(0, "first article"), _article(1, "second article")]
-    graph, diags = extract_batch(batch, _config(), TEMPLATE, onto, transport=transport)
+    monkeypatch.setattr(llm, "_http_transport", transport)
+    graph, diags = extract_batch(batch, _config(), TEMPLATE, onto)
     assert graph.triples == {}
     assert graph.entities["Alice Chen"] == ("Organization", "art-0")
     assert (diags.closure_violations, diags.class_conflicts) == (1, 1)
 
 
-def test_extract_batch_partial_failure(onto, token_env, caplog):
+def test_extract_batch_partial_failure(onto, token_env, monkeypatch, caplog):
     def transport(config, token, prompt):
         if "bad article" in prompt:
             raise RuntimeError("boom")
         return _block("E\tAlice Chen\tPerson\tz")
 
+    monkeypatch.setattr(llm, "_http_transport", transport)
     batch = [_article(0, "good article"), _article(1, "bad article")]
     with caplog.at_level("WARNING", logger="kgmon.llm"):
-        graph, diags = extract_batch(
-            batch, _config(max_retries=0), TEMPLATE, onto, transport=transport
-        )
+        graph, diags = extract_batch(batch, _config(max_retries=0), TEMPLATE, onto)
     assert set(graph.entities) == {"Alice Chen"}
     assert len(diags.failures) == 1
     assert "art-1" in diags.failures[0]
     assert any("art-1" in r.message for r in caplog.records)
 
 
-def test_extract_batch_all_failed(onto, token_env):
+def test_extract_batch_all_failed(onto, token_env, monkeypatch):
     def transport(config, token, prompt):
         raise RuntimeError("down")
 
+    monkeypatch.setattr(llm, "_http_transport", transport)
     with pytest.raises(LlmError, match="all 2 article extractions failed"):
         extract_batch(
-            [_article(0), _article(1)],
-            _config(max_retries=0),
-            TEMPLATE,
-            onto,
-            transport=transport,
+            [_article(0), _article(1)], _config(max_retries=0), TEMPLATE, onto
         )
 
 
-def test_extract_batch_empty_batch(onto, token_env):
-    graph, diags = extract_batch(
-        [], _config(), TEMPLATE, onto, transport=lambda *a: ""
-    )
-    assert len(graph) == 0
+def test_extract_batch_empty_batch(onto, token_env, monkeypatch):
+    monkeypatch.setattr(llm, "_http_transport", lambda *a: "")
+    graph, diags = extract_batch([], _config(), TEMPLATE, onto)
+    assert len(graph.entities) == 0
     assert diags.failures == []
 
 
@@ -275,9 +267,8 @@ def test_retries_backoff_then_success(onto, token_env, monkeypatch):
             raise RuntimeError("flaky")
         return _block("E\tAlice Chen\tPerson\tz")
 
-    graph, diags = extract_batch(
-        [_article()], _config(max_retries=2), TEMPLATE, onto, transport=transport
-    )
+    monkeypatch.setattr(llm, "_http_transport", transport)
+    graph, diags = extract_batch([_article()], _config(max_retries=2), TEMPLATE, onto)
     assert attempts["n"] == 3
     assert set(graph.entities) == {"Alice Chen"}
     assert diags.retried == {"art-0": 2}
@@ -293,10 +284,9 @@ def test_retries_exhausted(onto, token_env, monkeypatch):
     def transport(config, token, prompt):
         raise RuntimeError("always down")
 
+    monkeypatch.setattr(llm, "_http_transport", transport)
     with pytest.raises(LlmError, match="all 1 article extractions failed"):
-        extract_batch(
-            [_article()], _config(max_retries=2), TEMPLATE, onto, transport=transport
-        )
+        extract_batch([_article()], _config(max_retries=2), TEMPLATE, onto)
     assert len(sleeps) == 2
 
 
@@ -352,10 +342,9 @@ def test_parallelism_bounded(onto, token_env, monkeypatch):
             live["now"] -= 1
         return _block("E\tAlice Chen\tPerson\tz")
 
+    monkeypatch.setattr(llm, "_http_transport", transport)
     batch = [_article(i, f"text {i}") for i in range(8)]
-    extract_batch(
-        batch, _config(parallelism=2), TEMPLATE, onto, transport=transport
-    )
+    extract_batch(batch, _config(parallelism=2), TEMPLATE, onto)
     assert live["peak"] <= 2
 
 
@@ -367,7 +356,7 @@ def test_ingest_offline(tmp_path):
         encoding="utf-8",
     )
     graph, diags = ingest_offline(str(path))
-    assert len(graph) == 2
+    assert len(graph.entities) == 2
     assert diags.malformed_lines == 1
     with pytest.raises(OSError):
         ingest_offline(str(tmp_path / "missing.txt"))

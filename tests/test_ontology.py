@@ -15,12 +15,11 @@ from conftest import NOT_LINE_BREAKS, ONTOLOGY_TEXT, codepoint
 
 
 def test_load_counts_and_lookup(onto):
-    assert onto.class_count == 5
-    assert onto.property_count == 2
+    assert len(onto.classes) == 5
+    assert len(onto.properties) == 2
     assert set(onto.classes) == {"Person", "Organization", "Company", "Location", "City"}
     assert onto.properties["worksFor"].domain == "Person"
     assert onto.properties["worksFor"].range == "Organization"
-    assert onto.ner_map == {"PERSON": "Person", "ORG": "Organization", "LOC": "Location"}
 
 
 def test_comments_and_blank_lines_ignored():
@@ -71,7 +70,6 @@ def test_directly_constructed_ontology_agrees_with_loaded():
     direct = Ontology(
         classes=dict(loaded.classes),
         properties={},
-        ner_map={},
         depths=dict(loaded.depths),
     )
     names = sorted(loaded.classes)

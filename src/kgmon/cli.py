@@ -41,13 +41,12 @@ from kgmon.llm import (
     ingest_offline,
     load_template,
 )
-from kgmon.metrics import MetricsError, metric_vector
+from kgmon.metrics import MetricsError, MetricVector, metric_vector
 from kgmon.monitor import (
     BASELINE_MODEL,
     DEFAULT_LAMBDA,
     DEFAULT_WARMUP,
     DEFAULT_WINDOW,
-    AnomalyWeights,
     HistoryRow,
     MonitorError,
     UndecodableFileError,
@@ -63,7 +62,6 @@ from kgmon.monitor import (
 )
 from kgmon.ontology import Ontology, OntologyError, load_ontology
 from kgmon.simlab import (
-    ScenarioConfig,
     SimulationError,
     load_schedule,
     run_scenario,
@@ -84,7 +82,7 @@ class RunConfig:
     rules: str
     history: str
     models: list[str]
-    weights: AnomalyWeights
+    weights: MetricVector
     lam: float = DEFAULT_LAMBDA
     window: int = DEFAULT_WINDOW
     warmup_min: int = DEFAULT_WARMUP
@@ -451,9 +449,9 @@ def _evaluate_once(
     # The batch text, prepared once; every validation of the cycle shares it
     # and the trace answers it keeps.
     batch_text = source_text(batch)
-    if config.weights.w_hal is not None:
+    if config.weights.hal is not None:
         base_report = validate_graph(g_base, batch_text, ontology)
-        base_metrics = replace(base_metrics, hal=base_report.score)
+        base_metrics = base_metrics._replace(hal=base_report.score)
 
     history_rows = (
         read_history(config.history, sorted(candidates), config.window)
@@ -488,7 +486,7 @@ def _evaluate_once(
             )
 
         report = validate_graph(g_llm, batch_text, ontology)
-        cand_metrics = replace(metric_vector(g_llm, ontology), hal=report.score)
+        cand_metrics = metric_vector(g_llm, ontology)._replace(hal=report.score)
         state = resume_state(
             history_rows,
             model,
@@ -636,32 +634,29 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     ontology = load_ontology(read_text(config.ontology))
-    schedule, flag_asserts = load_schedule(read_text(args.schedule))
     # Checked before run_scenario writes any row.
     if args.steps < config.warmup_min + 1:
         raise CliError(
             f"scenario too short: {args.steps} steps, "
             f"warmup needs {config.warmup_min + 1}"
         )
-    scenario = ScenarioConfig(
-        ontology=ontology,
-        weights=config.weights,
-        lam=config.lam,
+    if not ontology.classes:
+        raise CliError("synthetic stream needs at least one ontology class")
+    schedule, flag_asserts = load_schedule(read_text(args.schedule), args.steps)
+    result = run_scenario(
+        synthetic_stream(ontology, args.steps),
+        schedule,
+        ontology,
+        config.weights,
+        config.history,
         capacity=config.window,
+        lam=config.lam,
         warmup_min=config.warmup_min,
         noise_sigma=config.noise_sigma,
         noise_seed=config.noise_seed,
-        history_path=config.history,
-    )
-    result = run_scenario(
-        synthetic_stream(ontology, args.steps), schedule, scenario
     )
     print(result.summary_line())
-    failed = [
-        step
-        for step in flag_asserts
-        if step >= len(result.records) or not result.records[step].flagged
-    ]
+    failed = [step for step in flag_asserts if not result.records[step].flagged]
     for step in failed:
         log.warning("assertion failed: no flag at step %d", step)
     return 2 if failed else 0

@@ -253,12 +253,8 @@ def load_rules(text: str, ontology: Ontology) -> list[PatternRule]:
                 slot_cls[role] = cls
                 items.append(SlotItem(role=role, cls=cls))
                 continue
+            # A piece has no whitespace, so it is at least one token.
             toks = tuple(kernels.token_texts(piece))
-            if not toks:
-                log.warning(
-                    "rule %s: literal %r has no tokens, ignored", rule_id, piece
-                )
-                continue
             if len(toks) != 1:
                 log.warning(
                     "rule %s: literal %r spans %d tokens", rule_id, piece, len(toks)

@@ -8,7 +8,7 @@ differences.
 """
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from kgmon.graph import (
     KnowledgeGraph,
@@ -22,7 +22,6 @@ log = logging.getLogger(__name__)
 __all__ = [
     "MetricsError",
     "MetricVector",
-    "MetricDelta",
     "icr",
     "ipr",
     "ci",
@@ -35,20 +34,15 @@ class MetricsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MetricVector:
+class MetricVector(NamedTuple):
+    """One number per metric: a graph's metric values, the delta of two
+    graphs, or the anomaly weights. `hal` is None where no hallucination
+    score (or weight) exists."""
+
     icr: float
     ipr: float
     ci: float
     hal: float | None = None
-
-
-@dataclass(frozen=True)
-class MetricDelta:
-    d_icr: float
-    d_ipr: float
-    d_ci: float
-    d_hal: float | None = None
 
 
 def icr(g: KnowledgeGraph, ontology: Ontology) -> float:
@@ -102,15 +96,15 @@ def metric_vector(g: KnowledgeGraph, ontology: Ontology) -> MetricVector:
     )
 
 
-def metric_delta(candidate: MetricVector, baseline: MetricVector) -> MetricDelta:
-    """Componentwise |candidate - baseline|; d_hal only when both sides
+def metric_delta(candidate: MetricVector, baseline: MetricVector) -> MetricVector:
+    """Componentwise |candidate - baseline|; hal only when both sides
     carry a hallucination score."""
-    d_hal = None
+    hal = None
     if candidate.hal is not None and baseline.hal is not None:
-        d_hal = abs(candidate.hal - baseline.hal)
-    return MetricDelta(
-        d_icr=abs(candidate.icr - baseline.icr),
-        d_ipr=abs(candidate.ipr - baseline.ipr),
-        d_ci=abs(candidate.ci - baseline.ci),
-        d_hal=d_hal,
+        hal = abs(candidate.hal - baseline.hal)
+    return MetricVector(
+        icr=abs(candidate.icr - baseline.icr),
+        ipr=abs(candidate.ipr - baseline.ipr),
+        ci=abs(candidate.ci - baseline.ci),
+        hal=hal,
     )

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import BinaryIO, NamedTuple
 
-from kgmon.metrics import MetricDelta, MetricVector, metric_delta
+from kgmon.metrics import MetricVector, metric_delta
 
 log = logging.getLogger(__name__)
 
@@ -66,33 +66,18 @@ def read_text(path: str) -> str:
         raise UndecodableFileError(f"{path}: not valid UTF-8: {exc.reason}") from exc
 
 
-@dataclass(frozen=True)
-class AnomalyWeights:
-    w_icr: float
-    w_ipr: float
-    w_ci: float
-    w_hal: float | None = None
-
-
 def normalize_weights(
     w_icr: float, w_ipr: float, w_ci: float, w_hal: float | None = None
-) -> AnomalyWeights:
-    """Scale nonnegative weights to sum to 1. At least one must be positive."""
+) -> MetricVector:
+    """Scale nonnegative weights to sum to 1. At least one must be positive;
+    a None Hal weight stays None."""
     parts = [w_icr, w_ipr, w_ci] + ([] if w_hal is None else [w_hal])
     if any(w < 0 for w in parts):
         raise MonitorError("weights must be nonnegative")
     total = sum(parts)
     if total <= 0:
         raise MonitorError("at least one weight must be positive")
-    return AnomalyWeights(
-        w_icr=w_icr / total,
-        w_ipr=w_ipr / total,
-        w_ci=w_ci / total,
-        w_hal=None if w_hal is None else w_hal / total,
-    )
-
-
-DEFAULT_WEIGHTS = normalize_weights(1.0, 1.0, 1.0)
+    return MetricVector(*(w / total for w in parts))
 
 
 def _scaled(score: float) -> int:
@@ -207,23 +192,22 @@ def resume_state(
 
 
 def _weighted_terms(
-    delta: MetricDelta, weights: AnomalyWeights
+    delta: MetricVector, weights: MetricVector
 ) -> list[tuple[str, float]]:
-    """(metric, weight * delta) per weighted metric, in icr, ipr, ci, hal
-    order. A hal weight without a hal delta is a configuration error."""
-    terms = [
-        ("icr", weights.w_icr * delta.d_icr),
-        ("ipr", weights.w_ipr * delta.d_ipr),
-        ("ci", weights.w_ci * delta.d_ci),
-    ]
-    if weights.w_hal is not None:
-        if delta.d_hal is None:
-            raise MonitorError("w_hal configured but delta carries no d_hal")
-        terms.append(("hal", weights.w_hal * delta.d_hal))
+    """(metric, weight * delta) per weighted metric, in MetricVector field
+    order; a None weight is skipped. A hal weight without a hal delta is a
+    configuration error."""
+    terms = []
+    for name, weight, value in zip(MetricVector._fields, weights, delta):
+        if weight is None:
+            continue
+        if value is None:
+            raise MonitorError(f"w_{name} configured but delta carries no d_{name}")
+        terms.append((name, weight * value))
     return terms
 
 
-def anomaly_score(delta: MetricDelta, weights: AnomalyWeights) -> float:
+def anomaly_score(delta: MetricVector, weights: MetricVector) -> float:
     """The weighted delta terms added left to right; not by sum(), which
     compensates rounding since Python 3.12, so replay would vary by version."""
     terms = _weighted_terms(delta, weights)
@@ -275,9 +259,9 @@ def observe(
     model: str,
     metrics: MetricVector,
     baseline_metrics: MetricVector,
-    weights: AnomalyWeights,
+    weights: MetricVector,
     batch_id: str = "",
-    delta: MetricDelta | None = None,
+    delta: MetricVector | None = None,
     hall_total: int = 0,
     hall_failed: int = 0,
 ) -> tuple[HistoryRow, str | None]:
@@ -310,9 +294,9 @@ def observe(
         ipr=metrics.ipr,
         ci=metrics.ci,
         hal=metrics.hal,
-        d_icr=delta.d_icr,
-        d_ipr=delta.d_ipr,
-        d_ci=delta.d_ci,
+        d_icr=delta.icr,
+        d_ipr=delta.ipr,
+        d_ci=delta.ci,
         score=score,
         threshold=threshold,
         flagged=flagged,
@@ -610,9 +594,9 @@ def read_history(
 def replay_history(
     rows: list[HistoryRow],
     *,
-    capacity: int = DEFAULT_WINDOW,
-    lam: float = DEFAULT_LAMBDA,
-    warmup_min: int = DEFAULT_WARMUP,
+    capacity: int,
+    lam: float,
+    warmup_min: int,
 ) -> list[tuple[HistoryRow, float | None, bool]]:
     """Recompute (threshold, flagged) for every non-baseline row from the
     stored score sequence through the ThresholdState.step that observe

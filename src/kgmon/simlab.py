@@ -6,7 +6,6 @@ scenarios through the monitor, optionally with Gaussian noise on the
 metric deltas to exercise threshold calibration.
 """
 
-import contextlib
 import json
 import logging
 import math
@@ -23,13 +22,8 @@ from kgmon.graph import (
     instantiated_properties,
 )
 from kgmon.kernels import split_lines
-from kgmon.metrics import MetricDelta, metric_delta, metric_vector
+from kgmon.metrics import MetricVector, metric_delta, metric_vector
 from kgmon.monitor import (
-    DEFAULT_LAMBDA,
-    DEFAULT_WARMUP,
-    DEFAULT_WEIGHTS,
-    DEFAULT_WINDOW,
-    AnomalyWeights,
     HistoryRow,
     observe,
     open_history_for_append,
@@ -144,8 +138,6 @@ def perturb(
     if spec.kind is PerturbationKind.INJECT_ENTITIES:
         n = int(spec.magnitude)
         classes = sorted(ontology.classes)
-        if not classes:
-            raise SimulationError("inject-entities infeasible: no ontology classes")
         entities = dict(g.entities)
         for i in range(n):
             # The ## prefix cannot come out of the tokenizer, so these
@@ -170,18 +162,6 @@ def perturb(
     raise SimulationError(
         "delta-noise perturbs scenario deltas, not graphs; schedule it in a run"
     )
-
-
-@dataclass
-class ScenarioConfig:
-    ontology: Ontology
-    weights: AnomalyWeights = DEFAULT_WEIGHTS
-    lam: float = DEFAULT_LAMBDA
-    capacity: int = DEFAULT_WINDOW
-    warmup_min: int = DEFAULT_WARMUP
-    noise_sigma: float = 0.0
-    noise_seed: int = 0
-    history_path: str | None = None
 
 
 @dataclass
@@ -214,7 +194,15 @@ def _clamp_unit(value: float) -> float:
 def run_scenario(
     stream: Iterable[tuple[list[ArticleDoc], KnowledgeGraph]],
     schedule: Mapping[int, PerturbationSpec],
-    config: ScenarioConfig,
+    ontology: Ontology,
+    weights: MetricVector,
+    history: str,
+    *,
+    capacity: int,
+    lam: float,
+    warmup_min: int,
+    noise_sigma: float,
+    noise_seed: int,
 ) -> ScenarioResult:
     """Drive the monitor over a (batch, baseline) stream. A step's row
     takes its batch_id from the id of the batch's first article.
@@ -224,9 +212,9 @@ def run_scenario(
     configured sigma for that step only. Three Gaussian draws are consumed
     every step regardless of sigma, so a given noise_seed yields the same
     noise stream under any schedule. False positives are counted on steps
-    with no schedule entry. With a history path, each step's row is
-    appended through one file handle in step order; if a step raises, the
-    rows of the steps before it stay in the file.
+    with no schedule entry. Each step's row is appended to the `history`
+    file through one file handle in step order; if a step raises, the rows
+    of the steps before it stay in the file.
 
     A history that already holds rows of the scenario's model is continued:
     the threshold window starts from that model's last `capacity` scores,
@@ -235,29 +223,23 @@ def run_scenario(
     read that finds them warns of a torn last line, which the append then
     cuts off.
     """
-    path = config.history_path
     state = resume_state(
-        read_history(path, [_MODEL], config.capacity)
-        if path and os.path.exists(path)
-        else [],
+        read_history(history, [_MODEL], capacity) if os.path.exists(history) else [],
         _MODEL,
-        capacity=config.capacity,
-        lam=config.lam,
-        warmup_min=config.warmup_min,
+        capacity=capacity,
+        lam=lam,
+        warmup_min=warmup_min,
     )
     first_timestamp = 0 if state.last_timestamp is None else state.last_timestamp + 1
-    noise_rng = random.Random(config.noise_seed)
+    noise_rng = random.Random(noise_seed)
     records: list[HistoryRow] = []
     first_flag: int | None = None
     false_positives = 0
 
-    history_file = (
-        open_history_for_append(path) if path else contextlib.nullcontext()
-    )
-    with history_file as history:
+    with open_history_for_append(history) as history_file:
         for step, (batch, g_base) in enumerate(stream):
             scheduled = schedule.get(step)
-            sigma = config.noise_sigma
+            sigma = noise_sigma
             graph_spec = None
             if scheduled is not None:
                 if scheduled.kind is PerturbationKind.DELTA_NOISE:
@@ -265,13 +247,13 @@ def run_scenario(
                 else:
                     graph_spec = scheduled
 
-            base_m = metric_vector(g_base, config.ontology)
+            base_m = metric_vector(g_base, ontology)
             if graph_spec is not None:
                 try:
-                    candidate = perturb(g_base, graph_spec, config.ontology)
+                    candidate = perturb(g_base, graph_spec, ontology)
                 except SimulationError as exc:
                     raise SimulationError(f"step {step}: {exc}") from exc
-                cand_m = metric_vector(candidate, config.ontology)
+                cand_m = metric_vector(candidate, ontology)
             else:
                 cand_m = base_m
             clean = metric_delta(cand_m, base_m)
@@ -281,11 +263,8 @@ def run_scenario(
                 noise_rng.gauss(0.0, 1.0),
                 noise_rng.gauss(0.0, 1.0),
             )
-            noised = MetricDelta(
-                d_icr=_clamp_unit(clean.d_icr + sigma * eps[0]),
-                d_ipr=_clamp_unit(clean.d_ipr + sigma * eps[1]),
-                d_ci=_clamp_unit(clean.d_ci + sigma * eps[2]),
-                d_hal=clean.d_hal,
+            noised = MetricVector(
+                *(_clamp_unit(d + sigma * e) for d, e in zip(clean, eps)), clean.hal
             )
 
             row, _top = observe(
@@ -294,7 +273,7 @@ def run_scenario(
                 model=_MODEL,
                 metrics=cand_m,
                 baseline_metrics=base_m,
-                weights=config.weights,
+                weights=weights,
                 batch_id=batch[0].id,
                 delta=noised,
             )
@@ -304,8 +283,7 @@ def run_scenario(
                     first_flag = step
                 if scheduled is None:
                     false_positives += 1
-            if history is not None:
-                history.write((row.to_line() + "\n").encode("utf-8"))
+            history_file.write((row.to_line() + "\n").encode("utf-8"))
 
     return ScenarioResult(
         records=records,
@@ -321,8 +299,6 @@ def synthetic_stream(
     and every property one triple, so all unperturbed deltas are zero and
     IPR is 1. One single-article batch per step."""
     classes = sorted(ontology.classes)
-    if not classes:
-        raise SimulationError("synthetic stream needs at least one ontology class")
     surfaces = {cls: (f"{cls} Alpha", f"{cls} Beta") for cls in classes}
 
     for step in range(steps):
@@ -342,40 +318,47 @@ def synthetic_stream(
         yield [ArticleDoc(id=article_id, text=text)], KnowledgeGraph(entities, triples)
 
 
-def load_schedule(text: str) -> tuple[dict[int, PerturbationSpec], list[int]]:
+def load_schedule(
+    text: str, steps: int
+) -> tuple[dict[int, PerturbationSpec], list[int]]:
     """Parse schedule lines `step<TAB>kind<TAB>magnitude<TAB>seed` plus
-    optional `ASSERT_FLAG_AT step` directives."""
+    optional `ASSERT_FLAG_AT step` directives, for a run of `steps` steps;
+    every step must lie in it."""
     schedule: dict[int, PerturbationSpec] = {}
     asserts: list[int] = []
     for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("ASSERT_FLAG_AT"):
-            parts = line.split()
+        is_assert = line.startswith("ASSERT_FLAG_AT")
+        if is_assert:
             try:
-                (step,) = map(int, parts[1:])
+                (step,) = map(int, line.split()[1:])
             except ValueError as exc:
                 raise SimulationError(
                     f"schedule line {lineno}: ASSERT_FLAG_AT needs one step number"
                 ) from exc
-            if step < 0:
-                raise SimulationError(f"schedule line {lineno}: negative step")
-            asserts.append(step)
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 4:
-            raise SimulationError(f"schedule line {lineno}: expected 4 fields")
-        try:
-            step = int(fields[0])
-            kind = PerturbationKind(fields[1].strip())
-            magnitude = float(fields[2])
-            seed = int(fields[3])
-        except ValueError as exc:
-            raise SimulationError(f"schedule line {lineno}: {exc}") from exc
+        else:
+            fields = raw.split("\t")
+            if len(fields) != 4:
+                raise SimulationError(f"schedule line {lineno}: expected 4 fields")
+            try:
+                step = int(fields[0])
+                kind = PerturbationKind(fields[1].strip())
+                magnitude = float(fields[2])
+                seed = int(fields[3])
+            except ValueError as exc:
+                raise SimulationError(f"schedule line {lineno}: {exc}") from exc
         if step < 0:
             raise SimulationError(f"schedule line {lineno}: negative step")
-        if step in schedule:
+        if step >= steps:
+            raise SimulationError(
+                f"schedule line {lineno}: step {step} is not below --steps {steps}"
+            )
+        if is_assert:
+            asserts.append(step)
+        elif step in schedule:
             raise SimulationError(f"schedule line {lineno}: duplicate step {step}")
-        schedule[step] = PerturbationSpec(kind=kind, magnitude=magnitude, seed=seed)
+        else:
+            schedule[step] = PerturbationSpec(kind=kind, magnitude=magnitude, seed=seed)
     return schedule, sorted(asserts)

@@ -28,11 +28,11 @@ from kgmon.hallucination import (
 from kgmon.metrics import MetricVector, ci, icr, ipr, metric_delta
 from kgmon.monitor import (
     BASELINE_MODEL,
-    DEFAULT_WEIGHTS,
     HistoryRow,
     anomaly_score,
     append_history,
     baseline_row,
+    normalize_weights,
     read_history,
     replay_history,
 )
@@ -40,11 +40,13 @@ from kgmon.ontology import Ontology, load_ontology
 from kgmon.simlab import (
     PerturbationKind,
     PerturbationSpec,
-    ScenarioConfig,
     perturb,
     run_scenario,
     synthetic_stream,
 )
+
+
+_EQUAL_WEIGHTS = normalize_weights(1.0, 1.0, 1.0)
 
 
 @contextmanager
@@ -66,9 +68,9 @@ def _row(model: str, m: MetricVector, d, score: float) -> HistoryRow:
         ipr=m.ipr,
         ci=m.ci,
         hal=m.hal,
-        d_icr=d.d_icr,
-        d_ipr=d.d_ipr,
-        d_ci=d.d_ci,
+        d_icr=d.icr,
+        d_ipr=d.ipr,
+        d_ci=d.ci,
         score=score,
         threshold=None,
         flagged=False,
@@ -85,17 +87,17 @@ def test_worked_example_deltas_and_score(tmp_path):
         gt = MetricVector(icr=0.80, ipr=0.92, ci=0.09)
         cand = MetricVector(icr=0.16, ipr=0.07, ci=0.07)
         delta = metric_delta(cand, gt)
-        score = anomaly_score(delta, DEFAULT_WEIGHTS)
+        score = anomaly_score(delta, _EQUAL_WEIGHTS)
 
         # Bitwise identity with an independent recomputation of each term.
-        assert delta.d_icr == abs(cand.icr - gt.icr)
-        assert delta.d_ipr == abs(cand.ipr - gt.ipr)
-        assert delta.d_ci == abs(cand.ci - gt.ci)
-        assert delta.d_hal is None
+        assert delta.icr == abs(cand.icr - gt.icr)
+        assert delta.ipr == abs(cand.ipr - gt.ipr)
+        assert delta.ci == abs(cand.ci - gt.ci)
+        assert delta.hal is None
 
-        assert delta.d_icr == 0.64
-        assert abs(delta.d_ipr - 0.85) <= 1e-15
-        assert abs(delta.d_ci - 0.02) <= 1e-15
+        assert delta.icr == 0.64
+        assert abs(delta.ipr - 0.85) <= 1e-15
+        assert abs(delta.ci - 0.02) <= 1e-15
         assert abs(score - 0.5033333333333333) <= 1e-9
 
         # The values survive a history round trip bit for bit.
@@ -107,9 +109,9 @@ def test_worked_example_deltas_and_score(tmp_path):
         assert stored[BASELINE_MODEL].icr == 0.80
         got = stored["gpt35"]
         assert (got.d_icr, got.d_ipr, got.d_ci) == (
-            delta.d_icr,
-            delta.d_ipr,
-            delta.d_ci,
+            delta.icr,
+            delta.ipr,
+            delta.ci,
         )
         assert got.score == score
         assert time.perf_counter() - start < 1.0
@@ -337,21 +339,24 @@ def stream_ontology():
     return load_ontology(ONTOLOGY_TEXT)
 
 
-def test_noise_only_flag_rates(stream_ontology):
+def test_noise_only_flag_rates(stream_ontology, tmp_path):
     with criterion(
         6, "flag rate on a noise-only stream is 1-4% at lambda=2 and <=1% at lambda=3"
     ):
         start = time.perf_counter()
         fractions = {}
         for lam in (2.0, 3.0):
-            config = ScenarioConfig(
-                ontology=stream_ontology,
+            result = run_scenario(
+                synthetic_stream(stream_ontology, 10_000),
+                {},
+                stream_ontology,
+                _EQUAL_WEIGHTS,
+                str(tmp_path / f"lambda-{lam}.jsonl"),
+                capacity=30,
                 lam=lam,
+                warmup_min=5,
                 noise_sigma=0.02,
                 noise_seed=2026,
-            )
-            result = run_scenario(
-                synthetic_stream(stream_ontology, 10_000), {}, config
             )
             armed = [r for r in result.records if r.threshold is not None]
             assert len(armed) > 9000
@@ -361,7 +366,7 @@ def test_noise_only_flag_rates(stream_ontology):
         assert time.perf_counter() - start < 60.0
 
 
-def test_seeded_drift_detection_rate(stream_ontology):
+def test_seeded_drift_detection_rate(stream_ontology, tmp_path):
     with criterion(
         7, "a 3-class drop at step 20 is flagged at step 20 in >=95 of 100 seeded runs"
     ):
@@ -373,16 +378,17 @@ def test_seeded_drift_detection_rate(stream_ontology):
                     PerturbationKind.DROP_CLASSES, 3.0, seed=1000 + i
                 )
             }
-            config = ScenarioConfig(
-                ontology=stream_ontology,
-                lam=2.0,
+            result = run_scenario(
+                synthetic_stream(stream_ontology, 50),
+                schedule,
+                stream_ontology,
+                _EQUAL_WEIGHTS,
+                str(tmp_path / f"run-{i}.jsonl"),
                 capacity=30,
+                lam=2.0,
                 warmup_min=20,
                 noise_sigma=0.02,
                 noise_seed=i,
-            )
-            result = run_scenario(
-                synthetic_stream(stream_ontology, 50), schedule, config
             )
             if result.first_flag_step == 20:
                 hits += 1
@@ -401,17 +407,17 @@ def test_history_replay_is_bit_exact(stream_ontology, tmp_path):
                 PerturbationKind.INJECT_ENTITIES, 4.0, seed=78
             ),
         }
-        config = ScenarioConfig(
-            ontology=stream_ontology,
-            lam=2.0,
+        result = run_scenario(
+            synthetic_stream(stream_ontology, 200),
+            schedule,
+            stream_ontology,
+            _EQUAL_WEIGHTS,
+            path,
             capacity=12,
+            lam=2.0,
             warmup_min=5,
             noise_sigma=0.02,
             noise_seed=4242,
-            history_path=path,
-        )
-        result = run_scenario(
-            synthetic_stream(stream_ontology, 200), schedule, config
         )
         assert any(r.flagged for r in result.records)
 
@@ -448,7 +454,7 @@ def test_report_renders_per_timestamp_tables(tmp_path, capsys):
             ("qwen", MetricVector(icr=0.12, ipr=0.05, ci=0.08, hal=0.5)),
         ):
             delta = metric_delta(m, gt)
-            score = anomaly_score(delta, DEFAULT_WEIGHTS)
+            score = anomaly_score(delta, _EQUAL_WEIGHTS)
             append_history(path, _row(model, m, delta, score))
 
         assert main(["report", "--history", path, "--timestamp", "1"]) == 0

@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import logging
 import os
 import random
 import re
@@ -24,8 +25,10 @@ from kgmon.cli import (
     load_run_config,
     main,
 )
-from kgmon.extract import INDEX_SUFFIX
-from kgmon.monitor import UndecodableFileError, read_history
+from kgmon.extract import INDEX_SUFFIX, build_baseline
+from kgmon.hallucination import source_text, validate_graph
+from kgmon.metrics import MetricVector, metric_delta
+from kgmon.monitor import UndecodableFileError, anomaly_score, read_history
 
 from conftest import (
     DICTIONARY_TEXT,
@@ -87,8 +90,8 @@ def test_load_run_config_resolves_relative_paths(ws):
     assert config.models == ["probe"]
     assert config.lam == 2.0
     assert config.warmup_min == 2
-    assert config.weights.w_icr == pytest.approx(1 / 3)
-    assert config.weights.w_hal is None
+    assert config.weights.icr == pytest.approx(1 / 3)
+    assert config.weights.hal is None
 
 
 def test_load_run_config_rejects_bad_documents(ws):
@@ -115,6 +118,9 @@ def test_load_run_config_rejects_bad_documents(ws):
     bad = ws / "bad.json"
     bad.write_text("{", encoding="utf-8")
     with pytest.raises(CliError, match="bad.json"):
+        load_run_config(str(bad))
+    bad.write_text("[1]", encoding="utf-8")
+    with pytest.raises(CliError, match="bad.json: expected a key-value document"):
         load_run_config(str(bad))
 
 
@@ -177,11 +183,28 @@ def test_load_run_config_number_types(ws):
             load_run_config(_write_config(ws, **{key: 5}))
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ({"icr": 0, "ipr": 0, "ci": 0}, "at least one weight must be positive"),
+        ({"icr": 0, "ipr": 0, "ci": 0, "hal": 0}, "at least one weight must be positive"),
+        ({"icr": 1, "ipr": -0.5, "ci": 1}, "weights must be nonnegative"),
+    ],
+    ids=["all-zero", "all-zero-with-hal", "negative"],
+)
+def test_bad_weights_are_one_error_line(ws, capsys, weights, message):
+    config = _write_config(ws, weights=weights)
+    rc = _evaluate(ws, config, f"probe={ws / 'good.rec'}", 1)
+    assert rc == 1
+    assert capsys.readouterr().err == f"ERROR config {config}: bad weights: {message}\n"
+    assert not (ws / "history.jsonl").exists()
+
+
 def test_load_run_config_hal_weight(ws):
     config = load_run_config(
         _write_config(ws, weights={"icr": 1, "ipr": 1, "ci": 1, "hal": 1})
     )
-    assert config.weights.w_hal == 0.25
+    assert config.weights.hal == 0.25
 
 
 def _escape_text(text):
@@ -250,6 +273,9 @@ def test_load_batch_file_errors(tmp_path):
     path.write_text("e1\tnotanint\ttext\n", encoding="utf-8")
     with pytest.raises(CliError, match="published_at"):
         load_batch(str(path))
+    path.write_text("e1\t1\ta\n \t2\tb\n", encoding="utf-8")
+    with pytest.raises(CliError, match="batch line 2: empty article id"):
+        load_batch(str(path))
     path.write_text("e1\t1\ta\ne1\t2\tb\n", encoding="utf-8")
     with pytest.raises(CliError, match="duplicate article ids"):
         load_batch(str(path))
@@ -295,6 +321,12 @@ def test_load_batch_directory(tmp_path, caplog):
         articles = load_batch(str(d))
     assert [a.id for a in articles] == ["a", "c"]
     assert any("empty article file b.txt" in r.message for r in caplog.records)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="kgmon.cli"):
+        assert load_batch(str(empty)) == []
+    assert [r.getMessage() for r in caplog.records] == [f"empty batch from {empty}"]
     (d / "d.txt").write_bytes(b"\xff")
     bad = re.escape(str(d / "d.txt"))
     with pytest.raises(UndecodableFileError, match=f"^{bad}: not valid UTF-8"):
@@ -420,6 +452,53 @@ def test_evaluate_flags_divergent_candidate(ws, capsys):
     assert last.hall_total == 1 and last.hall_failed == 1
 
 
+# Two entities the batch text never names, so source tracing fails them.
+HALLUCINATING_CANDIDATE = GOOD_CANDIDATE + (
+    "E\tZorblax Prime\tPerson\tb1\n"
+    "E\tQuux Holdings\tCompany\tb1\n"
+)
+
+
+def test_evaluate_with_hal_weight_scores_the_hal_delta(ws, capsys):
+    config = _write_config(ws, weights={"icr": 1, "ipr": 1, "ci": 1, "hal": 1})
+    (ws / "hallucinating.rec").write_text(HALLUCINATING_CANDIDATE, encoding="utf-8")
+    assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 1) == 0
+    _evaluate(ws, config, f"probe={ws / 'hallucinating.rec'}", 2)
+
+    ontology, dictionary, rules = cli._load_pipeline(
+        str(ws / "ontology.txt"), str(ws / "dictionary.tsv"), str(ws / "rules.tsv")
+    )
+    batch = load_batch(str(ws / "batch.tsv"))
+    g_base, _ = build_baseline(batch, dictionary, rules, ontology)
+    base_hal = validate_graph(g_base, source_text(batch), ontology).score
+
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [(r.timestamp, r.model) for r in rows] == [
+        (1, "GT"), (1, "probe"), (2, "GT"), (2, "probe")
+    ]
+    weights = load_run_config(config).weights
+    for gt, probe in (rows[0:2], rows[2:4]):
+        assert gt.hal == base_hal
+        delta = metric_delta(
+            MetricVector(icr=probe.icr, ipr=probe.ipr, ci=probe.ci, hal=probe.hal),
+            MetricVector(icr=gt.icr, ipr=gt.ipr, ci=gt.ci, hal=gt.hal),
+        )
+        assert probe.score.hex() == anomaly_score(delta, weights).hex()
+    assert rows[1].hal == base_hal and rows[1].score == 0.0
+    # Only the Hal term moves: the two extra entities add no class.
+    hallucinated = rows[3]
+    assert hallucinated.hall_failed == 2 and hallucinated.hal > base_hal
+    assert (hallucinated.d_icr, hallucinated.d_ipr, hallucinated.d_ci) == (
+        0.0, 0.0, abs(hallucinated.ci - rows[2].ci)
+    )
+    assert hallucinated.score > 0.0
+
+    capsys.readouterr()
+    history = str(ws / "history.jsonl")
+    assert main(["replay", "--history", history, "--config", config]) == 0
+    assert "2 rows replayed, 0 mismatches" in capsys.readouterr().out
+
+
 # One line outside the record grammar, one triple with an unasserted
 # endpoint, and one entity asserted with two classes.
 DIRTY_CANDIDATE = GOOD_CANDIDATE + (
@@ -468,7 +547,27 @@ def test_evaluate_candidate_parse_errors(ws, capsys):
     config = _write_config(ws)
     assert _evaluate(ws, config, "probe", 1) == 1
     assert _evaluate(ws, config, f"GT={ws / 'good.rec'}", 1) == 1
-    capsys.readouterr()
+    assert _evaluate(ws, config, "probe= ", 1) == 1
+    assert "must be MODEL=PATH or MODEL=live: 'probe= '" in capsys.readouterr().err
+    argv = ["evaluate", "--config", config, "--batch", str(ws / "batch.tsv")]
+    good = f"probe={ws / 'good.rec'}"
+    assert main(argv + ["--candidate", good, "--candidate", good]) == 1
+    assert "ERROR duplicate candidate model 'probe'" in capsys.readouterr().err
+    assert not (ws / "history.jsonl").exists()
+
+
+def test_evaluate_batch_directory_without_a_name_is_labelled_batch(
+    ws, monkeypatch
+):
+    articles = ws / "articles"
+    articles.mkdir()
+    (articles / "b1.txt").write_text(BATCH_LINE.split("\t")[2], encoding="utf-8")
+    config = _write_config(ws)
+    monkeypatch.chdir(articles)
+    argv = ["evaluate", "--config", config, "--batch", "."]
+    assert main(argv + ["--candidate", f"probe={ws / 'good.rec'}"]) == 0
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [r.batch_id for r in rows] == ["batch", "batch"]
 
 
 @pytest.mark.parametrize(
@@ -649,6 +748,22 @@ def test_each_main_call_warns_to_its_own_stderr(ws):
     line = "WARN model probe candidate: 1 unparsed lines, 0 closure violations"
     assert [out.count(line) for out in warned] == [1, 1]
     assert "Logging error" not in warned[1]
+
+
+@pytest.mark.parametrize("level", ["NOTSET", "ERROR"])
+def test_main_shows_warnings_under_a_quieter_root_logger(ws, level):
+    config = _write_config(ws)
+    (ws / "unparsed.rec").write_text(GOOD_CANDIDATE + "not a record\n", encoding="utf-8")
+    root = logging.getLogger()
+    before = root.level
+    root.setLevel(level)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as stream:
+            assert _evaluate(ws, config, f"probe={ws / 'unparsed.rec'}", 1) == 0
+        assert root.level == logging.WARNING
+    finally:
+        root.setLevel(before)
+    assert "WARN model probe candidate: 1 unparsed lines" in stream.getvalue()
 
 
 def test_ill_typed_history_score_is_an_error(ws, capsys):
@@ -836,6 +951,47 @@ def test_simulate_bad_assert_step_is_one_error_line(ws, capsys, line, message):
     assert not (ws / "sim.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "line, step",
+    [
+        ("50\tdrop-classes\t3\t5", 50),
+        ("20\tdelta-noise\t0.5\t0", 20),
+        ("ASSERT_FLAG_AT 40", 40),
+        ("ASSERT_FLAG_AT 20", 20),
+    ],
+    ids=["perturbation-past", "perturbation-at", "assert-past", "assert-at"],
+)
+def test_simulate_step_outside_the_run_is_one_error_line(ws, capsys, line, step):
+    config = _write_config(ws, warmup_min=5, history="sim.jsonl")
+    schedule = ws / "schedule.tsv"
+    schedule.write_text(f"3\tdrop-classes\t1\t0\n{line}\n", encoding="utf-8")
+    rc = main(
+        ["simulate", "--config", config, "--schedule", str(schedule), "--steps", "20"]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"ERROR schedule line 2: step {step} is not below --steps 20\n"
+    )
+    assert captured.out == ""
+    assert not (ws / "sim.jsonl").exists()
+
+
+def test_simulate_on_a_classless_ontology_writes_no_history(ws, capsys):
+    (ws / "empty.txt").write_text("# no classes\n", encoding="utf-8")
+    config = _write_config(ws, ontology="empty.txt", warmup_min=5, history="sim.jsonl")
+    schedule = ws / "schedule.tsv"
+    schedule.write_text("", encoding="utf-8")
+    rc = main(
+        ["simulate", "--config", config, "--schedule", str(schedule), "--steps", "12"]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "ERROR synthetic stream needs at least one ontology class\n"
+    )
+    assert not (ws / "sim.jsonl").exists()
+
+
 @pytest.mark.parametrize("magnitude", ["nan", "inf"])
 def test_simulate_rejects_a_non_finite_noise_sigma(ws, capsys, magnitude):
     config = _write_config(ws, warmup_min=5, history="sim.jsonl")
@@ -999,6 +1155,11 @@ def test_report_model_filter_keeps_baseline_column(ws, capsys):
     assert rc == 0
     header = capsys.readouterr().out.splitlines()[1]
     assert header.split() == ["metric", "GT", "gpt35"]
+    # Timestamp 2 has no GT row and no qwen row, so it gets no table.
+    assert main(["report", "--history", history, "--model", "qwen"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:2] == ["timestamp 1", "metric  GT"]
+    assert "timestamp 2" not in out
 
 
 def test_report_missing_history(ws, capsys):
@@ -1076,6 +1237,21 @@ def _monitor_workspace(ws, monkeypatch):
 
     monkeypatch.setattr(llm, "_http_transport", transport)
     return config
+
+
+def test_monitor_interrupt_ends_the_loop_after_the_cycle(ws, monkeypatch):
+    config = _monitor_workspace(ws, monkeypatch)
+    fetch = cli._feed_get
+
+    def interrupted_fetch(url):
+        # What a SIGINT during the fetch runs: monitor's own handler.
+        signal.getsignal(signal.SIGINT)(signal.SIGINT, None)
+        return fetch(url)
+
+    monkeypatch.setattr(cli, "_feed_get", interrupted_fetch)
+    assert main(["monitor", "--config", config, "--interval", "1"]) == 0
+    rows = read_history(str(ws / "history.jsonl"))
+    assert [r.model for r in rows] == ["GT", "probe"]
 
 
 def test_monitor_cycles_and_seen_dedupe(ws, monkeypatch, caplog):
@@ -1319,6 +1495,10 @@ def test_monitor_requires_feed_url(ws, capsys):
     rc = main(["monitor", "--config", config, "--interval", "1"])
     assert rc == 1
     assert "feed_url" in capsys.readouterr().err
+    config = _write_config(ws, feed_url="https://feed.example/b", models=[])
+    rc = main(["monitor", "--config", config, "--interval", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "ERROR config lists no models to monitor\n"
 
 
 def test_monitor_rejects_bad_interval(ws, monkeypatch, capsys):

@@ -163,18 +163,18 @@ def test_metric_delta_componentwise_abs():
     a = MetricVector(icr=0.8, ipr=0.25, ci=0.5)
     b = MetricVector(icr=0.3, ipr=0.75, ci=0.5)
     d = metric_delta(a, b)
-    assert (d.d_icr, d.d_ipr, d.d_ci) == (0.5, 0.5, 0.0)
-    assert d.d_hal is None
+    assert (d.icr, d.ipr, d.ci) == (0.5, 0.5, 0.0)
+    assert d.hal is None
     assert metric_delta(b, a) == d
 
 
 def test_metric_delta_hal_requires_both():
     with_hal = MetricVector(icr=0.1, ipr=0.1, ci=0.1, hal=0.4)
     without = MetricVector(icr=0.2, ipr=0.2, ci=0.2)
-    assert metric_delta(with_hal, without).d_hal is None
-    assert metric_delta(without, with_hal).d_hal is None
+    assert metric_delta(with_hal, without).hal is None
+    assert metric_delta(without, with_hal).hal is None
     both = metric_delta(with_hal, MetricVector(icr=0.0, ipr=0.0, ci=0.0, hal=0.1))
-    assert math.isclose(both.d_hal, 0.3, abs_tol=1e-15)
+    assert math.isclose(both.hal, 0.3, abs_tol=1e-15)
 
 
 def test_ci_extremes_are_exact():

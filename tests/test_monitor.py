@@ -10,13 +10,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kgmon import monitor
-from kgmon.metrics import MetricDelta, MetricVector, metric_delta
+from kgmon.metrics import MetricVector, metric_delta
 from kgmon.monitor import (
     BASELINE_MODEL,
     DEFAULT_LAMBDA,
     DEFAULT_WARMUP,
-    DEFAULT_WEIGHTS,
-    AnomalyWeights,
+    DEFAULT_WINDOW,
     HistoryRow,
     MonitorError,
     ThresholdState,
@@ -37,10 +36,11 @@ _ZERO = MetricVector(icr=0.0, ipr=0.0, ci=0.0)
 
 
 def _delta(d_icr=0.0, d_ipr=0.0, d_ci=0.0, d_hal=None):
-    return MetricDelta(d_icr=d_icr, d_ipr=d_ipr, d_ci=d_ci, d_hal=d_hal)
+    return MetricVector(icr=d_icr, ipr=d_ipr, ci=d_ci, hal=d_hal)
 
 
 _W_ICR_ONLY = normalize_weights(1.0, 0.0, 0.0)
+_EQUAL_WEIGHTS = normalize_weights(1.0, 1.0, 1.0)
 
 
 def _observe_score(state, ts, score):
@@ -58,11 +58,11 @@ def _observe_score(state, ts, score):
 
 def test_normalize_weights():
     w = normalize_weights(1.0, 1.0, 2.0)
-    assert (w.w_icr, w.w_ipr, w.w_ci) == (0.25, 0.25, 0.5)
-    assert w.w_hal is None
+    assert (w.icr, w.ipr, w.ci) == (0.25, 0.25, 0.5)
+    assert w.hal is None
     w = normalize_weights(1.0, 1.0, 1.0, 1.0)
-    assert w == AnomalyWeights(0.25, 0.25, 0.25, 0.25)
-    assert DEFAULT_WEIGHTS.w_icr == pytest.approx(1 / 3)
+    assert w == MetricVector(0.25, 0.25, 0.25, 0.25)
+    assert _EQUAL_WEIGHTS.icr == pytest.approx(1 / 3)
     with pytest.raises(MonitorError, match="nonnegative"):
         normalize_weights(-0.1, 1.0, 1.0)
     with pytest.raises(MonitorError, match="positive"):
@@ -95,9 +95,9 @@ def test_anomaly_score_adds_left_to_right_bit_exact(raw, d):
     assume(sum(w for w in raw if w is not None) > 0)
     w = normalize_weights(*raw)
     delta = _delta(*d)
-    expected = (w.w_icr * d[0] + w.w_ipr * d[1]) + w.w_ci * d[2]
-    if w.w_hal is not None:
-        expected = expected + w.w_hal * d[3]
+    expected = (w.icr * d[0] + w.ipr * d[1]) + w.ci * d[2]
+    if w.hal is not None:
+        expected = expected + w.hal * d[3]
     assert anomaly_score(delta, w).hex() == expected.hex()
 
 
@@ -272,7 +272,7 @@ def test_non_finite_scores_rejected_before_state_changes(bad):
         state.push(bad)
     row = row._replace(score=bad)
     with pytest.raises(MonitorError, match="non-finite"):
-        replay_history([row], warmup_min=1)
+        replay_history([row], capacity=DEFAULT_WINDOW, lam=DEFAULT_LAMBDA, warmup_min=1)
 
 
 def test_observe_rejects_non_monotone_timestamps():
@@ -295,7 +295,7 @@ def test_observe_computes_delta_when_missing():
         model="m",
         metrics=metrics,
         baseline_metrics=base,
-        weights=DEFAULT_WEIGHTS,
+        weights=_EQUAL_WEIGHTS,
     )
     assert row.d_icr == pytest.approx(0.3)
     assert row.d_ipr == 0.0
@@ -325,7 +325,7 @@ def test_observe_top_weighted_term_and_tie_order():
         model="m",
         metrics=_ZERO,
         baseline_metrics=_ZERO,
-        weights=DEFAULT_WEIGHTS,
+        weights=_EQUAL_WEIGHTS,
         delta=_delta(d_icr=0.4, d_ipr=0.4, d_ci=0.4),
     )
     assert top2 == "icr"
@@ -559,6 +559,29 @@ def test_append_after_a_torn_line_starts_on_the_last_whole_row(tmp_path, final):
     assert read_history(str(path)) == rows + newest
 
 
+def test_append_closes_the_history_when_its_end_cannot_be_read(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "history.jsonl"
+    path.write_bytes(baseline_row(1, "b", _ZERO).to_line().encode())
+    opened = []
+
+    def recording_open(*args):
+        opened.append(open(*args))
+        return opened[-1]
+
+    def unreadable(*_args):
+        raise OSError("read failed")
+
+    monkeypatch.setattr(monitor, "open", recording_open, raising=False)
+    monkeypatch.setattr(monitor, "_runs_backward", unreadable)
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="read failed"):
+        append_history(str(path), baseline_row(2, "b", _ZERO))
+    assert [fh.closed for fh in opened] == [True]
+    assert path.read_bytes() == before
+
+
 def test_append_to_an_undamaged_history_only_appends(tmp_path):
     path = tmp_path / "history.jsonl"
     rows = [baseline_row(ts, "b", _ZERO) for ts in range(3)]
@@ -724,9 +747,9 @@ def test_observe_row_copies_fields():
     )
     computed = metric_delta(metrics, base)
     assert (row.d_icr, row.d_ipr, row.d_ci) == (
-        computed.d_icr,
-        computed.d_ipr,
-        computed.d_ci,
+        computed.icr,
+        computed.ipr,
+        computed.ci,
     )
     assert row.score == anomaly_score(computed, weights)
     assert row.threshold == first_score
@@ -781,7 +804,7 @@ def test_replay_reproduces_thresholds_bit_exact(tmp_path):
                 model=model,
                 metrics=_ZERO,
                 baseline_metrics=_ZERO,
-                weights=DEFAULT_WEIGHTS,
+                weights=_EQUAL_WEIGHTS,
                 batch_id=f"b{ts}",
                 delta=d,
             )
@@ -799,7 +822,12 @@ def test_replay_skips_baseline_rows():
         baseline_row(0, "b", MetricVector(icr=1.0, ipr=1.0, ci=1.0)),
         baseline_row(1, "b", MetricVector(icr=1.0, ipr=1.0, ci=1.0)),
     ]
-    assert replay_history(rows) == []
+    assert (
+        replay_history(
+            rows, capacity=DEFAULT_WINDOW, lam=DEFAULT_LAMBDA, warmup_min=DEFAULT_WARMUP
+        )
+        == []
+    )
 
 
 def test_observe_score_reconstruction_identity():
@@ -815,8 +843,8 @@ def test_observe_score_reconstruction_identity():
             model="m",
             metrics=_ZERO,
             baseline_metrics=_ZERO,
-            weights=DEFAULT_WEIGHTS,
+            weights=_EQUAL_WEIGHTS,
             delta=d,
         )
-        again = anomaly_score(_delta(row.d_icr, row.d_ipr, row.d_ci), DEFAULT_WEIGHTS)
+        again = anomaly_score(_delta(row.d_icr, row.d_ipr, row.d_ci), _EQUAL_WEIGHTS)
         assert again == row.score

@@ -6,12 +6,11 @@ import pytest
 from kgmon.graph import canonical_serialize, parse_records
 from kgmon.hallucination import source_text, validate_graph
 from kgmon.metrics import ci, icr, ipr, metric_vector
-from kgmon.monitor import read_history
+from kgmon.monitor import normalize_weights, read_history
 from kgmon.simlab import (
     SYNTHETIC_PREFIX,
     PerturbationKind,
     PerturbationSpec,
-    ScenarioConfig,
     SimulationError,
     load_schedule,
     perturb,
@@ -20,6 +19,21 @@ from kgmon.simlab import (
 )
 
 from conftest import NOT_LINE_BREAKS, codepoint
+
+
+def _scenario(stream, schedule, onto, history, **params):
+    """run_scenario under equal weights, a 30-score window, lambda 2,
+    warmup 5 and no noise, except where `params` says otherwise."""
+    params = {
+        "capacity": 30,
+        "lam": 2.0,
+        "warmup_min": 5,
+        "noise_sigma": 0.0,
+        "noise_seed": 0,
+        **params,
+    }
+    weights = normalize_weights(1.0, 1.0, 1.0)
+    return run_scenario(stream, schedule, onto, weights, str(history), **params)
 
 
 @pytest.fixture
@@ -183,9 +197,8 @@ def test_synthetic_stream_shape(onto):
     assert metric_vector(later, onto) == m
 
 
-def test_run_scenario_identity_never_flags(onto):
-    config = ScenarioConfig(ontology=onto, warmup_min=5, capacity=30)
-    result = run_scenario(synthetic_stream(onto, 40), {}, config)
+def test_run_scenario_identity_never_flags(onto, tmp_path):
+    result = _scenario(synthetic_stream(onto, 40), {}, onto, tmp_path / "sim.jsonl")
     assert len(result.records) == 40
     assert result.first_flag_step is None
     assert result.false_positive_count == 0
@@ -195,10 +208,11 @@ def test_run_scenario_identity_never_flags(onto):
     assert all(r.threshold == 0.0 for r in result.records[5:])
 
 
-def test_run_scenario_flags_scheduled_perturbation(onto):
+def test_run_scenario_flags_scheduled_perturbation(onto, tmp_path):
     schedule = {25: PerturbationSpec(PerturbationKind.DROP_CLASSES, 3.0, 4)}
-    config = ScenarioConfig(ontology=onto, warmup_min=5, capacity=30)
-    result = run_scenario(synthetic_stream(onto, 40), schedule, config)
+    result = _scenario(
+        synthetic_stream(onto, 40), schedule, onto, tmp_path / "sim.jsonl"
+    )
     assert result.first_flag_step == 25
     assert result.false_positive_count == 0
     record = result.records[25]
@@ -207,40 +221,50 @@ def test_run_scenario_flags_scheduled_perturbation(onto):
     assert result.records[26].score == 0.0
 
 
-def test_run_scenario_noise_reproducible(onto):
-    config = ScenarioConfig(
-        ontology=onto, warmup_min=5, capacity=30, noise_sigma=0.02, noise_seed=42
-    )
-    r1 = run_scenario(synthetic_stream(onto, 60), {}, config)
-    r2 = run_scenario(synthetic_stream(onto, 60), {}, config)
+def test_run_scenario_noise_reproducible(onto, tmp_path):
+    def run(history, seed):
+        return _scenario(
+            synthetic_stream(onto, 60),
+            {},
+            onto,
+            tmp_path / history,
+            noise_sigma=0.02,
+            noise_seed=seed,
+        )
+
+    r1 = run("r1.jsonl", 42)
+    r2 = run("r2.jsonl", 42)
     assert [r.score for r in r1.records] == [r.score for r in r2.records]
     assert r1.summary_line() == r2.summary_line()
-    other = ScenarioConfig(
-        ontology=onto, warmup_min=5, capacity=30, noise_sigma=0.02, noise_seed=43
-    )
-    r3 = run_scenario(synthetic_stream(onto, 60), {}, other)
+    r3 = run("r3.jsonl", 43)
     assert [r.score for r in r1.records] != [r.score for r in r3.records]
 
 
-def test_run_scenario_noise_draws_fixed_per_step(onto):
+def test_run_scenario_noise_draws_fixed_per_step(onto, tmp_path):
     # A scheduled graph perturbation must not shift the noise stream: the
     # same seed gives identical noise on the steps around it.
-    config = ScenarioConfig(
-        ontology=onto, warmup_min=5, capacity=30, noise_sigma=0.02, noise_seed=9
+    noise = {"noise_sigma": 0.02, "noise_seed": 9}
+    plain = _scenario(
+        synthetic_stream(onto, 30), {}, onto, tmp_path / "plain.jsonl", **noise
     )
-    plain = run_scenario(synthetic_stream(onto, 30), {}, config)
     schedule = {10: PerturbationSpec(PerturbationKind.DROP_PROPERTIES, 1.0, 0)}
-    bumped = run_scenario(synthetic_stream(onto, 30), schedule, config)
+    bumped = _scenario(
+        synthetic_stream(onto, 30), schedule, onto, tmp_path / "bumped.jsonl", **noise
+    )
     for i in (9, 11, 20, 29):
         assert bumped.records[i].score == plain.records[i].score
 
 
-def test_run_scenario_scheduled_delta_noise_overrides_sigma(onto):
+def test_run_scenario_scheduled_delta_noise_overrides_sigma(onto, tmp_path):
     schedule = {12: PerturbationSpec(PerturbationKind.DELTA_NOISE, 0.5, 0)}
-    config = ScenarioConfig(
-        ontology=onto, warmup_min=5, capacity=30, noise_sigma=0.0, noise_seed=21
+    result = _scenario(
+        synthetic_stream(onto, 20),
+        schedule,
+        onto,
+        tmp_path / "sim.jsonl",
+        noise_sigma=0.0,
+        noise_seed=21,
     )
-    result = run_scenario(synthetic_stream(onto, 20), schedule, config)
     assert all(
         r.score == 0.0 for i, r in enumerate(result.records) if i != 12
     )
@@ -249,26 +273,28 @@ def test_run_scenario_scheduled_delta_noise_overrides_sigma(onto):
     assert result.false_positive_count == 0
 
 
-def test_run_scenario_counts_false_positives(onto):
-    config = ScenarioConfig(
-        ontology=onto, warmup_min=5, capacity=30, noise_sigma=0.3, noise_seed=3
+def test_run_scenario_counts_false_positives(onto, tmp_path):
+    result = _scenario(
+        synthetic_stream(onto, 200),
+        {},
+        onto,
+        tmp_path / "sim.jsonl",
+        noise_sigma=0.3,
+        noise_seed=3,
     )
-    result = run_scenario(synthetic_stream(onto, 200), {}, config)
     assert result.false_positive_count == len(result.flagged_steps())
     assert result.false_positive_count > 0
 
 
-def test_run_scenario_reports_infeasible_step(onto):
+def test_run_scenario_reports_infeasible_step(onto, tmp_path):
     schedule = {8: PerturbationSpec(PerturbationKind.DROP_CLASSES, 9.0, 0)}
-    config = ScenarioConfig(ontology=onto, warmup_min=5)
     with pytest.raises(SimulationError, match="step 8"):
-        run_scenario(synthetic_stream(onto, 20), schedule, config)
+        _scenario(synthetic_stream(onto, 20), schedule, onto, tmp_path / "sim.jsonl")
 
 
 def test_run_scenario_writes_history(onto, tmp_path):
     path = str(tmp_path / "sim.jsonl")
-    config = ScenarioConfig(ontology=onto, warmup_min=5, history_path=path)
-    result = run_scenario(synthetic_stream(onto, 12), {}, config)
+    result = _scenario(synthetic_stream(onto, 12), {}, onto, path)
     rows = read_history(path)
     assert len(rows) == 12
     assert all(row.model == "sim" for row in rows)
@@ -279,11 +305,10 @@ def test_run_scenario_writes_history(onto, tmp_path):
 
 def test_run_scenario_keeps_rows_before_a_failing_step(onto, tmp_path):
     path = tmp_path / "sim.jsonl"
-    config = ScenarioConfig(ontology=onto, warmup_min=5, history_path=str(path))
     too_many = len(onto.classes) + 1
     schedule = {7: PerturbationSpec(PerturbationKind.DROP_CLASSES, too_many, 1)}
     with pytest.raises(SimulationError, match="step 7"):
-        run_scenario(synthetic_stream(onto, 12), schedule, config)
+        _scenario(synthetic_stream(onto, 12), schedule, onto, path)
     rows = read_history(str(path))
     assert [row.timestamp for row in rows] == list(range(7))
 
@@ -295,13 +320,12 @@ def test_run_scenario_keeps_rows_before_a_failing_step(onto, tmp_path):
 
     path.unlink()
     with pytest.raises(OSError, match="feed went away"):
-        run_scenario(stream_that_breaks(), {}, config)
+        _scenario(stream_that_breaks(), {}, onto, path)
     assert [row.timestamp for row in read_history(str(path))] == list(range(4))
 
 
-def test_summary_line_shape(onto):
-    config = ScenarioConfig(ontology=onto, warmup_min=5)
-    result = run_scenario(synthetic_stream(onto, 10), {}, config)
+def test_summary_line_shape(onto, tmp_path):
+    result = _scenario(synthetic_stream(onto, 10), {}, onto, tmp_path / "sim.jsonl")
     import json
 
     payload = json.loads(result.summary_line())
@@ -329,33 +353,37 @@ def test_load_schedule_parses_and_validates():
         "9\tdelta-noise\t0.25\t0\n"
         "ASSERT_FLAG_AT 5\n"
     )
-    schedule, asserts = load_schedule(text)
+    schedule, asserts = load_schedule(text, 10)
     assert set(schedule) == {5, 9}
     assert schedule[5] == PerturbationSpec(PerturbationKind.DROP_CLASSES, 2.0, 7)
     assert schedule[9].kind is PerturbationKind.DELTA_NOISE
     assert asserts == [5]
     with pytest.raises(SimulationError, match="expected 4 fields"):
-        load_schedule("5\tdrop-classes\t2\n")
+        load_schedule("5\tdrop-classes\t2\n", 10)
     with pytest.raises(SimulationError, match="line 1"):
-        load_schedule("5\tshrink-ray\t2\t0\n")
+        load_schedule("5\tshrink-ray\t2\t0\n", 10)
     with pytest.raises(SimulationError, match="duplicate step"):
-        load_schedule("5\tdrop-classes\t2\t0\n5\tdrop-classes\t1\t0\n")
+        load_schedule("5\tdrop-classes\t2\t0\n5\tdrop-classes\t1\t0\n", 10)
     with pytest.raises(SimulationError, match="negative step"):
-        load_schedule("-1\tdrop-classes\t2\t0\n")
+        load_schedule("-1\tdrop-classes\t2\t0\n", 10)
     with pytest.raises(SimulationError, match="ASSERT_FLAG_AT"):
-        load_schedule("ASSERT_FLAG_AT five\n")
+        load_schedule("ASSERT_FLAG_AT five\n", 10)
+    with pytest.raises(SimulationError, match="line 1: step 10 is not below"):
+        load_schedule("10\tdrop-classes\t2\t0\n", 10)
+    with pytest.raises(SimulationError, match="line 2: step 10 is not below"):
+        load_schedule("9\tdrop-classes\t2\t0\nASSERT_FLAG_AT 10\n", 10)
 
 
 @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=codepoint)
 def test_schedule_comment_keeps_unicode_line_separators(char):
-    schedule, asserts = load_schedule(f"# drop{char}classes\n12\tdrop-classes\t3\t5\n")
+    schedule, asserts = load_schedule(f"# drop{char}classes\n12\tdrop-classes\t3\t5\n", 13)
     assert list(schedule) == [12] and asserts == []
 
 
 @pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=["CRLF", "CR"])
 def test_schedule_breaks_lines_as_text_mode_does(brk):
     text = brk.join(["12\tdrop-classes\t3\t5", "ASSERT_FLAG_AT 12", ""])
-    schedule, asserts = load_schedule(text)
+    schedule, asserts = load_schedule(text, 13)
     assert list(schedule) == [12] and asserts == [12]
     with pytest.raises(SimulationError, match="schedule line 3: expected 4 fields"):
-        load_schedule(brk.join(["# x", "", "12\tdrop-classes", ""]))
+        load_schedule(brk.join(["# x", "", "12\tdrop-classes", ""]), 13)

@@ -41,7 +41,7 @@ from kgmon.llm import (
     ingest_offline,
     load_template,
 )
-from kgmon.metrics import MetricsError, MetricVector, metric_vector
+from kgmon.metrics import MetricsError, MetricVector, metric_delta, metric_vector
 from kgmon.monitor import (
     BASELINE_MODEL,
     DEFAULT_LAMBDA,
@@ -61,12 +61,7 @@ from kgmon.monitor import (
     write_atomic,
 )
 from kgmon.ontology import Ontology, OntologyError, load_ontology
-from kgmon.simlab import (
-    SimulationError,
-    load_schedule,
-    run_scenario,
-    synthetic_stream,
-)
+from kgmon.simlab import SimulationError, load_schedule, run_scenario
 
 log = logging.getLogger(__name__)
 
@@ -83,13 +78,13 @@ class RunConfig:
     history: str
     models: list[str]
     weights: MetricVector
-    lam: float = DEFAULT_LAMBDA
-    window: int = DEFAULT_WINDOW
-    warmup_min: int = DEFAULT_WARMUP
-    endpoint_config: str | None = None
-    feed_url: str | None = None
-    noise_sigma: float = 0.0
-    noise_seed: int = 0
+    lam: float
+    window: int
+    warmup_min: int
+    endpoint_config: str | None
+    feed_url: str | None
+    noise_sigma: float
+    noise_seed: int
 
 
 class _DiagnosticFormatter(logging.Formatter):
@@ -499,7 +494,7 @@ def _evaluate_once(
             timestamp=timestamp,
             model=model,
             metrics=cand_metrics,
-            baseline_metrics=base_metrics,
+            delta=metric_delta(cand_metrics, base_metrics),
             weights=config.weights,
             batch_id=batch_id,
             hall_total=report.total,
@@ -640,13 +635,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"scenario too short: {args.steps} steps, "
             f"warmup needs {config.warmup_min + 1}"
         )
-    if not ontology.classes:
-        raise CliError("synthetic stream needs at least one ontology class")
     schedule, flag_asserts = load_schedule(read_text(args.schedule), args.steps)
     result = run_scenario(
-        synthetic_stream(ontology, args.steps),
-        schedule,
         ontology,
+        args.steps,
+        schedule,
         config.weights,
         config.history,
         capacity=config.window,

@@ -52,10 +52,10 @@ class EndpointConfig:
     url: str
     auth_env: str
     model_name: str
-    temperature: float = 0.0
-    timeout: float = 30.0
-    max_retries: int = 2
-    parallelism: int = 4
+    temperature: float
+    timeout: float
+    max_retries: int
+    parallelism: int
 
     def __post_init__(self) -> None:
         parsed = urlparse(self.url)

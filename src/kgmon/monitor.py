@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import BinaryIO, NamedTuple
 
-from kgmon.metrics import MetricVector, metric_delta
+from kgmon.metrics import MetricVector
 
 log = logging.getLogger(__name__)
 
@@ -96,10 +96,10 @@ class ThresholdState:
     the flag rule that `observe` and `replay_history` share.
     """
 
+    capacity: int
+    lam: float
+    warmup_min: int
     scores: list[float] = field(default_factory=list)
-    capacity: int = DEFAULT_WINDOW
-    lam: float = DEFAULT_LAMBDA
-    warmup_min: int = DEFAULT_WARMUP
     last_timestamp: int | None = None
     _sum: int = field(default=0, init=False, repr=False, compare=False)
     _sum_sq: int = field(default=0, init=False, repr=False, compare=False)
@@ -258,30 +258,26 @@ def observe(
     timestamp: int,
     model: str,
     metrics: MetricVector,
-    baseline_metrics: MetricVector,
+    delta: MetricVector,
     weights: MetricVector,
     batch_id: str = "",
-    delta: MetricVector | None = None,
     hall_total: int = 0,
     hall_failed: int = 0,
 ) -> tuple[HistoryRow, str | None]:
-    """Score one observation, advance the threshold state, and return the
-    history row with the name of the largest weighted delta when the row
-    is flagged (None otherwise).
+    """Score `delta`, the caller's delta of `metrics` against its baseline,
+    advance the threshold state, and return the history row with the name
+    of the largest weighted delta when the row is flagged (None otherwise).
 
     The threshold is computed from the window before the current score
-    joins it; flagging is strict (score > threshold). Pass `delta` to
-    override the computed one (the simulator uses this for noise
-    injection); the row keeps whatever delta was scored. A non-finite
-    score raises MonitorError and leaves the state unchanged.
+    joins it; flagging is strict (score > threshold). The row keeps the
+    delta it scored. A non-finite score raises MonitorError and leaves the
+    state unchanged.
     """
     if state.last_timestamp is not None and timestamp <= state.last_timestamp:
         raise MonitorError(
             f"non-monotone timestamp {timestamp} for model {model!r} "
             f"(last was {state.last_timestamp})"
         )
-    if delta is None:
-        delta = metric_delta(metrics, baseline_metrics)
     score = anomaly_score(delta, weights)
     threshold, flagged = state.step(score)
     state.last_timestamp = timestamp

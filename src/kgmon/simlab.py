@@ -1,9 +1,9 @@
 """Seeded perturbation lab for detector validation.
 
-Degrades graph streams in controlled, reproducible ways (class drops,
-property drops, synthetic entity injection, depth skew) and runs whole
-scenarios through the monitor, optionally with Gaussian noise on the
-metric deltas to exercise threshold calibration.
+Degrades a synthetic baseline graph in controlled, reproducible ways
+(class drops, property drops, synthetic entity injection, depth skew) and
+runs whole scenarios through the monitor, optionally with Gaussian noise
+on the metric deltas to exercise threshold calibration.
 """
 
 import json
@@ -13,9 +13,8 @@ import os
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
-from kgmon.extract import ArticleDoc
 from kgmon.graph import (
     KnowledgeGraph,
     instantiated_classes,
@@ -35,7 +34,8 @@ from kgmon.ontology import Ontology
 log = logging.getLogger(__name__)
 
 SYNTHETIC_PREFIX = "##synthetic"
-# Model name of every row a scenario writes.
+# Model name of every row a scenario writes, and the provenance of every
+# synthetic baseline entity and triple.
 _MODEL = "sim"
 
 
@@ -191,10 +191,26 @@ def _clamp_unit(value: float) -> float:
     return max(-1.0, min(1.0, value))
 
 
+def _synthetic_graph(ontology: Ontology) -> KnowledgeGraph:
+    """Every ontology class carries two entities and every property one
+    triple, so all unperturbed deltas are zero and IPR is 1."""
+    surfaces = {
+        cls: (f"{cls} Alpha", f"{cls} Beta") for cls in sorted(ontology.classes)
+    }
+    entities = {
+        name: (cls, _MODEL) for cls, names in surfaces.items() for name in names
+    }
+    triples = {
+        (surfaces[pdef.domain][0], pname, surfaces[pdef.range][1]): _MODEL
+        for pname, pdef in sorted(ontology.properties.items())
+    }
+    return KnowledgeGraph(entities, triples)
+
+
 def run_scenario(
-    stream: Iterable[tuple[list[ArticleDoc], KnowledgeGraph]],
-    schedule: Mapping[int, PerturbationSpec],
     ontology: Ontology,
+    steps: int,
+    schedule: Mapping[int, PerturbationSpec],
     weights: MetricVector,
     history: str,
     *,
@@ -204,17 +220,19 @@ def run_scenario(
     noise_sigma: float,
     noise_seed: int,
 ) -> ScenarioResult:
-    """Drive the monitor over a (batch, baseline) stream. A step's row
-    takes its batch_id from the id of the batch's first article.
+    """Drive the monitor for `steps` steps over one synthetic baseline
+    graph of `ontology`. Step s's row has the batch_id `sim-{s:05d}`.
 
     Each step's candidate is the baseline perturbed per the schedule
     (identity when absent). A scheduled delta-noise entry overrides the
     configured sigma for that step only. Three Gaussian draws are consumed
     every step regardless of sigma, so a given noise_seed yields the same
     noise stream under any schedule. False positives are counted on steps
-    with no schedule entry. Each step's row is appended to the `history`
-    file through one file handle in step order; if a step raises, the rows
-    of the steps before it stay in the file.
+    with no schedule entry. The baseline's metrics are computed before the
+    history is opened, so an ontology they are undefined on leaves no file.
+    Each step's row is appended to the `history` file through one file
+    handle in step order; if a step raises, the rows of the steps before it
+    stay in the file.
 
     A history that already holds rows of the scenario's model is continued:
     the threshold window starts from that model's last `capacity` scores,
@@ -223,6 +241,8 @@ def run_scenario(
     read that finds them warns of a torn last line, which the append then
     cuts off.
     """
+    g_base = _synthetic_graph(ontology)
+    base_m = metric_vector(g_base, ontology)
     state = resume_state(
         read_history(history, [_MODEL], capacity) if os.path.exists(history) else [],
         _MODEL,
@@ -237,25 +257,19 @@ def run_scenario(
     false_positives = 0
 
     with open_history_for_append(history) as history_file:
-        for step, (batch, g_base) in enumerate(stream):
+        for step in range(steps):
             scheduled = schedule.get(step)
             sigma = noise_sigma
-            graph_spec = None
+            cand_m = base_m
             if scheduled is not None:
                 if scheduled.kind is PerturbationKind.DELTA_NOISE:
                     sigma = scheduled.magnitude
                 else:
-                    graph_spec = scheduled
-
-            base_m = metric_vector(g_base, ontology)
-            if graph_spec is not None:
-                try:
-                    candidate = perturb(g_base, graph_spec, ontology)
-                except SimulationError as exc:
-                    raise SimulationError(f"step {step}: {exc}") from exc
-                cand_m = metric_vector(candidate, ontology)
-            else:
-                cand_m = base_m
+                    try:
+                        candidate = perturb(g_base, scheduled, ontology)
+                    except SimulationError as exc:
+                        raise SimulationError(f"step {step}: {exc}") from exc
+                    cand_m = metric_vector(candidate, ontology)
             clean = metric_delta(cand_m, base_m)
 
             eps = (
@@ -272,10 +286,9 @@ def run_scenario(
                 timestamp=first_timestamp + step,
                 model=_MODEL,
                 metrics=cand_m,
-                baseline_metrics=base_m,
-                weights=weights,
-                batch_id=batch[0].id,
                 delta=noised,
+                weights=weights,
+                batch_id=f"sim-{step:05d}",
             )
             records.append(row)
             if row.flagged:
@@ -290,32 +303,6 @@ def run_scenario(
         first_flag_step=first_flag,
         false_positive_count=false_positives,
     )
-
-
-def synthetic_stream(
-    ontology: Ontology, steps: int
-) -> Iterator[tuple[list[ArticleDoc], KnowledgeGraph]]:
-    """Constant-content stream: every ontology class carries two entities
-    and every property one triple, so all unperturbed deltas are zero and
-    IPR is 1. One single-article batch per step."""
-    classes = sorted(ontology.classes)
-    surfaces = {cls: (f"{cls} Alpha", f"{cls} Beta") for cls in classes}
-
-    for step in range(steps):
-        article_id = f"sim-{step:05d}"
-        entities: dict[str, tuple[str, str]] = {}
-        for cls in classes:
-            first, second = surfaces[cls]
-            entities[first] = (cls, article_id)
-            entities[second] = (cls, article_id)
-        triples: dict[tuple[str, str, str], str] = {}
-        for pname in sorted(ontology.properties):
-            pdef = ontology.properties[pname]
-            subj = surfaces[pdef.domain][0]
-            obj = surfaces[pdef.range][1]
-            triples[(subj, pname, obj)] = article_id
-        text = ". ".join(sorted(entities)) + "."
-        yield [ArticleDoc(id=article_id, text=text)], KnowledgeGraph(entities, triples)
 
 
 def load_schedule(

@@ -42,7 +42,6 @@ from kgmon.simlab import (
     PerturbationSpec,
     perturb,
     run_scenario,
-    synthetic_stream,
 )
 
 
@@ -347,9 +346,9 @@ def test_noise_only_flag_rates(stream_ontology, tmp_path):
         fractions = {}
         for lam in (2.0, 3.0):
             result = run_scenario(
-                synthetic_stream(stream_ontology, 10_000),
-                {},
                 stream_ontology,
+                10_000,
+                {},
                 _EQUAL_WEIGHTS,
                 str(tmp_path / f"lambda-{lam}.jsonl"),
                 capacity=30,
@@ -379,9 +378,9 @@ def test_seeded_drift_detection_rate(stream_ontology, tmp_path):
                 )
             }
             result = run_scenario(
-                synthetic_stream(stream_ontology, 50),
-                schedule,
                 stream_ontology,
+                50,
+                schedule,
                 _EQUAL_WEIGHTS,
                 str(tmp_path / f"run-{i}.jsonl"),
                 capacity=30,
@@ -408,9 +407,9 @@ def test_history_replay_is_bit_exact(stream_ontology, tmp_path):
             ),
         }
         result = run_scenario(
-            synthetic_stream(stream_ontology, 200),
-            schedule,
             stream_ontology,
+            200,
+            schedule,
             _EQUAL_WEIGHTS,
             path,
             capacity=12,

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import logging
@@ -987,7 +988,22 @@ def test_simulate_on_a_classless_ontology_writes_no_history(ws, capsys):
     )
     assert rc == 1
     assert capsys.readouterr().err == (
-        "ERROR synthetic stream needs at least one ontology class\n"
+        "ERROR icr undefined: ontology declares no classes\n"
+    )
+    assert not (ws / "sim.jsonl").exists()
+
+
+def test_simulate_on_a_property_less_ontology_writes_no_history(ws, capsys):
+    (ws / "flat.txt").write_text("CLASS Person\nCLASS Location\n", encoding="utf-8")
+    config = _write_config(ws, ontology="flat.txt", warmup_min=5, history="sim.jsonl")
+    schedule = ws / "schedule.tsv"
+    schedule.write_text("", encoding="utf-8")
+    rc = main(
+        ["simulate", "--config", config, "--schedule", str(schedule), "--steps", "12"]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "ERROR ipr undefined: ontology declares no properties\n"
     )
     assert not (ws / "sim.jsonl").exists()
 
@@ -1054,6 +1070,35 @@ def test_simulate_rows_carry_the_step_batch_id(ws):
     ids += [f"sim-{step:05d}" for step in range(8)]
     assert [r.batch_id for r in rows] == ids
     assert [r.timestamp for r in rows] == list(range(20))
+
+
+def test_simulate_history_bytes_are_pinned(ws, capsys):
+    # Seeded noise and every perturbation kind, run twice into one history.
+    # A change to the synthetic baseline, a perturbation, the noise stream,
+    # the threshold or the row format changes these bytes.
+    config = _write_config(
+        ws, warmup_min=5, window=8, noise_sigma=0.01, noise_seed=7, history="sim.jsonl"
+    )
+    schedule = ws / "schedule.tsv"
+    schedule.write_text(
+        "10\tdrop-classes\t2\t11\n"
+        "20\tdrop-properties\t1\t12\n"
+        "30\tinject-entities\t5\t13\n"
+        "40\tdepth-skew\t0.6\t14\n"
+        "50\tdepth-skew\t1.0\t15\n"
+        "55\tdelta-noise\t0.3\t16\n",
+        encoding="utf-8",
+    )
+    simulate = ["simulate", "--config", config, "--schedule", str(schedule)]
+    assert main(simulate + ["--steps", "60"]) == 0
+    assert main(simulate + ["--steps", "60"]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        assert json.loads(line)["flagged_steps"] == [9, 10, 20, 40, 50]
+    data = (ws / "sim.jsonl").read_bytes()
+    assert len(data.splitlines()) == 120
+    assert hashlib.sha256(data).hexdigest() == (
+        "181ec91619d1873923da9e6b7e636a79c7d8255edeb60c3a66cd9d6d502e9be1"
+    )
 
 
 def test_simulate_flags_sustained_drift_only_at_its_onset(ws, capsys):

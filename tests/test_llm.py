@@ -32,6 +32,10 @@ def _config(**kw):
         url="https://models.example/v1/complete",
         auth_env="KGMON_TEST_TOKEN",
         model_name="probe-1",
+        temperature=0.0,
+        timeout=30.0,
+        max_retries=2,
+        parallelism=4,
     )
     defaults.update(kw)
     return EndpointConfig(**defaults)

@@ -50,7 +50,6 @@ def _observe_score(state, ts, score):
         timestamp=ts,
         model="m",
         metrics=_ZERO,
-        baseline_metrics=_ZERO,
         weights=_W_ICR_ONLY,
         delta=_delta(d_icr=score),
     )
@@ -206,11 +205,11 @@ def test_sqrt_of_frac_exact_and_tie_cases():
 
 def test_threshold_state_validation():
     with pytest.raises(MonitorError):
-        ThresholdState(capacity=0)
+        ThresholdState(capacity=0, lam=2.0, warmup_min=5)
     with pytest.raises(MonitorError):
-        ThresholdState(lam=0.0)
+        ThresholdState(capacity=30, lam=0.0, warmup_min=5)
     with pytest.raises(MonitorError):
-        ThresholdState(warmup_min=0)
+        ThresholdState(capacity=30, lam=2.0, warmup_min=0)
 
 
 def test_observe_warmup_then_flags():
@@ -267,7 +266,7 @@ def test_non_finite_scores_rejected_before_state_changes(bad):
     row, _ = _observe_score(state, 1, 0.1)
     assert row.threshold == 0.1
     with pytest.raises(MonitorError, match="non-finite"):
-        ThresholdState(scores=[0.1, bad])
+        ThresholdState(capacity=30, lam=2.0, warmup_min=5, scores=[0.1, bad])
     with pytest.raises(MonitorError, match="non-finite"):
         state.push(bad)
     row = row._replace(score=bad)
@@ -276,30 +275,13 @@ def test_non_finite_scores_rejected_before_state_changes(bad):
 
 
 def test_observe_rejects_non_monotone_timestamps():
-    state = ThresholdState()
+    state = ThresholdState(capacity=30, lam=2.0, warmup_min=5)
     _observe_score(state, 5, 0.1)
     with pytest.raises(MonitorError, match="non-monotone"):
         _observe_score(state, 5, 0.1)
     with pytest.raises(MonitorError, match="non-monotone"):
         _observe_score(state, 4, 0.1)
     _observe_score(state, 6, 0.1)
-
-
-def test_observe_computes_delta_when_missing():
-    state = ThresholdState(warmup_min=1)
-    metrics = MetricVector(icr=0.2, ipr=0.4, ci=0.6)
-    base = MetricVector(icr=0.5, ipr=0.4, ci=0.1)
-    row, _ = observe(
-        state,
-        timestamp=0,
-        model="m",
-        metrics=metrics,
-        baseline_metrics=base,
-        weights=_EQUAL_WEIGHTS,
-    )
-    assert row.d_icr == pytest.approx(0.3)
-    assert row.d_ipr == 0.0
-    assert row.d_ci == pytest.approx(0.5)
 
 
 def test_observe_top_weighted_term_and_tie_order():
@@ -311,7 +293,6 @@ def test_observe_top_weighted_term_and_tie_order():
         timestamp=1,
         model="m",
         metrics=_ZERO,
-        baseline_metrics=_ZERO,
         weights=w,
         delta=_delta(d_icr=0.3, d_ipr=0.5, d_ci=0.1),
     )
@@ -324,7 +305,6 @@ def test_observe_top_weighted_term_and_tie_order():
         timestamp=1,
         model="m",
         metrics=_ZERO,
-        baseline_metrics=_ZERO,
         weights=_EQUAL_WEIGHTS,
         delta=_delta(d_icr=0.4, d_ipr=0.4, d_ci=0.4),
     )
@@ -336,7 +316,6 @@ def test_observe_top_weighted_term_and_tie_order():
         timestamp=1,
         model="m",
         metrics=_ZERO,
-        baseline_metrics=_ZERO,
         weights=normalize_weights(1.0, 1.0, 1.0, 1.0),
         delta=_delta(d_icr=0.1, d_hal=0.8),
     )
@@ -696,7 +675,7 @@ def test_parse_history_line_maps_every_field_by_name():
 
 
 def test_observe_row_copies_fields():
-    state = ThresholdState(warmup_min=1)
+    state = ThresholdState(capacity=30, lam=2.0, warmup_min=1)
     weights = normalize_weights(1.0, 1.0, 1.0, 1.0)
     metrics = MetricVector(icr=0.3, ipr=0.2, ci=0.1, hal=0.5)
     delta = _delta(d_icr=0.0625, d_ipr=0.125, d_ci=0.03125, d_hal=0.25)
@@ -705,7 +684,6 @@ def test_observe_row_copies_fields():
         timestamp=9,
         model="gpt",
         metrics=metrics,
-        baseline_metrics=MetricVector(icr=0.9, ipr=0.8, ci=0.7),
         weights=weights,
         batch_id="b9",
         delta=delta,
@@ -731,21 +709,21 @@ def test_observe_row_copies_fields():
         hall_failed=2,
     )
     assert top is None
-    # Without an override the row carries the computed delta, and the
-    # threshold is the first score alone.
+    # The row carries the caller's delta of the metrics against a
+    # baseline, and the threshold is the first score alone.
     base = MetricVector(icr=0.9, ipr=0.25, ci=0.125, hal=0.375)
+    computed = metric_delta(metrics, base)
     row, top = observe(
         state,
         timestamp=10,
         model="gpt",
         metrics=metrics,
-        baseline_metrics=base,
+        delta=computed,
         weights=weights,
         batch_id="b10",
         hall_total=5,
         hall_failed=3,
     )
-    computed = metric_delta(metrics, base)
     assert (row.d_icr, row.d_ipr, row.d_ci) == (
         computed.icr,
         computed.ipr,
@@ -777,7 +755,6 @@ def test_observe_names_top_term_only_on_flagged_rows(deltas):
             timestamp=ts,
             model="m",
             metrics=_ZERO,
-            baseline_metrics=_ZERO,
             weights=weights,
             delta=_delta(d_icr, d_ipr, d_ci),
         )
@@ -803,7 +780,6 @@ def test_replay_reproduces_thresholds_bit_exact(tmp_path):
                 timestamp=ts,
                 model=model,
                 metrics=_ZERO,
-                baseline_metrics=_ZERO,
                 weights=_EQUAL_WEIGHTS,
                 batch_id=f"b{ts}",
                 delta=d,
@@ -842,7 +818,6 @@ def test_observe_score_reconstruction_identity():
             timestamp=ts,
             model="m",
             metrics=_ZERO,
-            baseline_metrics=_ZERO,
             weights=_EQUAL_WEIGHTS,
             delta=d,
         )

@@ -3,25 +3,26 @@ import random
 
 import pytest
 
-from kgmon.graph import canonical_serialize, parse_records
+from kgmon import simlab
+from kgmon.graph import canonical_serialize, instantiated_classes, parse_records
 from kgmon.hallucination import source_text, validate_graph
-from kgmon.metrics import ci, icr, ipr, metric_vector
+from kgmon.metrics import MetricVector, ci, icr, ipr, metric_vector
 from kgmon.monitor import normalize_weights, read_history
 from kgmon.simlab import (
     SYNTHETIC_PREFIX,
     PerturbationKind,
     PerturbationSpec,
     SimulationError,
+    _synthetic_graph,
     load_schedule,
     perturb,
     run_scenario,
-    synthetic_stream,
 )
 
 from conftest import NOT_LINE_BREAKS, codepoint
 
 
-def _scenario(stream, schedule, onto, history, **params):
+def _scenario(onto, steps, schedule, history, **params):
     """run_scenario under equal weights, a 30-score window, lambda 2,
     warmup 5 and no noise, except where `params` says otherwise."""
     params = {
@@ -33,7 +34,7 @@ def _scenario(stream, schedule, onto, history, **params):
         **params,
     }
     weights = normalize_weights(1.0, 1.0, 1.0)
-    return run_scenario(stream, schedule, onto, weights, str(history), **params)
+    return run_scenario(onto, steps, schedule, weights, str(history), **params)
 
 
 @pytest.fixture
@@ -178,27 +179,42 @@ def test_delta_noise_is_not_a_graph_perturbation(onto, base_graph):
         perturb(base_graph, spec, onto)
 
 
-def test_synthetic_stream_shape(onto):
-    steps = list(synthetic_stream(onto, 3))
-    assert len(steps) == 3
-    batch, graph = steps[0]
-    assert len(batch) == 1
-    assert batch[0].id == "sim-00000"
-    assert len(graph.entities) == 10
+def test_synthetic_baseline_shape(onto, tmp_path):
+    graph = _synthetic_graph(onto)
+    assert len(graph.entities) == 2 * len(onto.classes) == 10
+    assert instantiated_classes(graph) == set(onto.classes)
+    assert sorted(p for _, p, _ in graph.triples) == sorted(onto.properties)
     m = metric_vector(graph, onto)
     assert m.icr == 1.0 and m.ipr == 1.0
-    report = validate_graph(graph, source_text(batch), onto)
-    assert report.score == 0.0
-    _, later = steps[2]
-    assert canonical_serialize(later) != ""
-    assert {e: c for e, (c, _) in later.entities.items()} == {
-        e: c for e, (c, _) in graph.entities.items()
+    # Every step scores that one graph and names its row by the step.
+    result = _scenario(onto, 3, {}, tmp_path / "sim.jsonl")
+    assert [r.batch_id for r in result.records] == ["sim-00000", "sim-00001", "sim-00002"]
+    assert {MetricVector(r.icr, r.ipr, r.ci, r.hal) for r in result.records} == {m}
+
+
+def test_run_scenario_scores_the_baseline_once(onto, tmp_path, monkeypatch):
+    # One metric_vector for the baseline, and one per graph-perturbed step;
+    # delta-noise and unscheduled steps reuse the baseline's metrics.
+    calls = []
+
+    def counted(graph, ontology):
+        calls.append(graph)
+        return metric_vector(graph, ontology)
+
+    monkeypatch.setattr(simlab, "metric_vector", counted)
+    schedule = {
+        6: PerturbationSpec(PerturbationKind.DROP_CLASSES, 1.0, 0),
+        9: PerturbationSpec(PerturbationKind.DELTA_NOISE, 0.1, 0),
+        12: PerturbationSpec(PerturbationKind.DEPTH_SKEW, 1.0, 0),
     }
-    assert metric_vector(later, onto) == m
+    _scenario(onto, 20, schedule, tmp_path / "sim.jsonl")
+    assert len(calls) == 1 + 2
+    _scenario(onto, 20, {}, tmp_path / "plain.jsonl")
+    assert len(calls) == 3 + 1
 
 
 def test_run_scenario_identity_never_flags(onto, tmp_path):
-    result = _scenario(synthetic_stream(onto, 40), {}, onto, tmp_path / "sim.jsonl")
+    result = _scenario(onto, 40, {}, tmp_path / "sim.jsonl")
     assert len(result.records) == 40
     assert result.first_flag_step is None
     assert result.false_positive_count == 0
@@ -210,9 +226,7 @@ def test_run_scenario_identity_never_flags(onto, tmp_path):
 
 def test_run_scenario_flags_scheduled_perturbation(onto, tmp_path):
     schedule = {25: PerturbationSpec(PerturbationKind.DROP_CLASSES, 3.0, 4)}
-    result = _scenario(
-        synthetic_stream(onto, 40), schedule, onto, tmp_path / "sim.jsonl"
-    )
+    result = _scenario(onto, 40, schedule, tmp_path / "sim.jsonl")
     assert result.first_flag_step == 25
     assert result.false_positive_count == 0
     record = result.records[25]
@@ -224,12 +238,7 @@ def test_run_scenario_flags_scheduled_perturbation(onto, tmp_path):
 def test_run_scenario_noise_reproducible(onto, tmp_path):
     def run(history, seed):
         return _scenario(
-            synthetic_stream(onto, 60),
-            {},
-            onto,
-            tmp_path / history,
-            noise_sigma=0.02,
-            noise_seed=seed,
+            onto, 60, {}, tmp_path / history, noise_sigma=0.02, noise_seed=seed
         )
 
     r1 = run("r1.jsonl", 42)
@@ -244,13 +253,9 @@ def test_run_scenario_noise_draws_fixed_per_step(onto, tmp_path):
     # A scheduled graph perturbation must not shift the noise stream: the
     # same seed gives identical noise on the steps around it.
     noise = {"noise_sigma": 0.02, "noise_seed": 9}
-    plain = _scenario(
-        synthetic_stream(onto, 30), {}, onto, tmp_path / "plain.jsonl", **noise
-    )
+    plain = _scenario(onto, 30, {}, tmp_path / "plain.jsonl", **noise)
     schedule = {10: PerturbationSpec(PerturbationKind.DROP_PROPERTIES, 1.0, 0)}
-    bumped = _scenario(
-        synthetic_stream(onto, 30), schedule, onto, tmp_path / "bumped.jsonl", **noise
-    )
+    bumped = _scenario(onto, 30, schedule, tmp_path / "bumped.jsonl", **noise)
     for i in (9, 11, 20, 29):
         assert bumped.records[i].score == plain.records[i].score
 
@@ -258,12 +263,7 @@ def test_run_scenario_noise_draws_fixed_per_step(onto, tmp_path):
 def test_run_scenario_scheduled_delta_noise_overrides_sigma(onto, tmp_path):
     schedule = {12: PerturbationSpec(PerturbationKind.DELTA_NOISE, 0.5, 0)}
     result = _scenario(
-        synthetic_stream(onto, 20),
-        schedule,
-        onto,
-        tmp_path / "sim.jsonl",
-        noise_sigma=0.0,
-        noise_seed=21,
+        onto, 20, schedule, tmp_path / "sim.jsonl", noise_sigma=0.0, noise_seed=21
     )
     assert all(
         r.score == 0.0 for i, r in enumerate(result.records) if i != 12
@@ -275,12 +275,7 @@ def test_run_scenario_scheduled_delta_noise_overrides_sigma(onto, tmp_path):
 
 def test_run_scenario_counts_false_positives(onto, tmp_path):
     result = _scenario(
-        synthetic_stream(onto, 200),
-        {},
-        onto,
-        tmp_path / "sim.jsonl",
-        noise_sigma=0.3,
-        noise_seed=3,
+        onto, 200, {}, tmp_path / "sim.jsonl", noise_sigma=0.3, noise_seed=3
     )
     assert result.false_positive_count == len(result.flagged_steps())
     assert result.false_positive_count > 0
@@ -289,12 +284,12 @@ def test_run_scenario_counts_false_positives(onto, tmp_path):
 def test_run_scenario_reports_infeasible_step(onto, tmp_path):
     schedule = {8: PerturbationSpec(PerturbationKind.DROP_CLASSES, 9.0, 0)}
     with pytest.raises(SimulationError, match="step 8"):
-        _scenario(synthetic_stream(onto, 20), schedule, onto, tmp_path / "sim.jsonl")
+        _scenario(onto, 20, schedule, tmp_path / "sim.jsonl")
 
 
 def test_run_scenario_writes_history(onto, tmp_path):
     path = str(tmp_path / "sim.jsonl")
-    result = _scenario(synthetic_stream(onto, 12), {}, onto, path)
+    result = _scenario(onto, 12, {}, path)
     rows = read_history(path)
     assert len(rows) == 12
     assert all(row.model == "sim" for row in rows)
@@ -308,24 +303,13 @@ def test_run_scenario_keeps_rows_before_a_failing_step(onto, tmp_path):
     too_many = len(onto.classes) + 1
     schedule = {7: PerturbationSpec(PerturbationKind.DROP_CLASSES, too_many, 1)}
     with pytest.raises(SimulationError, match="step 7"):
-        _scenario(synthetic_stream(onto, 12), schedule, onto, path)
+        _scenario(onto, 12, schedule, path)
     rows = read_history(str(path))
     assert [row.timestamp for row in rows] == list(range(7))
 
-    def stream_that_breaks():
-        for step, item in enumerate(synthetic_stream(onto, 12)):
-            if step == 4:
-                raise OSError("feed went away")
-            yield item
-
-    path.unlink()
-    with pytest.raises(OSError, match="feed went away"):
-        _scenario(stream_that_breaks(), {}, onto, path)
-    assert [row.timestamp for row in read_history(str(path))] == list(range(4))
-
 
 def test_summary_line_shape(onto, tmp_path):
-    result = _scenario(synthetic_stream(onto, 10), {}, onto, tmp_path / "sim.jsonl")
+    result = _scenario(onto, 10, {}, tmp_path / "sim.jsonl")
     import json
 
     payload = json.loads(result.summary_line())

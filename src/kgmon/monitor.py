@@ -34,10 +34,6 @@ DEFAULT_LAMBDA = 2.0
 _NUMBER = frozenset((int, float))
 _NUMBER_OR_NULL = frozenset((int, float, type(None)))
 
-# Every finite double is an integer multiple of 2**-1074, so x * 2**_SCALE
-# is an exact integer and window sums over it are exact.
-_SCALE = 1074
-
 # Bytes read per step when the history is read backwards from its end.
 _BLOCK_SIZE = 1 << 16
 # Line terminators as text-mode reading knows them (\n, \r\n, \r).
@@ -80,20 +76,19 @@ def normalize_weights(
     return MetricVector(*(w / total for w in parts))
 
 
-def _scaled(score: float) -> int:
-    """score * 2**_SCALE as an exact integer; the score must be finite."""
-    num, den = score.as_integer_ratio()
-    return num << (_SCALE + 1 - den.bit_length())
-
-
 @dataclass
 class ThresholdState:
     """Rolling window of past anomaly scores for one monitored model.
 
     `scores` is the window, oldest first. Seed it through the constructor
-    and grow it with `push`, which keeps the exact sums of the scaled
-    scores and of their squares that `update_threshold` reads. `step` is
-    the flag rule that `observe` and `replay_history` share.
+    and grow it with `push`, which keeps the exact sums of the scores and
+    of their squares that `update_threshold` reads. `step` is the flag rule
+    that `observe` and `replay_history` share.
+
+    A finite double is num / 2**bits with an integer num, so the sums are
+    kept as integers at the scale 2**_bits, the largest `bits` of any score
+    pushed so far. That scale only grows: a finer score shifts both sums
+    up to it, and evicting that score leaves them there.
     """
 
     capacity: int
@@ -103,6 +98,7 @@ class ThresholdState:
     last_timestamp: int | None = None
     _sum: int = field(default=0, init=False, repr=False, compare=False)
     _sum_sq: int = field(default=0, init=False, repr=False, compare=False)
+    _bits: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -119,12 +115,20 @@ class ThresholdState:
         """Append a finite score, evicting the oldest past `capacity`."""
         if not math.isfinite(score):
             raise MonitorError(f"non-finite anomaly score {score!r}")
-        k = _scaled(score)
+        num, den = score.as_integer_ratio()
+        bits = den.bit_length() - 1
+        if bits > self._bits:
+            grow = bits - self._bits
+            self._sum <<= grow
+            self._sum_sq <<= 2 * grow
+            self._bits = bits
+        k = num << (self._bits - bits)
         self.scores.append(score)
         self._sum += k
         self._sum_sq += k * k
         if len(self.scores) > self.capacity:
-            k = _scaled(self.scores.pop(0))
+            num, den = self.scores.pop(0).as_integer_ratio()
+            k = num << (self._bits + 1 - den.bit_length())
             self._sum -= k
             self._sum_sq -= k * k
 
@@ -243,12 +247,12 @@ def update_threshold(state: ThresholdState) -> float | None:
     n = len(state.scores)
     if n < state.warmup_min:
         return None
-    mean = (state._sum / (1 << _SCALE)) / n
+    mean = (state._sum / (1 << state._bits)) / n
     if n == 1:
         sigma = 0.0
     else:
         spread = n * state._sum_sq - state._sum * state._sum
-        sigma = _sqrt_of_frac(spread, n * (n - 1) << 2 * _SCALE)
+        sigma = _sqrt_of_frac(spread, n * (n - 1) << 2 * state._bits)
     return mean + state.lam * sigma
 
 

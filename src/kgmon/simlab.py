@@ -24,6 +24,7 @@ from kgmon.kernels import split_lines
 from kgmon.metrics import MetricVector, metric_delta, metric_vector
 from kgmon.monitor import (
     HistoryRow,
+    anomaly_score,
     observe,
     open_history_for_append,
     read_history,
@@ -228,8 +229,10 @@ def run_scenario(
     configured sigma for that step only. Three Gaussian draws are consumed
     every step regardless of sigma, so a given noise_seed yields the same
     noise stream under any schedule. False positives are counted on steps
-    with no schedule entry. The baseline's metrics are computed before the
-    history is opened, so an ontology they are undefined on leaves no file.
+    with no schedule entry. The baseline's metrics are computed, and its
+    zero delta scored, before the history is read or opened, so an
+    ontology they are undefined on, or a weight no delta here carries (Hal),
+    leaves the file as it was.
     Each step's row is appended to the `history` file through one file
     handle in step order; if a step raises, the rows of the steps before it
     stay in the file.
@@ -243,6 +246,9 @@ def run_scenario(
     """
     g_base = _synthetic_graph(ontology)
     base_m = metric_vector(g_base, ontology)
+    # Rejects a weight these deltas cannot carry (Hal) before any file is
+    # touched; the score itself is not needed.
+    anomaly_score(metric_delta(base_m, base_m), weights)
     state = resume_state(
         read_history(history, [_MODEL], capacity) if os.path.exists(history) else [],
         _MODEL,

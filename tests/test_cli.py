@@ -1008,6 +1008,47 @@ def test_simulate_on_a_property_less_ontology_writes_no_history(ws, capsys):
     assert not (ws / "sim.jsonl").exists()
 
 
+def test_hal_weighted_simulate_writes_no_history(ws, capsys):
+    config = _write_config(
+        ws,
+        weights={"icr": 1, "ipr": 1, "ci": 1, "hal": 1},
+        warmup_min=5,
+        history="sim.jsonl",
+    )
+    schedule = ws / "schedule.tsv"
+    schedule.write_text("", encoding="utf-8")
+    rc = main(
+        ["simulate", "--config", config, "--schedule", str(schedule), "--steps", "12"]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "ERROR w_hal configured but delta carries no d_hal\n"
+    )
+    assert not (ws / "sim.jsonl").exists()
+
+
+def test_hal_weighted_simulate_leaves_a_torn_history_as_it_was(ws, capsys):
+    config = _write_config(ws)
+    for ts in (1, 2):
+        assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", ts) == 0
+    history = ws / "history.jsonl"
+    whole = history.read_bytes()
+    torn = whole + whole.splitlines()[-1][:60]
+    history.write_bytes(torn)
+    config = _write_config(ws, weights={"icr": 1, "ipr": 1, "ci": 1, "hal": 1})
+    schedule = ws / "schedule.tsv"
+    schedule.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(
+        ["simulate", "--config", config, "--schedule", str(schedule), "--steps", "6"]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "ERROR w_hal configured but delta carries no d_hal\n"
+    )
+    assert history.read_bytes() == torn
+
+
 @pytest.mark.parametrize("magnitude", ["nan", "inf"])
 def test_simulate_rejects_a_non_finite_noise_sigma(ws, capsys, magnitude):
     config = _write_config(ws, warmup_min=5, history="sim.jsonl")
@@ -1512,6 +1553,44 @@ def test_monitor_shortest_interval_stamps_each_cycle_apart(ws, monkeypatch, capl
     rows = read_history(str(ws / "history.jsonl"))
     assert [r.model for r in rows] == ["GT", "probe", "GT", "probe"]
     assert rows[0].timestamp < rows[2].timestamp
+
+
+def test_monitor_with_a_hal_weight_scores_and_replays_hallucinations(
+    ws, monkeypatch, capsys
+):
+    _monitor_workspace(ws, monkeypatch)
+    config = _write_config(
+        ws,
+        feed_url="https://feed.example/batches",
+        endpoint_config="endpoint.json",
+        weights={"icr": 1.0, "ipr": 1.0, "ci": 1.0, "hal": 1.0},
+        warmup_min=1,
+    )
+    fetches = iter([_F1, _F2])
+    monkeypatch.setattr(cli, "_feed_get", lambda url: next(fetches))
+    transport = llm._http_transport
+
+    def hallucinating(config, token, prompt):
+        # The second cycle's candidate names a company its article lacks.
+        extra = "E\tZorblax Industries\tCompany\tx\n" if "Globex" in prompt else ""
+        return transport(config, token, prompt).replace("END_KG", extra + "END_KG")
+
+    monkeypatch.setattr(llm, "_http_transport", hallucinating)
+    rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", "2"])
+    assert rc == 0
+    history = str(ws / "history.jsonl")
+    rows = read_history(history)
+    assert [r.model for r in rows] == ["GT", "probe", "GT", "probe"]
+    assert [(r.hall_total, r.hall_failed) for r in rows[1::2]] == [(2, 0), (3, 1)]
+    weights = load_run_config(config).weights
+    for base, row in zip(rows[0::2], rows[1::2]):
+        delta = MetricVector(row.d_icr, row.d_ipr, row.d_ci, abs(row.hal - base.hal))
+        assert row.score.hex() == anomaly_score(delta, weights).hex()
+    assert rows[3].hal != rows[2].hal
+    assert rows[3].score > rows[1].score
+    capsys.readouterr()
+    assert main(["replay", "--history", history, "--config", config]) == 0
+    assert "2 rows replayed, 0 mismatches" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("damaged", ["history.jsonl.seen", "history.jsonl"])

@@ -129,9 +129,11 @@ def test_threshold_state_seed_keeps_last_capacity_scores():
     assert update_threshold(state) == 3.0 + 1.0
 
 
-# Finite doubles with |x| <= 1e6, weighted toward the cases the exact sums
-# must get right: zeros of both signs, subnormals, and repeated values.
+# Finite doubles with |x| <= 1e300, weighted toward the cases the exact sums
+# must get right: zeros of both signs, subnormals, repeated values, and
+# windows that mix coarse and fine binary scales.
 _SCORES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
     st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1]),
@@ -163,6 +165,32 @@ def test_threshold_matches_statistics_bit_for_bit(scores, capacity, lam, warmup_
         sigma = statistics.stdev(window) if len(window) > 1 else 0.0
         expect = statistics.fmean(window) + lam * sigma
         assert got.hex() == expect.hex()
+
+
+def test_threshold_is_exact_when_the_scale_grows_mid_window():
+    # 0.1 needs 55 fractional bits and 5e-324 needs 1074, so the sums are
+    # shifted twice while coarse scores sit in the window; the coarse
+    # scores after them evict both, and the scale stays where it was.
+    scores = [1.0, 0.1, 5e-324, 2.0, -3.0, 4.0, 1e300, 5.0, 6.0]
+    state = ThresholdState(capacity=4, lam=2.0, warmup_min=1)
+    for i, score in enumerate(scores):
+        state.push(score)
+        window = scores[: i + 1][-4:]
+        assert Fraction(state._sum, 1 << state._bits) == sum(map(Fraction, window))
+        sigma = statistics.stdev(window) if len(window) > 1 else 0.0
+        expect = statistics.fmean(window) + 2.0 * sigma
+        assert update_threshold(state).hex() == expect.hex()
+    assert state.scores == [4.0, 1e300, 5.0, 6.0]
+    assert state._bits == 1074
+
+
+def test_window_sums_stay_at_the_scores_own_scale():
+    # These scores need at most 62 fractional bits. At a fixed scale of
+    # 2**1074, which fits every double, each square would take about 2,140.
+    state = ThresholdState(capacity=30, lam=2.0, warmup_min=5)
+    for k in range(1, 61):
+        state.step(0.01 * k / 7)
+    assert state._sum_sq.bit_length() < 300
 
 
 @settings(max_examples=500, deadline=None)

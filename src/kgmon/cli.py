@@ -49,6 +49,7 @@ from kgmon.monitor import (
     DEFAULT_WINDOW,
     HistoryRow,
     MonitorError,
+    ThresholdState,
     UndecodableFileError,
     append_history,
     baseline_row,
@@ -61,7 +62,7 @@ from kgmon.monitor import (
     write_atomic,
 )
 from kgmon.ontology import Ontology, OntologyError, load_ontology
-from kgmon.simlab import SimulationError, load_schedule, run_scenario
+from kgmon.simlab import SIM_MODEL, SimulationError, load_schedule, run_scenario
 
 log = logging.getLogger(__name__)
 
@@ -423,6 +424,26 @@ def _alert_line(row: HistoryRow, top_metric: str) -> str:
     )
 
 
+def _resume(config: RunConfig, models: list[str]) -> dict[str, ThresholdState]:
+    """The threshold state of each of `models` at the end of the history,
+    from one read of its tail; fresh states when there is no file yet."""
+    rows = (
+        read_history(config.history, models, config.window)
+        if os.path.exists(config.history)
+        else []
+    )
+    return {
+        model: resume_state(
+            rows,
+            model,
+            capacity=config.window,
+            lam=config.lam,
+            warmup_min=config.warmup_min,
+        )
+        for model in models
+    }
+
+
 def _evaluate_once(
     config: RunConfig,
     ontology: Ontology,
@@ -448,11 +469,7 @@ def _evaluate_once(
         base_report = validate_graph(g_base, batch_text, ontology)
         base_metrics = base_metrics._replace(hal=base_report.score)
 
-    history_rows = (
-        read_history(config.history, sorted(candidates), config.window)
-        if os.path.exists(config.history)
-        else []
-    )
+    states = _resume(config, sorted(candidates))
     new_rows = [baseline_row(timestamp, batch_id, base_metrics)]
     alerts = []
 
@@ -482,15 +499,8 @@ def _evaluate_once(
 
         report = validate_graph(g_llm, batch_text, ontology)
         cand_metrics = metric_vector(g_llm, ontology)._replace(hal=report.score)
-        state = resume_state(
-            history_rows,
-            model,
-            capacity=config.window,
-            lam=config.lam,
-            warmup_min=config.warmup_min,
-        )
         row, top_metric = observe(
-            state,
+            states[model],
             timestamp=timestamp,
             model=model,
             metrics=cand_metrics,
@@ -565,6 +575,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         raise CliError(
             f"interval must be from 1 to {threading.TIMEOUT_MAX:.0f} seconds"
         )
+    if args.cycles is not None and args.cycles < 1:
+        raise CliError(f"cycles must be at least 1, not {args.cycles}")
     ontology, dictionary, rules = _load_pipeline(
         config.ontology, config.dictionary, config.rules
     )
@@ -629,25 +641,28 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     ontology = load_ontology(read_text(config.ontology))
-    # Checked before run_scenario writes any row.
     if args.steps < config.warmup_min + 1:
         raise CliError(
             f"scenario too short: {args.steps} steps, "
             f"warmup needs {config.warmup_min + 1}"
         )
     schedule, flag_asserts = load_schedule(read_text(args.schedule), args.steps)
+    # Simulated deltas carry no d_hal; observe would reject the first step.
+    # Checked here, before the history is read.
+    if config.weights.hal is not None:
+        raise CliError("w_hal configured but delta carries no d_hal")
     result = run_scenario(
         ontology,
         args.steps,
         schedule,
         config.weights,
-        config.history,
-        capacity=config.window,
-        lam=config.lam,
-        warmup_min=config.warmup_min,
+        _resume(config, [SIM_MODEL])[SIM_MODEL],
         noise_sigma=config.noise_sigma,
         noise_seed=config.noise_seed,
     )
+    # Appended only once every step is computed, so a failing step leaves
+    # the history as it was.
+    append_history(config.history, *result.records)
     print(result.summary_line())
     failed = [step for step in flag_asserts if not result.records[step].flagged]
     for step in failed:
@@ -696,14 +711,13 @@ def cmd_report(args: argparse.Namespace) -> int:
                 print(line)
         return 0
 
-    if args.timestamp is not None:
-        rows = [r for r in rows if r.timestamp == args.timestamp]
+    by_timestamp: dict[int, dict[str, HistoryRow]] = {}
+    for row in rows:
+        if args.timestamp is None or row.timestamp == args.timestamp:
+            # The last row per model wins.
+            by_timestamp.setdefault(row.timestamp, {})[row.model] = row
     tables: list[str] = []
-    for ts in sorted({r.timestamp for r in rows}):
-        ts_rows = [r for r in rows if r.timestamp == ts]
-        cells: dict[str, HistoryRow] = {}
-        for row in ts_rows:
-            cells[row.model] = row  # last row per model wins
+    for ts, cells in sorted(by_timestamp.items()):
         models = sorted(m for m in cells if m != BASELINE_MODEL)
         if args.model is not None:
             models = [m for m in models if m == args.model]

@@ -17,7 +17,7 @@ import os
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
 from kgmon.metrics import MetricVector
 
@@ -332,8 +332,10 @@ def baseline_row(
     )
 
 
-def open_history_for_append(path: str) -> BinaryIO:
-    """`path` opened for binary appends, ready for whole lines.
+def append_history(path: str, *rows: HistoryRow) -> None:
+    """Append `rows` to the history at `path`, one line each, through one
+    buffered handle: a small cycle's rows go out in one write, and a long
+    scenario's are never joined into one copy.
 
     When the file does not end in a newline, a write was cut short or the
     file was edited. A torn last line (see _drop_torn_end) is cut off; it
@@ -343,8 +345,7 @@ def open_history_for_append(path: str) -> BinaryIO:
     parses is kept, and ended with a newline so the rows start on a line of
     their own.
     """
-    fh = open(path, "a+b")
-    try:
+    with open(path, "a+b") as fh:
         end = fh.seek(0, os.SEEK_END)
         if end:
             fh.seek(end - 1)
@@ -355,19 +356,7 @@ def open_history_for_append(path: str) -> BinaryIO:
                     fh.write(b"\n")
                 else:
                     fh.truncate(end - len(newest) + len(kept))
-    except BaseException:
-        fh.close()
-        raise
-    return fh
-
-
-def append_history(path: str, *rows: HistoryRow) -> None:
-    """Append history lines with a single write call, so the rows of one
-    cycle go out together; see open_history_for_append.
-    """
-    data = "".join(row.to_line() + "\n" for row in rows).encode("utf-8")
-    with open_history_for_append(path) as fh:
-        fh.write(data)
+        fh.writelines((row.to_line() + "\n").encode("utf-8") for row in rows)
 
 
 def write_atomic(path: str, *chunks: bytes) -> None:

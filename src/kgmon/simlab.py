@@ -2,14 +2,13 @@
 
 Degrades a synthetic baseline graph in controlled, reproducible ways
 (class drops, property drops, synthetic entity injection, depth skew) and
-runs whole scenarios through the monitor, optionally with Gaussian noise
-on the metric deltas to exercise threshold calibration.
+runs whole scenarios through the monitor's threshold, optionally with
+Gaussian noise on the metric deltas to exercise threshold calibration.
+A scenario only computes rows; the caller reads and appends the history.
 """
 
 import json
-import logging
 import math
-import os
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -22,22 +21,13 @@ from kgmon.graph import (
 )
 from kgmon.kernels import split_lines
 from kgmon.metrics import MetricVector, metric_delta, metric_vector
-from kgmon.monitor import (
-    HistoryRow,
-    anomaly_score,
-    observe,
-    open_history_for_append,
-    read_history,
-    resume_state,
-)
+from kgmon.monitor import HistoryRow, ThresholdState, observe
 from kgmon.ontology import Ontology
 
-log = logging.getLogger(__name__)
-
 SYNTHETIC_PREFIX = "##synthetic"
-# Model name of every row a scenario writes, and the provenance of every
+# Model name of every row a scenario returns, and the provenance of every
 # synthetic baseline entity and triple.
-_MODEL = "sim"
+SIM_MODEL = "sim"
 
 
 class SimulationError(ValueError):
@@ -199,10 +189,10 @@ def _synthetic_graph(ontology: Ontology) -> KnowledgeGraph:
         cls: (f"{cls} Alpha", f"{cls} Beta") for cls in sorted(ontology.classes)
     }
     entities = {
-        name: (cls, _MODEL) for cls, names in surfaces.items() for name in names
+        name: (cls, SIM_MODEL) for cls, names in surfaces.items() for name in names
     }
     triples = {
-        (surfaces[pdef.domain][0], pname, surfaces[pdef.range][1]): _MODEL
+        (surfaces[pdef.domain][0], pname, surfaces[pdef.range][1]): SIM_MODEL
         for pname, pdef in sorted(ontology.properties.items())
     }
     return KnowledgeGraph(entities, triples)
@@ -213,96 +203,72 @@ def run_scenario(
     steps: int,
     schedule: Mapping[int, PerturbationSpec],
     weights: MetricVector,
-    history: str,
+    state: ThresholdState,
     *,
-    capacity: int,
-    lam: float,
-    warmup_min: int,
     noise_sigma: float,
     noise_seed: int,
 ) -> ScenarioResult:
-    """Drive the monitor for `steps` steps over one synthetic baseline
-    graph of `ontology`. Step s's row has the batch_id `sim-{s:05d}`.
+    """Observe `steps` steps of one synthetic baseline graph of `ontology`
+    through `state`, as `observe` does one row; the rows are returned, not
+    written. Step s's row has the model SIM_MODEL and the batch_id
+    `sim-{s:05d}`. Timestamps go on from `state.last_timestamp`, or start
+    at 0 when it has none.
 
     Each step's candidate is the baseline perturbed per the schedule
     (identity when absent). A scheduled delta-noise entry overrides the
     configured sigma for that step only. Three Gaussian draws are consumed
     every step regardless of sigma, so a given noise_seed yields the same
     noise stream under any schedule. False positives are counted on steps
-    with no schedule entry. The baseline's metrics are computed, and its
-    zero delta scored, before the history is read or opened, so an
-    ontology they are undefined on, or a weight no delta here carries (Hal),
-    leaves the file as it was.
-    Each step's row is appended to the `history` file through one file
-    handle in step order; if a step raises, the rows of the steps before it
-    stay in the file.
-
-    A history that already holds rows of the scenario's model is continued:
-    the threshold window starts from that model's last `capacity` scores,
-    and timestamps go on from its last one, so `replay` of the whole file
-    matches. Without such rows the timestamps are the step numbers. The
-    read that finds them warns of a torn last line, which the append then
-    cuts off.
+    with no schedule entry. A step that raises leaves `state` as the steps
+    before it left it.
     """
     g_base = _synthetic_graph(ontology)
     base_m = metric_vector(g_base, ontology)
-    # Rejects a weight these deltas cannot carry (Hal) before any file is
-    # touched; the score itself is not needed.
-    anomaly_score(metric_delta(base_m, base_m), weights)
-    state = resume_state(
-        read_history(history, [_MODEL], capacity) if os.path.exists(history) else [],
-        _MODEL,
-        capacity=capacity,
-        lam=lam,
-        warmup_min=warmup_min,
-    )
     first_timestamp = 0 if state.last_timestamp is None else state.last_timestamp + 1
     noise_rng = random.Random(noise_seed)
     records: list[HistoryRow] = []
     first_flag: int | None = None
     false_positives = 0
 
-    with open_history_for_append(history) as history_file:
-        for step in range(steps):
-            scheduled = schedule.get(step)
-            sigma = noise_sigma
-            cand_m = base_m
-            if scheduled is not None:
-                if scheduled.kind is PerturbationKind.DELTA_NOISE:
-                    sigma = scheduled.magnitude
-                else:
-                    try:
-                        candidate = perturb(g_base, scheduled, ontology)
-                    except SimulationError as exc:
-                        raise SimulationError(f"step {step}: {exc}") from exc
-                    cand_m = metric_vector(candidate, ontology)
-            clean = metric_delta(cand_m, base_m)
+    for step in range(steps):
+        scheduled = schedule.get(step)
+        sigma = noise_sigma
+        cand_m = base_m
+        if scheduled is not None:
+            if scheduled.kind is PerturbationKind.DELTA_NOISE:
+                sigma = scheduled.magnitude
+            else:
+                try:
+                    candidate = perturb(g_base, scheduled, ontology)
+                except SimulationError as exc:
+                    raise SimulationError(f"step {step}: {exc}") from exc
+                cand_m = metric_vector(candidate, ontology)
+        clean = metric_delta(cand_m, base_m)
 
-            eps = (
-                noise_rng.gauss(0.0, 1.0),
-                noise_rng.gauss(0.0, 1.0),
-                noise_rng.gauss(0.0, 1.0),
-            )
-            noised = MetricVector(
-                *(_clamp_unit(d + sigma * e) for d, e in zip(clean, eps)), clean.hal
-            )
+        eps = (
+            noise_rng.gauss(0.0, 1.0),
+            noise_rng.gauss(0.0, 1.0),
+            noise_rng.gauss(0.0, 1.0),
+        )
+        noised = MetricVector(
+            *(_clamp_unit(d + sigma * e) for d, e in zip(clean, eps)), clean.hal
+        )
 
-            row, _top = observe(
-                state,
-                timestamp=first_timestamp + step,
-                model=_MODEL,
-                metrics=cand_m,
-                delta=noised,
-                weights=weights,
-                batch_id=f"sim-{step:05d}",
-            )
-            records.append(row)
-            if row.flagged:
-                if first_flag is None:
-                    first_flag = step
-                if scheduled is None:
-                    false_positives += 1
-            history_file.write((row.to_line() + "\n").encode("utf-8"))
+        row, _top = observe(
+            state,
+            timestamp=first_timestamp + step,
+            model=SIM_MODEL,
+            metrics=cand_m,
+            delta=noised,
+            weights=weights,
+            batch_id=f"sim-{step:05d}",
+        )
+        records.append(row)
+        if row.flagged:
+            if first_flag is None:
+                first_flag = step
+            if scheduled is None:
+                false_positives += 1
 
     return ScenarioResult(
         records=records,

@@ -29,6 +29,7 @@ from kgmon.metrics import MetricVector, ci, icr, ipr, metric_delta
 from kgmon.monitor import (
     BASELINE_MODEL,
     HistoryRow,
+    ThresholdState,
     anomaly_score,
     append_history,
     baseline_row,
@@ -338,7 +339,7 @@ def stream_ontology():
     return load_ontology(ONTOLOGY_TEXT)
 
 
-def test_noise_only_flag_rates(stream_ontology, tmp_path):
+def test_noise_only_flag_rates(stream_ontology):
     with criterion(
         6, "flag rate on a noise-only stream is 1-4% at lambda=2 and <=1% at lambda=3"
     ):
@@ -350,10 +351,7 @@ def test_noise_only_flag_rates(stream_ontology, tmp_path):
                 10_000,
                 {},
                 _EQUAL_WEIGHTS,
-                str(tmp_path / f"lambda-{lam}.jsonl"),
-                capacity=30,
-                lam=lam,
-                warmup_min=5,
+                ThresholdState(capacity=30, lam=lam, warmup_min=5),
                 noise_sigma=0.02,
                 noise_seed=2026,
             )
@@ -365,7 +363,7 @@ def test_noise_only_flag_rates(stream_ontology, tmp_path):
         assert time.perf_counter() - start < 60.0
 
 
-def test_seeded_drift_detection_rate(stream_ontology, tmp_path):
+def test_seeded_drift_detection_rate(stream_ontology):
     with criterion(
         7, "a 3-class drop at step 20 is flagged at step 20 in >=95 of 100 seeded runs"
     ):
@@ -382,10 +380,7 @@ def test_seeded_drift_detection_rate(stream_ontology, tmp_path):
                 50,
                 schedule,
                 _EQUAL_WEIGHTS,
-                str(tmp_path / f"run-{i}.jsonl"),
-                capacity=30,
-                lam=2.0,
-                warmup_min=20,
+                ThresholdState(capacity=30, lam=2.0, warmup_min=20),
                 noise_sigma=0.02,
                 noise_seed=i,
             )
@@ -411,14 +406,12 @@ def test_history_replay_is_bit_exact(stream_ontology, tmp_path):
             200,
             schedule,
             _EQUAL_WEIGHTS,
-            path,
-            capacity=12,
-            lam=2.0,
-            warmup_min=5,
+            ThresholdState(capacity=12, lam=2.0, warmup_min=5),
             noise_sigma=0.02,
             noise_seed=4242,
         )
         assert any(r.flagged for r in result.records)
+        append_history(path, *result.records)
 
         rows = read_history(path)
         assert len(rows) == 200

@@ -1049,6 +1049,28 @@ def test_hal_weighted_simulate_leaves_a_torn_history_as_it_was(ws, capsys):
     assert history.read_bytes() == torn
 
 
+@pytest.mark.parametrize("prior", [False, True], ids=["no-history", "history"])
+def test_simulate_with_a_failing_step_leaves_the_history_as_it_was(ws, capsys, prior):
+    config = _write_config(ws, warmup_min=5, history="sim.jsonl")
+    schedule = ws / "schedule.tsv"
+    simulate = ["simulate", "--config", config, "--schedule", str(schedule)]
+    history = ws / "sim.jsonl"
+    if prior:
+        schedule.write_text("", encoding="utf-8")
+        assert main(simulate + ["--steps", "8"]) == 0
+        before = history.read_bytes()
+    schedule.write_text("7\tdrop-classes\t6\t1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(simulate + ["--steps", "12"]) == 1
+    assert capsys.readouterr().err == (
+        "ERROR step 7: drop-classes 6 infeasible: 5 classes instantiated\n"
+    )
+    if prior:
+        assert history.read_bytes() == before
+    else:
+        assert not history.exists()
+
+
 @pytest.mark.parametrize("magnitude", ["nan", "inf"])
 def test_simulate_rejects_a_non_finite_noise_sigma(ws, capsys, magnitude):
     config = _write_config(ws, warmup_min=5, history="sim.jsonl")
@@ -1635,6 +1657,17 @@ def test_monitor_rejects_bad_interval(ws, monkeypatch, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert "ERROR interval" in err and "Traceback" not in err
+    assert not (ws / "history.jsonl").exists()
+
+
+@pytest.mark.parametrize("cycles", ["0", "-3"])
+def test_monitor_rejects_fewer_than_one_cycle(ws, monkeypatch, capsys, cycles):
+    config = _monitor_workspace(ws, monkeypatch)
+    monkeypatch.setattr(cli, "_load_pipeline", lambda *a: pytest.fail("loaded"))
+    monkeypatch.setattr(cli, "_feed_get", lambda url: pytest.fail("fetched"))
+    rc = main(["monitor", "--config", config, "--interval", "1", "--cycles", cycles])
+    assert rc == 1
+    assert capsys.readouterr().err == f"ERROR cycles must be at least 1, not {cycles}\n"
     assert not (ws / "history.jsonl").exists()
 
 

@@ -7,7 +7,7 @@ from kgmon import simlab
 from kgmon.graph import canonical_serialize, instantiated_classes, parse_records
 from kgmon.hallucination import source_text, validate_graph
 from kgmon.metrics import MetricVector, ci, icr, ipr, metric_vector
-from kgmon.monitor import normalize_weights, read_history
+from kgmon.monitor import ThresholdState, normalize_weights
 from kgmon.simlab import (
     SYNTHETIC_PREFIX,
     PerturbationKind,
@@ -22,19 +22,13 @@ from kgmon.simlab import (
 from conftest import NOT_LINE_BREAKS, codepoint
 
 
-def _scenario(onto, steps, schedule, history, **params):
+def _scenario(onto, steps, schedule, **params):
     """run_scenario under equal weights, a 30-score window, lambda 2,
     warmup 5 and no noise, except where `params` says otherwise."""
-    params = {
-        "capacity": 30,
-        "lam": 2.0,
-        "warmup_min": 5,
-        "noise_sigma": 0.0,
-        "noise_seed": 0,
-        **params,
-    }
+    params = {"noise_sigma": 0.0, "noise_seed": 0, **params}
+    state = ThresholdState(capacity=30, lam=2.0, warmup_min=5)
     weights = normalize_weights(1.0, 1.0, 1.0)
-    return run_scenario(onto, steps, schedule, weights, str(history), **params)
+    return run_scenario(onto, steps, schedule, weights, state, **params)
 
 
 @pytest.fixture
@@ -179,7 +173,7 @@ def test_delta_noise_is_not_a_graph_perturbation(onto, base_graph):
         perturb(base_graph, spec, onto)
 
 
-def test_synthetic_baseline_shape(onto, tmp_path):
+def test_synthetic_baseline_shape(onto):
     graph = _synthetic_graph(onto)
     assert len(graph.entities) == 2 * len(onto.classes) == 10
     assert instantiated_classes(graph) == set(onto.classes)
@@ -187,12 +181,12 @@ def test_synthetic_baseline_shape(onto, tmp_path):
     m = metric_vector(graph, onto)
     assert m.icr == 1.0 and m.ipr == 1.0
     # Every step scores that one graph and names its row by the step.
-    result = _scenario(onto, 3, {}, tmp_path / "sim.jsonl")
+    result = _scenario(onto, 3, {})
     assert [r.batch_id for r in result.records] == ["sim-00000", "sim-00001", "sim-00002"]
     assert {MetricVector(r.icr, r.ipr, r.ci, r.hal) for r in result.records} == {m}
 
 
-def test_run_scenario_scores_the_baseline_once(onto, tmp_path, monkeypatch):
+def test_run_scenario_scores_the_baseline_once(onto, monkeypatch):
     # One metric_vector for the baseline, and one per graph-perturbed step;
     # delta-noise and unscheduled steps reuse the baseline's metrics.
     calls = []
@@ -207,14 +201,14 @@ def test_run_scenario_scores_the_baseline_once(onto, tmp_path, monkeypatch):
         9: PerturbationSpec(PerturbationKind.DELTA_NOISE, 0.1, 0),
         12: PerturbationSpec(PerturbationKind.DEPTH_SKEW, 1.0, 0),
     }
-    _scenario(onto, 20, schedule, tmp_path / "sim.jsonl")
+    _scenario(onto, 20, schedule)
     assert len(calls) == 1 + 2
-    _scenario(onto, 20, {}, tmp_path / "plain.jsonl")
+    _scenario(onto, 20, {})
     assert len(calls) == 3 + 1
 
 
-def test_run_scenario_identity_never_flags(onto, tmp_path):
-    result = _scenario(onto, 40, {}, tmp_path / "sim.jsonl")
+def test_run_scenario_identity_never_flags(onto):
+    result = _scenario(onto, 40, {})
     assert len(result.records) == 40
     assert result.first_flag_step is None
     assert result.false_positive_count == 0
@@ -224,9 +218,9 @@ def test_run_scenario_identity_never_flags(onto, tmp_path):
     assert all(r.threshold == 0.0 for r in result.records[5:])
 
 
-def test_run_scenario_flags_scheduled_perturbation(onto, tmp_path):
+def test_run_scenario_flags_scheduled_perturbation(onto):
     schedule = {25: PerturbationSpec(PerturbationKind.DROP_CLASSES, 3.0, 4)}
-    result = _scenario(onto, 40, schedule, tmp_path / "sim.jsonl")
+    result = _scenario(onto, 40, schedule)
     assert result.first_flag_step == 25
     assert result.false_positive_count == 0
     record = result.records[25]
@@ -235,36 +229,32 @@ def test_run_scenario_flags_scheduled_perturbation(onto, tmp_path):
     assert result.records[26].score == 0.0
 
 
-def test_run_scenario_noise_reproducible(onto, tmp_path):
-    def run(history, seed):
-        return _scenario(
-            onto, 60, {}, tmp_path / history, noise_sigma=0.02, noise_seed=seed
-        )
+def test_run_scenario_noise_reproducible(onto):
+    def run(seed):
+        return _scenario(onto, 60, {}, noise_sigma=0.02, noise_seed=seed)
 
-    r1 = run("r1.jsonl", 42)
-    r2 = run("r2.jsonl", 42)
+    r1 = run(42)
+    r2 = run(42)
     assert [r.score for r in r1.records] == [r.score for r in r2.records]
     assert r1.summary_line() == r2.summary_line()
-    r3 = run("r3.jsonl", 43)
+    r3 = run(43)
     assert [r.score for r in r1.records] != [r.score for r in r3.records]
 
 
-def test_run_scenario_noise_draws_fixed_per_step(onto, tmp_path):
+def test_run_scenario_noise_draws_fixed_per_step(onto):
     # A scheduled graph perturbation must not shift the noise stream: the
     # same seed gives identical noise on the steps around it.
     noise = {"noise_sigma": 0.02, "noise_seed": 9}
-    plain = _scenario(onto, 30, {}, tmp_path / "plain.jsonl", **noise)
+    plain = _scenario(onto, 30, {}, **noise)
     schedule = {10: PerturbationSpec(PerturbationKind.DROP_PROPERTIES, 1.0, 0)}
-    bumped = _scenario(onto, 30, schedule, tmp_path / "bumped.jsonl", **noise)
+    bumped = _scenario(onto, 30, schedule, **noise)
     for i in (9, 11, 20, 29):
         assert bumped.records[i].score == plain.records[i].score
 
 
-def test_run_scenario_scheduled_delta_noise_overrides_sigma(onto, tmp_path):
+def test_run_scenario_scheduled_delta_noise_overrides_sigma(onto):
     schedule = {12: PerturbationSpec(PerturbationKind.DELTA_NOISE, 0.5, 0)}
-    result = _scenario(
-        onto, 20, schedule, tmp_path / "sim.jsonl", noise_sigma=0.0, noise_seed=21
-    )
+    result = _scenario(onto, 20, schedule, noise_sigma=0.0, noise_seed=21)
     assert all(
         r.score == 0.0 for i, r in enumerate(result.records) if i != 12
     )
@@ -273,43 +263,57 @@ def test_run_scenario_scheduled_delta_noise_overrides_sigma(onto, tmp_path):
     assert result.false_positive_count == 0
 
 
-def test_run_scenario_counts_false_positives(onto, tmp_path):
-    result = _scenario(
-        onto, 200, {}, tmp_path / "sim.jsonl", noise_sigma=0.3, noise_seed=3
-    )
+def test_run_scenario_counts_false_positives(onto):
+    result = _scenario(onto, 200, {}, noise_sigma=0.3, noise_seed=3)
     assert result.false_positive_count == len(result.flagged_steps())
     assert result.false_positive_count > 0
 
 
-def test_run_scenario_reports_infeasible_step(onto, tmp_path):
+def test_run_scenario_reports_infeasible_step(onto):
     schedule = {8: PerturbationSpec(PerturbationKind.DROP_CLASSES, 9.0, 0)}
     with pytest.raises(SimulationError, match="step 8"):
-        _scenario(onto, 20, schedule, tmp_path / "sim.jsonl")
+        _scenario(onto, 20, schedule)
 
 
-def test_run_scenario_writes_history(onto, tmp_path):
-    path = str(tmp_path / "sim.jsonl")
-    result = _scenario(onto, 12, {}, path)
-    rows = read_history(path)
-    assert len(rows) == 12
-    assert all(row.model == "sim" for row in rows)
-    assert [row.timestamp for row in rows] == list(range(12))
-    # The file holds exactly the rows the scenario returns.
-    assert rows == result.records
+def test_run_scenario_continues_the_state_it_is_given(onto):
+    state = ThresholdState(
+        capacity=30, lam=2.0, warmup_min=5, scores=[0.0] * 4, last_timestamp=41
+    )
+    weights = normalize_weights(1.0, 1.0, 1.0)
+    result = run_scenario(onto, 3, {}, weights, state, noise_sigma=0.0, noise_seed=0)
+    assert [r.timestamp for r in result.records] == [42, 43, 44]
+    # The four seeded scores count toward warmup 5.
+    assert [r.threshold for r in result.records] == [None, 0.0, 0.0]
+    assert state.scores == [0.0] * 7 and state.last_timestamp == 44
 
 
-def test_run_scenario_keeps_rows_before_a_failing_step(onto, tmp_path):
-    path = tmp_path / "sim.jsonl"
-    too_many = len(onto.classes) + 1
-    schedule = {7: PerturbationSpec(PerturbationKind.DROP_CLASSES, too_many, 1)}
-    with pytest.raises(SimulationError, match="step 7"):
-        _scenario(onto, 12, schedule, path)
-    rows = read_history(str(path))
-    assert [row.timestamp for row in rows] == list(range(7))
+# The first rows of the detection-power table: each perturbation applied
+# alone at four isolated steps of a 60-step run with noise sigma 0.002.
+# Steps 7, 15 and 16 are the noise-only false positives of every row.
+@pytest.mark.parametrize(
+    "kind, magnitude, flagged",
+    [
+        (PerturbationKind.DROP_CLASSES, 1, [20, 30, 40, 50]),
+        (PerturbationKind.DROP_PROPERTIES, 1, [20, 30, 40, 50]),
+        (PerturbationKind.DEPTH_SKEW, 0.2, [20, 30, 40, 50]),
+        (PerturbationKind.DEPTH_SKEW, 1.0, [20, 30, 40, 50]),
+        (PerturbationKind.INJECT_ENTITIES, 1, [20, 30]),
+        (PerturbationKind.INJECT_ENTITIES, 10, [20, 30, 50]),
+        (PerturbationKind.INJECT_ENTITIES, 100, [20, 30]),
+    ],
+    ids=lambda v: getattr(v, "value", None),
+)
+def test_detection_power_at_isolated_steps(onto, kind, magnitude, flagged):
+    steps = (20, 30, 40, 50)
+    schedule = {step: PerturbationSpec(kind, magnitude, step) for step in steps}
+    result = _scenario(onto, 60, schedule, noise_sigma=0.002)
+    assert [step for step in steps if result.records[step].flagged] == flagged
+    assert result.false_positive_count == 3
+    assert result.flagged_steps() == [7, 15, 16, *flagged]
 
 
-def test_summary_line_shape(onto, tmp_path):
-    result = _scenario(onto, 10, {}, tmp_path / "sim.jsonl")
+def test_summary_line_shape(onto):
+    result = _scenario(onto, 10, {})
     import json
 
     payload = json.loads(result.summary_line())

@@ -350,12 +350,12 @@ def append_history(path: str, *rows: HistoryRow) -> None:
         if end:
             fh.seek(end - 1)
             if fh.read(1) != b"\n":
-                newest = next(_runs_backward(fh))
-                kept = _drop_torn_end(path, newest, logging.DEBUG)
-                if len(kept) == len(newest):
+                data, cut, offset = next(_runs_backward(fh))
+                kept = _drop_torn_end(path, data, cut, logging.DEBUG)
+                if kept == len(data):
                     fh.write(b"\n")
                 else:
-                    fh.truncate(end - len(newest) + len(kept))
+                    fh.truncate(offset + kept)
         fh.writelines((row.to_line() + "\n").encode("utf-8") for row in rows)
 
 
@@ -421,47 +421,55 @@ def parse_history_line(line: str) -> HistoryRow:
     return row
 
 
-def _drop_torn_end(path: str, data: bytes, level: int = logging.WARNING) -> bytes:
-    """`data` without its unterminated last line if that line is torn, that
-    is, does not parse: a write cut short leaves such a line, and it must
-    not fail every later read. Skipping it logs a message naming the file,
-    at `level`. A bad line anywhere else is not touched here, so it still
-    raises."""
-    cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+def _drop_torn_end(
+    path: str, data: bytes, cut: int, level: int = logging.WARNING
+) -> int:
+    """How much of `data` to keep so that the run data[cut:] loses its
+    unterminated last line if that line is torn, that is, does not parse: a
+    write cut short leaves such a line, and it must not fail every later
+    read. Skipping it logs a message naming the file, at `level`. A bad
+    line anywhere else is not touched here, so it still raises."""
+    last = max(data.rfind(b"\n", cut), data.rfind(b"\r", cut), cut - 1) + 1
     try:
-        last = data[cut:].decode("utf-8")
-        if last.strip():
-            parse_history_line(last)
+        text = data[last:].decode("utf-8")
+        if text.strip():
+            parse_history_line(text)
     except (UnicodeDecodeError, MonitorError) as exc:
         log.log(level, "history %s: dropping a torn last line: %s", path, exc)
-        return data[:cut]
-    return data
+        return last
+    return len(data)
 
 
-def _runs_backward(fh) -> Iterator[bytes]:
-    r"""Yield a binary file in runs of whole lines, last run first.
+def _runs_backward(fh) -> Iterator[tuple[bytes, int, int]]:
+    r"""Yield a binary file in runs of whole lines, last run first, each as
+    (data, cut, offset): the run is data[cut:], and data[0] is at file
+    offset `offset`.
 
-    Blocks are read from the end; the partial first line of each block is
-    carried over to the block before it, so a run never cuts a line (nor,
-    since a terminator byte never falls inside a multi-byte character, a
-    UTF-8 character). A run may start or end inside a \r\n pair; see
-    _split_lines.
+    Blocks are read from the end. Each read takes one block together with
+    the partial line it ends in, up to where the run after it starts;
+    data[:cut] is the block's own partial first line, which the next read
+    takes again. So a run never cuts a line (nor, since a terminator byte
+    never falls inside a multi-byte character, a UTF-8 character), and no
+    bytes are joined or copied to make one. A line longer than a block is
+    read again with each block before it until its start is found. A run
+    may start or end inside a \r\n pair; see _split_lines.
     """
-    end = fh.seek(0, os.SEEK_END)
-    carry = b""
+    end = hi = fh.seek(0, os.SEEK_END)
     while end > 0:
         start = max(0, end - _BLOCK_SIZE)
         fh.seek(start)
-        data = fh.read(end - start) + carry
+        data = fh.read(hi - start)
         end = start
+        cut = 0
         if start:
             first_end = _LINE_END.search(data)
             if first_end is None:
-                carry = data
+                # One line holds the whole read: read it again with the
+                # block before.
                 continue
             cut = first_end.start()
-            carry, data = data[:cut], data[cut:]
-        yield data
+        yield data, cut, start
+        hi = start + cut
 
 
 def _split_lines(run: bytes) -> list[bytes]:
@@ -487,37 +495,56 @@ def _row_of(models: Iterable[str]) -> re.Pattern:
 
     Without a backslash a line has no escapes, so the key and the model
     name of a row stand in it literally: "model", blanks, a colon, blanks,
-    then the name's UTF-8 bytes between quotes. It may also find lines
-    that hold no such row; those are parsed to tell.
+    then the name's UTF-8 bytes between quotes. The search leaves out the
+    key's opening quote, which opens every key and string of a line and
+    would stop it at each. It may find lines that hold no such row; those
+    are parsed to tell.
     """
     names = b"|".join(re.escape(model.encode("utf-8")) for model in models)
-    return re.compile(rb'"model"[ \t]*:[ \t]*"(?:' + names + rb')"')
+    return re.compile(rb'model"[ \t]*:[ \t]*"(?:' + names + rb')"')
 
 
 def _read_tail(
-    runs: Iterator[bytes], models: Iterable[str], window: int
+    fh, runs: Iterator[tuple[bytes, int, int]], models: Iterable[str], window: int
 ) -> list[HistoryRow]:
-    """The shortest suffix of the rows in `runs` (newest run first) that
-    holds the last `window` rows of every listed model (all of its rows
-    when it has fewer); see read_history."""
+    """The shortest suffix of the rows in `runs` (newest run first, as
+    _runs_backward yields them from `fh`) that holds the last `window` rows
+    of every listed model (all of its rows when it has fewer); see
+    read_history.
+
+    A run with no backslash and no match of `_row_of` is passed over: it is
+    searched in place and dropped. What was passed over since the suffix
+    found so far is kept as one file range, from the end of the current
+    run to `start`: the runs come in file order, so each one passed over
+    widens that range. The range is read again (one seek, one read) and
+    parsed only when an older row pulls it into the suffix.
+    """
     left = dict.fromkeys(models, window)
     if not left:
         return []
     short = _row_of(left)
     rows: list[HistoryRow] = []  # the suffix found so far, newest first
-    older: list[bytes] = []  # unparsed runs before rows[-1], newest first
+    start = None  # the file offset at which that suffix starts
 
     def take(run: bytes) -> None:
         rows.extend(reversed(_parse_run(run)))
 
-    for run in runs:
-        if b"\\" not in run and not short.search(run):
-            older.append(run)
+    for data, cut, offset in runs:
+        end = offset + len(data)
+        if start is None:
+            start = end
+        if data.find(b"\\", cut) < 0 and not short.search(data, cut):
             continue
-        lines = _split_lines(run)
+        lines = _split_lines(data)
+        # lines[0] is data[:cut], the line before the run, unless data
+        # starts the file.
+        first = 1 if offset else 0
         top = len(lines)  # lines[top:] are in rows already
-        for i in range(top - 1, -1, -1):
+        line_end = len(data)  # where lines[i] ends in data
+        for i in range(top - 1, first - 1, -1):
             line = lines[i]
+            line_start = line_end - len(line)
+            line_end = line_start - 1
             if b"\\" not in line and not short.search(line):
                 continue
             row = parse_history_line(line.decode("utf-8"))
@@ -526,12 +553,13 @@ def _read_tail(
                 continue
             # Everything between this row and the suffix found so far joins
             # the suffix, and is parsed and checked.
-            for skipped in older:
-                take(skipped)
-            older.clear()
+            if start > end:
+                fh.seek(end)
+                take(fh.read(start - end))
             take(b"\n".join(lines[i + 1 : top]))
             rows.append(row)
             top = i
+            start = offset + line_start
             if needed > 1:
                 left[row.model] = needed - 1
                 continue
@@ -540,7 +568,6 @@ def _read_tail(
                 rows.reverse()
                 return rows
             short = _row_of(left)
-        older.append(b"\n".join(lines[:top]))
     rows.reverse()
     return rows
 
@@ -557,8 +584,11 @@ def read_history(
     listed model, or all of its rows when it has fewer (none when it is
     absent). Every line of that suffix is parsed and checked. An older line
     is parsed only when its bytes may hold a row of a listed model that is
-    still short of `window` rows; the others are passed over unparsed, so a
-    short model costs a byte search of the file, not a parse of it.
+    still short of `window` rows. The others are searched where they were
+    read and passed over: only their place in the file is kept, and they
+    are read again if an older row pulls them into the suffix. So a short
+    or absent model costs one byte search of the older bytes, and the
+    reader holds about one block of them at a time, not the file.
 
     Either way, an unterminated last line that does not parse, as a write
     cut short leaves it, is skipped with a warning; a bad line anywhere
@@ -568,12 +598,14 @@ def read_history(
         with open(path, "rb") as fh:
             runs = _runs_backward(fh)
             # The newest run holds the last line, which may be torn.
-            runs = itertools.chain([_drop_torn_end(path, next(runs, b""))], runs)
+            data, cut, offset = next(runs, (b"", 0, 0))
+            kept = _drop_torn_end(path, data, cut)
+            runs = itertools.chain([(data[:kept], cut, offset)], runs)
             if models is None or window is None:
                 # Parsed run by run, so no more than one run's bytes are held.
-                chunks = [_parse_run(run) for run in runs]
+                chunks = [_parse_run(data[cut:]) for data, cut, _ in runs]
                 return [row for chunk in reversed(chunks) for row in chunk]
-            return _read_tail(runs, models, window)
+            return _read_tail(fh, runs, models, window)
     except UnicodeDecodeError as exc:
         raise UndecodableFileError(
             f"history {path}: not valid UTF-8: {exc.reason}"

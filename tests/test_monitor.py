@@ -2,6 +2,7 @@ import json
 import math
 import random
 import statistics
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -489,6 +490,87 @@ def test_tail_read_passes_over_old_lines_of_other_models(
                 read_history(str(path), ["few", "absent"], 3)
         else:
             assert read_history(str(path), ["few", "absent"], 3) == [few, newest]
+        with pytest.raises(MonitorError, match="bad history line"):
+            read_history(str(path))
+
+
+def test_tail_read_keeps_no_bytes_it_passes_over(tmp_path):
+    path = tmp_path / "history.jsonl"
+    line = (baseline_row(0, "b", _ZERO).to_line() + "\n").encode("utf-8")
+    path.write_bytes(line * (64 * monitor._BLOCK_SIZE // len(line) + 1))
+    tracemalloc.start()
+    try:
+        assert read_history(str(path), ["absent"], 30) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * monitor._BLOCK_SIZE
+
+
+class _ReadSizes:
+    """A binary file that records the size of every read."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sizes = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def seek(self, *args):
+        return self.fh.seek(*args)
+
+    def read(self, size):
+        data = self.fh.read(size)
+        self.sizes.append(len(data))
+        return data
+
+
+@pytest.mark.parametrize("block", [7, 1024])
+@pytest.mark.parametrize("bad", [None, "passed over", "above the oldest"])
+def test_tail_read_rereads_the_range_it_passed_over(
+    tmp_path, monkeypatch, block, bad
+):
+    # Two rows of "few" with over 20 blocks of other models' rows between
+    # them: the tail read passes over those blocks, then the older row of
+    # "few" pulls them back into the suffix.
+    rows = [baseline_row(ts, "b", _ZERO) for ts in range(110)]
+    for ts in (2, 103):
+        rows[ts] = rows[ts]._replace(model="few")
+    for ts in range(3, 103, 2):
+        rows[ts] = rows[ts]._replace(model="a")
+    lines = [r.to_line() for r in rows]
+    if bad == "passed over":
+        lines[50] = "not json"
+    elif bad == "above the oldest":
+        lines[1] = "not json"
+    path = tmp_path / "history.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert sum(len(line) + 1 for line in lines[3:103]) > 20 * 1024
+
+    opened = []
+
+    def recording_open(*args):
+        opened.append(_ReadSizes(open(*args)))
+        return opened[-1]
+
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", block)
+    monkeypatch.setattr(monitor, "open", recording_open, raising=False)
+    if bad == "passed over":
+        with pytest.raises(MonitorError, match="bad history line"):
+            read_history(str(path), ["few"], 3)
+        return
+    assert read_history(str(path), ["few"], 3) == rows[2:]
+    if block == 1024:
+        # The blocks passed over come back as one range in one read.
+        reread = [size for size in opened[-1].sizes if size > 2 * block]
+        assert len(reread) == 1 and reread[0] > 18 * block
+    if bad is None:
+        assert read_history(str(path)) == rows
+    else:
         with pytest.raises(MonitorError, match="bad history line"):
             read_history(str(path))
 

@@ -312,6 +312,37 @@ def test_detection_power_at_isolated_steps(onto, kind, magnitude, flagged):
     assert result.flagged_steps() == [7, 15, 16, *flagged]
 
 
+# The sustained-drift rows of the detection-power table: each perturbation
+# applied at every step from onset 20 to the end of the same 60-step run.
+# Flagged scores join the window, so every kind is absorbed after a few
+# flags; the later ones are noise around the drifted level.
+@pytest.mark.parametrize(
+    "kind, magnitude, flagged",
+    [
+        (PerturbationKind.DROP_CLASSES, 1, [20, 21, 22, 23, 24, 25, 27, 38]),
+        (PerturbationKind.DROP_PROPERTIES, 1, [20, 21, 22, 23, 24]),
+        (PerturbationKind.DEPTH_SKEW, 0.2, [20, 21, 22, 23, 26]),
+        (PerturbationKind.DEPTH_SKEW, 1.0, [20, 21, 22, 23, 24]),
+        (PerturbationKind.INJECT_ENTITIES, 1, [20, 21, 22, 26, 31]),
+        (PerturbationKind.INJECT_ENTITIES, 10, [20, 21, 22, 24, 28, 31, 32, 47]),
+        (PerturbationKind.INJECT_ENTITIES, 100, [20, 26, 28, 30, 31, 41, 47]),
+    ],
+    ids=lambda v: getattr(v, "value", None),
+)
+def test_detection_power_under_sustained_drift(onto, kind, magnitude, flagged):
+    onset = 20
+    schedule = {
+        step: PerturbationSpec(kind, magnitude, step) for step in range(onset, 60)
+    }
+    result = _scenario(onto, 60, schedule, noise_sigma=0.002)
+    drifted = [step for step in result.flagged_steps() if step >= onset]
+    assert drifted == flagged
+    assert drifted[0] - onset == 0  # the delay to the first flag
+    # Every flag before the onset is noise only, and none after it is.
+    assert result.false_positive_count == 3
+    assert result.flagged_steps() == [7, 15, 16, *flagged]
+
+
 def test_summary_line_shape(onto):
     result = _scenario(onto, 10, {})
     import json

@@ -7,7 +7,9 @@ persisted history is sufficient to replay every threshold and flag
 decision bit-exactly.
 """
 
+import bisect
 import contextlib
+import hashlib
 import itertools
 import json
 import logging
@@ -15,7 +17,7 @@ import math
 import operator
 import os
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,6 +40,14 @@ _NUMBER_OR_NULL = frozenset((int, float, type(None)))
 _BLOCK_SIZE = 1 << 16
 # Line terminators as text-mode reading knows them (\n, \r\n, \r).
 _LINE_END = re.compile(rb"[\r\n]")
+
+# The tail index of a history is its path plus this suffix: this format
+# line, then the JSON of a _TailIndex.
+_TAIL_SUFFIX = ".kgmon-tail"
+_TAIL_FORMAT = b"kgmon history tail index 1\n"
+# How many bytes before the end of the prefix a tail index describes it
+# keeps the SHA-256 of. Not _BLOCK_SIZE, which sets read sizes alone.
+_TAIL_SPAN = 1 << 16
 
 
 class MonitorError(ValueError):
@@ -440,12 +450,15 @@ def _drop_torn_end(
     return len(data)
 
 
-def _runs_backward(fh) -> Iterator[tuple[bytes, int, int]]:
-    r"""Yield a binary file in runs of whole lines, last run first, each as
-    (data, cut, offset): the run is data[cut:], and data[0] is at file
-    offset `offset`.
+def _runs_backward(
+    fh, lo: int = 0, hi: int | None = None
+) -> Iterator[tuple[bytes, int, int]]:
+    r"""Yield the bytes [lo, hi) of a binary file (by default all of it) in
+    runs of whole lines, last run first, each as (data, cut, offset): the
+    run is data[cut:], and data[0] is at file offset `offset`. A line is
+    taken to start at `lo`.
 
-    Blocks are read from the end. Each read takes one block together with
+    Blocks are read from `hi` back. Each read takes one block together with
     the partial line it ends in, up to where the run after it starts;
     data[:cut] is the block's own partial first line, which the next read
     takes again. So a run never cuts a line (nor, since a terminator byte
@@ -454,14 +467,14 @@ def _runs_backward(fh) -> Iterator[tuple[bytes, int, int]]:
     read again with each block before it until its start is found. A run
     may start or end inside a \r\n pair; see _split_lines.
     """
-    end = hi = fh.seek(0, os.SEEK_END)
-    while end > 0:
-        start = max(0, end - _BLOCK_SIZE)
+    end = hi = fh.seek(0, os.SEEK_END) if hi is None else hi
+    while end > lo:
+        start = max(lo, end - _BLOCK_SIZE)
         fh.seek(start)
         data = fh.read(hi - start)
         end = start
         cut = 0
-        if start:
+        if start > lo:
             first_end = _LINE_END.search(data)
             if first_end is None:
                 # One line holds the whole read: read it again with the
@@ -489,6 +502,13 @@ def _parse_run(run: bytes) -> list[HistoryRow]:
     return rows
 
 
+def _model_names(models: Iterable[str]) -> bytes:
+    """`models` as alternatives of a byte pattern."""
+    return b"|".join(
+        re.escape(model.encode("utf-8", "surrogatepass")) for model in models
+    )
+
+
 def _row_of(models: Iterable[str]) -> re.Pattern:
     """A search that finds every line holding a row of one of `models`
     unless the line has a backslash.
@@ -500,17 +520,265 @@ def _row_of(models: Iterable[str]) -> re.Pattern:
     would stop it at each. It may find lines that hold no such row; those
     are parsed to tell.
     """
-    names = b"|".join(re.escape(model.encode("utf-8")) for model in models)
-    return re.compile(rb'model"[ \t]*:[ \t]*"(?:' + names + rb')"')
+    return re.compile(rb'model"[ \t]*:[ \t]*"(?:' + _model_names(models) + rb')"')
+
+
+def _row_not_of(models: list[str]) -> re.Pattern:
+    """Like _row_of, a search that finds every line holding a row of any
+    model but `models` unless the line has a backslash."""
+    pattern = rb'model"[ \t]*:[ \t]*"'
+    if models:
+        pattern += rb'(?!(?:' + _model_names(models) + rb')")'
+    return re.compile(pattern)
+
+
+# The model name a line without a backslash shows: the string after its
+# "model" key, opening quote and all, so that no other key ending in
+# "model" is taken for it.
+_MODEL_VALUE = re.compile(rb'"model"[ \t]*:[ \t]*"([^"]*)"')
+
+
+class _TailIndex(NamedTuple):
+    """What a tail index says of the first `length` bytes of a history:
+    the SHA-256 (hex) of their last _TAIL_SPAN bytes, and for every model
+    with a row in them the file offsets of its last `window` rows there
+    (all of them when it has fewer), oldest first. The field names are the
+    keys of the sidecar's JSON body."""
+
+    length: int
+    sha256: str
+    window: int
+    rows: dict[str, list[int]]
+
+
+def _current_tail_index(path: str, fh, last: int) -> _TailIndex | None:
+    """The tail index of the history at `path` (open as `fh`, its whole
+    lines ending at `last`) when it describes the history as it is now, or
+    None: when there is none, when the sidecar is empty, torn or not one,
+    or when the history is shorter than its prefix or the _TAIL_SPAN bytes
+    before the prefix ends have another SHA-256."""
+    try:
+        with open(path + _TAIL_SUFFIX, "rb") as fh_index:
+            raw = fh_index.read()
+        if not raw.startswith(_TAIL_FORMAT):
+            return None
+        payload = json.loads(raw[len(_TAIL_FORMAT) :])
+    except (OSError, ValueError, RecursionError):
+        return None
+    if type(payload) is not dict:
+        return None
+    index = _TailIndex._make(map(payload.get, _TailIndex._fields))
+    if not (
+        type(index.length) is int
+        and 0 <= index.length <= last
+        and type(index.sha256) is str
+        and type(index.window) is int
+        and index.window > 0
+        and type(index.rows) is dict
+    ):
+        return None
+    for offsets in index.rows.values():
+        if not (
+            type(offsets) is list
+            and 0 < len(offsets) <= index.window
+            and all(type(at) is int for at in offsets)
+            and 0 <= offsets[0]
+            and offsets[-1] < index.length
+            and all(a < b for a, b in zip(offsets, offsets[1:]))
+        ):
+            return None
+    if _prefix_digest(fh, index.length) != index.sha256:
+        return None
+    return index
+
+
+def _prefix_digest(fh, length: int) -> str:
+    """SHA-256 (hex) of the last _TAIL_SPAN bytes of the first `length`
+    bytes of `fh` (of all of them when there are fewer), read a block at a
+    time."""
+    digest = hashlib.sha256()
+    first = fh.seek(max(0, length - _TAIL_SPAN))
+    for at in range(first, length, _BLOCK_SIZE):
+        digest.update(fh.read(min(_BLOCK_SIZE, length - at)))
+    return digest.hexdigest()
+
+
+def _write_tail_index(
+    path: str, fh, length: int, window: int, rows: dict[str, list[int]]
+) -> None:
+    """Replace the tail index of the history at `path` (open as `fh`) with
+    one of its first `length` bytes. A sidecar that cannot be written is
+    logged at debug level and costs only the search it would have spared."""
+    index = _TailIndex(length, _prefix_digest(fh, length), window, rows)
+    try:
+        write_atomic(
+            path + _TAIL_SUFFIX, _TAIL_FORMAT, json.dumps(index._asdict()).encode()
+        )
+    except OSError as exc:
+        log.debug("history tail index %s not written: %s", path + _TAIL_SUFFIX, exc)
+
+
+class _RowLearner:
+    """Learns, run by run from the newest, the file offsets of each
+    model's last `window` rows (all of them when it has fewer).
+
+    Each line's model is told by _row_of's rule: a line without a
+    backslash shows it literally, and a line with one is parsed (a line
+    that does not parse holds no row). Once a model has `window` rows,
+    `others` searches for the lines of the other models only, so a run
+    with no match and no backslash holds no row to learn. It always
+    searches for the models in `keep` (the tail search's short models), so
+    it finds every line that the tail search's `_row_of` finds. A line that
+    shows a name literally may hold no row of it; _rows_from_index finds
+    such an offset out when it reads the line.
+    """
+
+    def __init__(self, window: int, keep: Container[str] = ()) -> None:
+        self.window = window
+        self.keep = keep
+        self.found: dict[str, list[int]] = {}  # newest first
+        self.others = _row_not_of([])
+
+    def learn(self, data: bytes, offset: int, partial: bool) -> None:
+        """Learn the lines of `data`, which starts at file offset `offset`,
+        all but its first when that is `partial` (see _runs_backward)."""
+        lines = _split_lines(data)
+        line_end = len(data)  # where lines[i] ends in data
+        for i in range(len(lines) - 1, 0 if partial else -1, -1):
+            line = lines[i]
+            line_start = line_end - len(line)
+            line_end = line_start - 1
+            if b"\\" in line:
+                try:
+                    names = [parse_history_line(line.decode("utf-8")).model]
+                except (MonitorError, UnicodeDecodeError):
+                    continue
+            elif self.others.search(line):
+                names = [
+                    name.decode("utf-8", "replace")
+                    for name in _MODEL_VALUE.findall(line)
+                ]
+            else:
+                continue
+            at = offset + line_start
+            for name in names:
+                offsets = self.found.setdefault(name, [])
+                if len(offsets) < self.window and at not in offsets[-1:]:
+                    offsets.append(at)
+                    if len(offsets) == self.window:
+                        self.others = _row_not_of(
+                            [
+                                m
+                                for m, o in self.found.items()
+                                if len(o) == self.window and m not in self.keep
+                            ]
+                        )
+
+    def rows(self) -> dict[str, list[int]]:
+        """The offsets learned so far, oldest first."""
+        return {name: offsets[::-1] for name, offsets in self.found.items()}
+
+
+def _learn_rows(
+    fh, lo: int, hi: int, window: int, keep: Container[str] = ()
+) -> _RowLearner:
+    """A _RowLearner(window, keep) that has learned the bytes [lo, hi) of
+    `fh`."""
+    learner = _RowLearner(window, keep)
+    for data, cut, offset in _runs_backward(fh, lo, hi):
+        if data.find(b"\\", cut) >= 0 or learner.others.search(data, cut):
+            learner.learn(data, offset, offset > lo)
+    return learner
+
+
+def _rows_from_index(
+    path: str,
+    fh,
+    index: _TailIndex,
+    searched: int,
+    start: int,
+    last: int,
+    left: dict[str, int],
+    rows: list[HistoryRow],
+) -> list[HistoryRow] | None:
+    """Finish a tail read from the current tail `index` once the search
+    has reached the prefix it describes, or None when the index lacks rows
+    the read needs or lists wrong ones; the search then goes on.
+
+    The search has read every line that starts at or after `searched`, and
+    found `rows` (newest first) from `start`; the history's whole lines end
+    at `last`, and each model in `left` still needs that many rows. Each
+    takes its older rows from the index, and the bytes from the oldest of
+    them to `start` are read and parsed. A parsed row must stand at every
+    offset taken, of its model, and a model must have no row there that the
+    index leaves out; otherwise None. A bad line among those bytes then
+    raises, as in the search.
+
+    When a model has fewer rows than the read asks for and the history has
+    grown by a block or more since the index, the index is rewritten to
+    take in the rows appended since.
+    """
+    taken: dict[str, list[int]] = {}
+    for model, needed in left.items():
+        listed = index.rows.get(model, [])
+        older = listed[: bisect.bisect_left(listed, searched)]
+        if len(older) < needed and len(listed) == index.window:
+            # The model may have older rows than the index lists.
+            return None
+        taken[model] = older[-needed:]
+    oldest = min((offsets[0] for offsets in taken.values() if offsets), default=start)
+    parsed: dict[int, HistoryRow | ValueError] = {}  # by file offset
+    if oldest < start:
+        before = min(oldest, 1)  # the byte before `oldest` must end a line
+        fh.seek(oldest - before)
+        chunk = fh.read(start - oldest + before)
+        if chunk[:before] not in (b"", b"\n", b"\r"):
+            return None
+        at = oldest
+        for line in _split_lines(chunk[before:]):
+            try:
+                text = line.decode("utf-8")
+                if text.strip():
+                    parsed[at] = parse_history_line(text)
+            except (MonitorError, UnicodeDecodeError) as exc:
+                parsed[at] = exc
+            at += len(line) + 1
+    for model, offsets in taken.items():
+        since = offsets[0] if offsets else oldest
+        found = [
+            at
+            for at, row in parsed.items()
+            if at >= since and isinstance(row, HistoryRow) and row.model == model
+        ]
+        if found != offsets:
+            return None
+    suffix = list(parsed.values())
+    for row in suffix:
+        if not isinstance(row, HistoryRow):
+            raise row
+    suffix.extend(reversed(rows))
+    if last - index.length >= _BLOCK_SIZE and any(
+        len(taken[model]) < needed for model, needed in left.items()
+    ):
+        merged = dict(index.rows)
+        learned = _learn_rows(fh, index.length, last, index.window)
+        for model, offsets in learned.rows().items():
+            merged[model] = (merged.get(model, []) + offsets)[-index.window :]
+        _write_tail_index(path, fh, last, index.window, merged)
+    return suffix
 
 
 def _read_tail(
-    fh, runs: Iterator[tuple[bytes, int, int]], models: Iterable[str], window: int
+    path: str,
+    fh,
+    runs: Iterator[tuple[bytes, int, int]],
+    models: Iterable[str],
+    window: int,
 ) -> list[HistoryRow]:
     """The shortest suffix of the rows in `runs` (newest run first, as
-    _runs_backward yields them from `fh`) that holds the last `window` rows
-    of every listed model (all of its rows when it has fewer); see
-    read_history.
+    _runs_backward yields them from `fh`, the history at `path`) that holds
+    the last `window` rows of every listed model (all of its rows when it
+    has fewer); see read_history.
 
     A run with no backslash and no match of `_row_of` is passed over: it is
     searched in place and dropped. What was passed over since the suffix
@@ -518,13 +786,22 @@ def _read_tail(
     run to `start`: the runs come in file order, so each one passed over
     widens that range. The range is read again (one seek, one read) and
     parsed only when an older row pulls it into the suffix.
+
+    When a model is still short after the newest run, the tail index is
+    loaded, and the search stops once it has read the lines from where the
+    index's prefix ends; _rows_from_index finishes the read. Without a
+    current index the search learns each line's model as it goes, and if
+    it reaches the start of the file it rewrites the index from them.
     """
     left = dict.fromkeys(models, window)
     if not left:
         return []
     short = _row_of(left)
     rows: list[HistoryRow] = []  # the suffix found so far, newest first
-    start = None  # the file offset at which that suffix starts
+    start = last = None  # where that suffix starts; where the rows end
+    index = None
+    loaded = False
+    learner = None  # learns each line's model once the search must go on
 
     def take(run: bytes) -> None:
         rows.extend(reversed(_parse_run(run)))
@@ -532,42 +809,66 @@ def _read_tail(
     for data, cut, offset in runs:
         end = offset + len(data)
         if start is None:
-            start = end
-        if data.find(b"\\", cut) < 0 and not short.search(data, cut):
-            continue
-        lines = _split_lines(data)
-        # lines[0] is data[:cut], the line before the run, unless data
-        # starts the file.
-        first = 1 if offset else 0
-        top = len(lines)  # lines[top:] are in rows already
-        line_end = len(data)  # where lines[i] ends in data
-        for i in range(top - 1, first - 1, -1):
-            line = lines[i]
-            line_start = line_end - len(line)
-            line_end = line_start - 1
-            if b"\\" not in line and not short.search(line):
+            start = last = end
+        slash = data.find(b"\\", cut) >= 0
+        if learner is not None:
+            # One search passes over a run for the learner and the tail
+            # search alike: `others` finds every line that `short` finds.
+            if not slash and not learner.others.search(data, cut):
                 continue
-            row = parse_history_line(line.decode("utf-8"))
-            needed = left.get(row.model)
-            if not needed:
-                continue
-            # Everything between this row and the suffix found so far joins
-            # the suffix, and is parsed and checked.
-            if start > end:
-                fh.seek(end)
-                take(fh.read(start - end))
-            take(b"\n".join(lines[i + 1 : top]))
-            rows.append(row)
-            top = i
-            start = offset + line_start
-            if needed > 1:
-                left[row.model] = needed - 1
-                continue
-            del left[row.model]
-            if not left:
-                rows.reverse()
-                return rows
-            short = _row_of(left)
+            learner.learn(data, offset, offset > 0)
+        if slash or short.search(data, cut):
+            lines = _split_lines(data)
+            # lines[0] is data[:cut], the line before the run, unless data
+            # starts the file.
+            first = 1 if offset else 0
+            top = len(lines)  # lines[top:] are in rows already
+            line_end = len(data)  # where lines[i] ends in data
+            for i in range(top - 1, first - 1, -1):
+                line = lines[i]
+                line_start = line_end - len(line)
+                line_end = line_start - 1
+                if b"\\" not in line and not short.search(line):
+                    continue
+                row = parse_history_line(line.decode("utf-8"))
+                needed = left.get(row.model)
+                if not needed:
+                    continue
+                # Everything between this row and the suffix found so far
+                # joins the suffix, and is parsed and checked.
+                if start > end:
+                    fh.seek(end)
+                    take(fh.read(start - end))
+                take(b"\n".join(lines[i + 1 : top]))
+                rows.append(row)
+                top = i
+                start = offset + line_start
+                if needed > 1:
+                    left[row.model] = needed - 1
+                    continue
+                del left[row.model]
+                if not left:
+                    rows.reverse()
+                    return rows
+                short = _row_of(left)
+        if offset and not loaded:
+            loaded = True
+            index = _current_tail_index(path, fh, last)
+        # Every line that starts at `searched` or later has been searched.
+        searched = offset + cut + 1 if offset else 0
+        if index is not None and searched <= index.length:
+            suffix = _rows_from_index(
+                path, fh, index, searched, start, last, left, rows
+            )
+            if suffix is not None:
+                return suffix
+            index = None
+        if loaded and index is None and learner is None:
+            # The search goes on to the start of the file. What it has read
+            # is learned again, and each run from here on as it comes.
+            learner = _learn_rows(fh, searched, last, window, left)
+    if learner is not None:
+        _write_tail_index(path, fh, last, window, learner.rows())
     rows.reverse()
     return rows
 
@@ -586,9 +887,19 @@ def read_history(
     is parsed only when its bytes may hold a row of a listed model that is
     still short of `window` rows. The others are searched where they were
     read and passed over: only their place in the file is kept, and they
-    are read again if an older row pulls them into the suffix. So a short
-    or absent model costs one byte search of the older bytes, and the
-    reader holds about one block of them at a time, not the file.
+    are read again if an older row pulls them into the suffix.
+
+    A model still short after the newest block is looked up in the tail
+    index beside the history (`path` + ".kgmon-tail"): for a prefix of the
+    file, the SHA-256 of that prefix's last 64 KiB and the offsets of each
+    model's last rows there. With an index that matches the file, the
+    search stops where the prefix ends, and the model's older rows are
+    read from the offsets it lists, so a short or absent model costs about
+    the rows appended since the index, not the file; older lines, bad ones
+    too, are not read. An index that is missing, damaged, stale or built
+    for fewer rows than the model needs is not used: the search goes on to
+    the start of the file, as without one, and then rewrites it. A read
+    without `models` never uses the index.
 
     Either way, an unterminated last line that does not parse, as a write
     cut short leaves it, is skipped with a warning; a bad line anywhere
@@ -605,7 +916,7 @@ def read_history(
                 # Parsed run by run, so no more than one run's bytes are held.
                 chunks = [_parse_run(data[cut:]) for data, cut, _ in runs]
                 return [row for chunk in reversed(chunks) for row in chunk]
-            return _read_tail(fh, runs, models, window)
+            return _read_tail(path, fh, runs, models, window)
     except UnicodeDecodeError as exc:
         raise UndecodableFileError(
             f"history {path}: not valid UTF-8: {exc.reason}"

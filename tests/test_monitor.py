@@ -4,6 +4,7 @@ import random
 import statistics
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -523,7 +524,7 @@ class _ReadSizes:
     def seek(self, *args):
         return self.fh.seek(*args)
 
-    def read(self, size):
+    def read(self, size=-1):
         data = self.fh.read(size)
         self.sizes.append(len(data))
         return data
@@ -573,6 +574,383 @@ def test_tail_read_rereads_the_range_it_passed_over(
     else:
         with pytest.raises(MonitorError, match="bad history line"):
             read_history(str(path))
+
+
+_SIDECAR = monitor._TAIL_SUFFIX
+
+
+def _shortest_suffix(rows, models, window):
+    """The shortest suffix of `rows` that holds the last `window` rows of
+    every one of `models` (all of its rows when it has fewer)."""
+    need = {m: min(window, sum(r.model == m for r in rows)) for m in models}
+    have = dict.fromkeys(models, 0)
+    start = len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        model = rows[i].model
+        if model in have and have[model] < need[model]:
+            have[model] += 1
+            start = i
+    return rows[start:]
+
+
+def _read_without_index(path, models, window):
+    """The tail read of a copy of the history at `path` with no sidecar."""
+    copy = path.with_name("copy-" + path.name)
+    copy.write_bytes(path.read_bytes())
+    Path(str(copy) + _SIDECAR).unlink(missing_ok=True)
+    return read_history(str(copy), models, window)
+
+
+_GROWTH = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(
+                st.sampled_from([BASELINE_MODEL, "a", "b", "few"]),
+                _BLANK_LINES,
+                _LINE_ENDS,
+            ),
+            max_size=8,
+        ),
+        st.lists(
+            st.sampled_from(["a", "b", "few", "absent"]), min_size=1, unique=True
+        ),
+        st.integers(1, 4),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(growth=_GROWTH, block=st.integers(1, 16) | st.integers(17, 4096))
+def test_tail_reads_of_a_growing_history_match_reads_without_index(
+    tmp_path_factory, growth, block
+):
+    # Appends, each followed by a tail read that may write or rewrite the
+    # sidecar. A row ended by \r and a blank \n line appended after it put
+    # the index's prefix end inside a CRLF pair; a few-byte block makes
+    # each read that uses the index and still has a short model rewrite it.
+    path = tmp_path_factory.mktemp("growing") / "history.jsonl"
+    ts = 0
+    with mock.patch.object(monitor, "_BLOCK_SIZE", block):
+        for appended, requested, window in growth:
+            parts = []
+            for model, blank, end in appended:
+                row = baseline_row(ts, "b", _ZERO)._replace(model=model)
+                parts += [blank, row.to_line(), end]
+                ts += 1
+            with open(path, "ab") as fh:
+                fh.write("".join(parts).encode("utf-8"))
+            tail = read_history(str(path), requested, window)
+            assert tail == _read_without_index(path, requested, window)
+            assert tail == _shortest_suffix(read_history(str(path)), requested, window)
+
+
+def _model_at(ts):
+    return "few" if ts in (3, 5) else "b" if ts % 3 == 0 else "a"
+
+
+def _history_rows(start, stop):
+    return [
+        baseline_row(ts, "b", _ZERO)._replace(model=_model_at(ts), score=ts / 7)
+        for ts in range(start, stop)
+    ]
+
+
+def _write_rows(path, rows, mode="w"):
+    with open(path, mode, encoding="utf-8") as fh:
+        fh.writelines(r.to_line() + "\n" for r in rows)
+
+
+def _truncate_at_a_line(path, _tmp_path):
+    data = path.read_bytes()
+    path.write_bytes(data[: data.index(b"\n", len(data) // 2) + 1])
+
+
+def _rewrite_before_the_prefix_end(path, _tmp_path):
+    # Another model on one old row, and rows after it.
+    data = path.read_bytes().replace(b'"model": "a"', b'"model": "c"', 1)
+    path.write_bytes(data)
+    _write_rows(path, _history_rows(60, 70), "a")
+
+
+def _append_as_an_older_kgmon(path, _tmp_path):
+    _write_rows(path, _history_rows(60, 90), "a")
+
+
+def _replace_sidecar(content):
+    def damage(path, _tmp_path):
+        Path(str(path) + _SIDECAR).write_bytes(content)
+
+    return damage
+
+
+def _tear_sidecar(path, _tmp_path):
+    sidecar = Path(str(path) + _SIDECAR)
+    sidecar.write_bytes(sidecar.read_bytes()[:-9])
+
+
+def _copy_a_foreign_sidecar(path, tmp_path):
+    other = tmp_path / "other.jsonl"
+    _write_rows(other, [r._replace(batch_id="x") for r in _history_rows(0, 70)])
+    read_history(str(other), ["absent"], 3)
+    Path(str(path) + _SIDECAR).write_bytes(Path(str(other) + _SIDECAR).read_bytes())
+
+
+def _drop_sidecar(path, _tmp_path):
+    Path(str(path) + _SIDECAR).unlink()
+
+
+_FORMAT = monitor._TAIL_FORMAT
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _drop_sidecar,
+        _replace_sidecar(b""),
+        _tear_sidecar,
+        _replace_sidecar(b"\x00\xff not an index"),
+        _replace_sidecar(_FORMAT + b"[]"),
+        _replace_sidecar(_FORMAT + b'{"length": "0"}'),
+        _replace_sidecar(
+            _FORMAT
+            + b'{"length": 9, "sha256": "", "window": 3, "rows": {"a": [5, 2]}}'
+        ),
+        _copy_a_foreign_sidecar,
+        _truncate_at_a_line,
+        _rewrite_before_the_prefix_end,
+        _append_as_an_older_kgmon,
+    ],
+)
+@pytest.mark.parametrize("requested", [["few", "absent"], ["a", "few"], ["c"]])
+def test_tail_read_with_a_stale_or_damaged_index(
+    tmp_path, monkeypatch, damage, requested
+):
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    _write_rows(path, _history_rows(0, 60))
+    assert read_history(str(path), ["absent"], 3) == []
+    assert Path(str(path) + _SIDECAR).exists()
+    damage(path, tmp_path)
+    tail = read_history(str(path), requested, 3)
+    assert tail == _shortest_suffix(read_history(str(path)), requested, 3)
+    assert Path(str(path) + _SIDECAR).exists()
+    # The next read, with the sidecar this one left, returns the same rows.
+    assert read_history(str(path), requested, 3) == tail
+    Path(str(path) + _SIDECAR).unlink()
+    assert read_history(str(path), requested, 3) == tail
+
+
+def _sidecar(path):
+    return json.loads(Path(str(path) + _SIDECAR).read_bytes()[len(_FORMAT) :])
+
+
+def _forge_sidecar(path, change):
+    """Rewrite the offsets the sidecar lists for "few" by `change`."""
+    payload = _sidecar(path)
+    payload["rows"]["few"] = change(payload["rows"]["few"], payload["rows"]["a"])
+    Path(str(path) + _SIDECAR).write_bytes(_FORMAT + json.dumps(payload).encode())
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        # An offset inside a line, one at a row of another model, and a list
+        # that leaves out the newer row of "few".
+        lambda few, a: [few[0] + 1, few[1]],
+        lambda few, a: [few[0], a[-1]],
+        lambda few, a: few[:1],
+    ],
+)
+def test_tail_read_with_an_index_that_lists_wrong_offsets(
+    tmp_path, monkeypatch, change
+):
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    rows = _history_rows(0, 60)
+    _write_rows(path, rows)
+    assert read_history(str(path), ["absent"], 3) == []
+    _forge_sidecar(path, change)
+    assert read_history(str(path), ["few", "absent"], 3) == rows[3:]
+    # The search rewrote the index, and the next read takes the rows it lists.
+    assert _sidecar(path)["rows"]["few"] == [
+        path.read_bytes().index(rows[ts].to_line().encode()) for ts in (3, 5)
+    ]
+    assert read_history(str(path), ["few", "absent"], 3) == rows[3:]
+
+
+def test_tail_read_with_an_index_offset_inside_a_line(tmp_path, monkeypatch):
+    # A row of "few" behind other bytes on its line: an index offset at the
+    # row itself does not start a line, so the read searches instead.
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    rows = _history_rows(0, 60)
+    _write_rows(path, rows)
+    data = path.read_bytes()
+    row = rows[5].to_line().encode()
+    path.write_bytes(data.replace(row, b"garbage " + row))
+    assert read_history(str(path), ["absent"], 3) == []
+    _forge_sidecar(path, lambda few, a: [few[1] + len(b"garbage ")])
+    with pytest.raises(MonitorError, match="bad history line"):
+        read_history(str(path), ["few", "absent"], 3)
+
+
+def test_tail_read_with_a_current_index_checks_the_lines_it_reads(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    _write_rows(path, _history_rows(0, 60))
+    assert read_history(str(path), ["absent"], 3) == []
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    _write_rows(path, [r for r in _history_rows(60, 70) if r.model != "few"], "a")
+    with pytest.raises(MonitorError, match="bad history line"):
+        read_history(str(path), ["few", "absent"], 3)
+    Path(str(path) + _SIDECAR).unlink()
+    with pytest.raises(MonitorError, match="bad history line"):
+        read_history(str(path), ["few", "absent"], 3)
+
+
+def test_tail_read_when_other_rows_show_a_short_models_name(tmp_path, monkeypatch):
+    # Newer rows of "a" and "b" show "few" as the model of a nested object,
+    # so by the literal rule they look like rows of "few": the search still
+    # finds the two true ones, and then the index's false offsets are not
+    # taken.
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    rows = _history_rows(0, 60)
+    path.write_text(
+        "".join(
+            json.dumps({**r._asdict(), "meta": {"model": "few"}}) + "\n"
+            if r.timestamp >= 30
+            else r.to_line() + "\n"
+            for r in rows
+        ),
+        encoding="utf-8",
+    )
+    for _ in range(2):
+        assert read_history(str(path), ["few", "absent"], 3) == rows[3:]
+    assert read_history(str(path), ["a", "few"], 3) == rows[3:]
+
+
+def test_learn_rows_tells_each_lines_model_as_the_search_does(tmp_path):
+    path = tmp_path / "history.jsonl"
+    lines = [
+        b'{"model": "\\u0062"',  # a backslash: parsed, and holds no row
+        baseline_row(1, "\u00e9", _ZERO)._replace(model="a").to_line().encode(),
+        baseline_row(2, "b", _ZERO)._replace(model="b").to_line().encode(),
+        b'{"xmodel": "c", "model": "d"}',  # no backslash: taken literally
+        baseline_row(4, "b", _ZERO)._replace(model="a").to_line().encode(),
+    ]
+    data = b"\r\n".join(lines) + b"\r\n"
+    path.write_bytes(data)
+    at = [data.index(line) for line in lines]
+    with open(path, "rb") as fh:
+        assert monitor._learn_rows(fh, 0, len(data), 2).rows() == {
+            "a": [at[1], at[4]],
+            "d": [at[3]],
+            "b": [at[2]],
+        }
+        assert monitor._learn_rows(fh, at[2], len(data), 1).rows() == {
+            "a": [at[4]],
+            "d": [at[3]],
+            "b": [at[2]],
+        }
+
+
+def test_tail_read_with_an_index_built_for_a_smaller_window(tmp_path, monkeypatch):
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    _write_rows(path, _history_rows(0, 60))
+    assert read_history(str(path), ["absent"], 2) == []
+    _write_rows(path, _history_rows(60, 62), "a")
+    # "a" has one row past the index's prefix, which lists only two of its
+    # older ones: the read searches on, and rewrites the index for 9.
+    tail = read_history(str(path), ["a", "absent"], 9)
+    assert tail == _shortest_suffix(read_history(str(path)), ["a"], 9)
+    assert _sidecar(path)["window"] == 9
+    Path(str(path) + _SIDECAR).unlink()
+    assert read_history(str(path), ["a", "absent"], 9) == tail
+
+
+def test_tail_read_when_the_index_cannot_be_written(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    rows = _history_rows(0, 60)
+    _write_rows(path, rows)
+
+    def disk_full(*_args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(monitor, "write_atomic", disk_full)
+    with caplog.at_level("DEBUG", logger="kgmon.monitor"):
+        assert read_history(str(path), ["few", "absent"], 3) == rows[3:]
+    assert f"history tail index {path}{_SIDECAR} not written" in caplog.text
+    assert not Path(str(path) + _SIDECAR).exists()
+
+
+def test_tail_read_with_a_current_index_reads_no_older_line(tmp_path, monkeypatch):
+    # The index cannot see an edit that keeps the history's length more
+    # than _TAIL_SPAN bytes before its prefix ends. A read with the index
+    # takes the rows it lists and reads no older line, so a line made
+    # malformed that way fails only a read without the index.
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    rows = _history_rows(0, 3 * monitor._TAIL_SPAN // 250)
+    _write_rows(path, rows)
+    assert read_history(str(path), ["absent"], 3) == []
+    data = path.read_bytes()
+    bad = b'{"model": "\\u0061"'
+    first_end = data.index(b"\n")
+    path.write_bytes(bad + b" " * (first_end - len(bad)) + data[first_end:])
+    assert read_history(str(path), ["few", "absent"], 3) == rows[3:]
+    Path(str(path) + _SIDECAR).unlink()
+    with pytest.raises(MonitorError, match="bad history line"):
+        read_history(str(path), ["few", "absent"], 3)
+
+
+def test_tail_read_with_a_current_index_reads_a_bounded_span(tmp_path, monkeypatch):
+    line = (baseline_row(0, "b", _ZERO).to_line() + "\n").encode("utf-8")
+    for blocks in (64, 256):
+        path = tmp_path / f"history{blocks}.jsonl"
+        path.write_bytes(line * (blocks * monitor._BLOCK_SIZE // len(line) + 1))
+        # The first read searches the whole file and writes the index.
+        assert read_history(str(path), ["absent"], 30) == []
+        opened = []
+
+        def recording_open(*args):
+            opened.append(_ReadSizes(open(*args)))
+            return opened[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(monitor, "open", recording_open, raising=False)
+            assert read_history(str(path), ["absent"], 30) == []
+        index_size = Path(str(path) + _SIDECAR).stat().st_size
+        assert index_size < 2048 and opened[1].sizes == [index_size]
+        # One block from the end, the sidecar, and the span it hashes.
+        read = sum(sum(fh.sizes) for fh in opened)
+        assert read <= monitor._BLOCK_SIZE + index_size + monitor._TAIL_SPAN
+
+
+def test_full_windows_and_full_reads_touch_no_sidecar(tmp_path, monkeypatch):
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    rows = _history_rows(0, 60)
+    _write_rows(path, rows)
+    opened = []
+
+    def recording_open(*args):
+        opened.append(args[0])
+        return open(*args)
+
+    monkeypatch.setattr(monitor, "open", recording_open, raising=False)
+    # Two rows of "a" lie in the newest block: the read stops there.
+    assert read_history(str(path), ["a"], 2) == rows[-2:]
+    assert read_history(str(path)) == rows
+    assert opened == [str(path)] * 2
+    assert not Path(str(path) + _SIDECAR).exists()
 
 
 def _torn_history(path, models, final):

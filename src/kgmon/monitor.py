@@ -17,7 +17,7 @@ import math
 import operator
 import os
 import re
-from collections.abc import Container, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -492,6 +492,12 @@ def _split_lines(run: bytes) -> list[bytes]:
     return run.replace(b"\r", b"\n").split(b"\n")
 
 
+def _line_start(data: bytes, at: int) -> int:
+    """Where the line that holds data[at] starts in `data`."""
+    newline = data.rfind(b"\n", 0, at)
+    return max(newline, data.rfind(b"\r", newline + 1, at)) + 1
+
+
 def _parse_run(run: bytes) -> list[HistoryRow]:
     """The rows of a run in file order; blank lines are skipped."""
     rows: list[HistoryRow] = []
@@ -502,40 +508,28 @@ def _parse_run(run: bytes) -> list[HistoryRow]:
     return rows
 
 
-def _model_names(models: Iterable[str]) -> bytes:
-    """`models` as alternatives of a byte pattern."""
-    return b"|".join(
-        re.escape(model.encode("utf-8", "surrogatepass")) for model in models
-    )
+def _parse_runs(runs: Iterable[tuple[bytes, int, int]]) -> list[HistoryRow]:
+    """The rows of `runs` (newest first, as _runs_backward yields them) in
+    file order. Parsed run by run, so no more than one run's bytes are
+    held."""
+    chunks = [_parse_run(data[cut:]) for data, cut, _ in runs]
+    return [row for chunk in reversed(chunks) for row in chunk]
 
 
-def _row_of(models: Iterable[str]) -> re.Pattern:
-    """A search that finds every line holding a row of one of `models`
-    unless the line has a backslash.
+def _row_not_of(names: Iterable[bytes]) -> re.Pattern:
+    """A search for the model name that a line without a backslash shows
+    after each "model" key, unless it is one of `names` (UTF-8).
 
     Without a backslash a line has no escapes, so the key and the model
     name of a row stand in it literally: "model", blanks, a colon, blanks,
-    then the name's UTF-8 bytes between quotes. The search leaves out the
-    key's opening quote, which opens every key and string of a line and
-    would stop it at each. It may find lines that hold no such row; those
-    are parsed to tell.
+    then the name's bytes between quotes, which group 1 captures. The
+    search leaves out the key's opening quote, which opens every key and
+    string of a line and would stop it at each.
     """
-    return re.compile(rb'model"[ \t]*:[ \t]*"(?:' + _model_names(models) + rb')"')
-
-
-def _row_not_of(models: list[str]) -> re.Pattern:
-    """Like _row_of, a search that finds every line holding a row of any
-    model but `models` unless the line has a backslash."""
     pattern = rb'model"[ \t]*:[ \t]*"'
-    if models:
-        pattern += rb'(?!(?:' + _model_names(models) + rb')")'
-    return re.compile(pattern)
-
-
-# The model name a line without a backslash shows: the string after its
-# "model" key, opening quote and all, so that no other key ending in
-# "model" is taken for it.
-_MODEL_VALUE = re.compile(rb'"model"[ \t]*:[ \t]*"([^"]*)"')
+    if names:
+        pattern += rb"(?!(?:" + b"|".join(map(re.escape, names)) + rb')")'
+    return re.compile(pattern + rb'([^"\r\n]*)"')
 
 
 class _TailIndex(NamedTuple):
@@ -551,12 +545,15 @@ class _TailIndex(NamedTuple):
     rows: dict[str, list[int]]
 
 
-def _current_tail_index(path: str, fh, last: int) -> _TailIndex | None:
+def _current_tail_index(
+    path: str, fh, last: int, window: int
+) -> _TailIndex | None:
     """The tail index of the history at `path` (open as `fh`, its whole
-    lines ending at `last`) when it describes the history as it is now, or
-    None: when there is none, when the sidecar is empty, torn or not one,
-    or when the history is shorter than its prefix or the _TAIL_SPAN bytes
-    before the prefix ends have another SHA-256."""
+    lines ending at `last`) when it describes the history as it is now and
+    lists up to `window` rows of each model, or None: when there is none,
+    when the sidecar is empty, torn or not one, when it was built under a
+    smaller window, or when the history is shorter than its prefix or the
+    _TAIL_SPAN bytes before the prefix ends have another SHA-256."""
     try:
         with open(path + _TAIL_SUFFIX, "rb") as fh_index:
             raw = fh_index.read()
@@ -573,7 +570,7 @@ def _current_tail_index(path: str, fh, last: int) -> _TailIndex | None:
         and 0 <= index.length <= last
         and type(index.sha256) is str
         and type(index.window) is int
-        and index.window > 0
+        and index.window >= window
         and type(index.rows) is dict
     ):
         return None
@@ -608,7 +605,7 @@ def _write_tail_index(
 ) -> None:
     """Replace the tail index of the history at `path` (open as `fh`) with
     one of its first `length` bytes. A sidecar that cannot be written is
-    logged at debug level and costs only the search it would have spared."""
+    logged at debug level and costs only the reading it would have spared."""
     index = _TailIndex(length, _prefix_digest(fh, length), window, rows)
     try:
         write_atomic(
@@ -619,153 +616,79 @@ def _write_tail_index(
 
 
 class _RowLearner:
-    """Learns, run by run from the newest, the file offsets of each
-    model's last `window` rows (all of them when it has fewer).
+    """Learns, line by line from the newest, the file offsets of each
+    model's last `window` rows (all of them when it has fewer), until each
+    of `models` has `window`.
 
-    Each line's model is told by _row_of's rule: a line without a
-    backslash shows it literally, and a line with one is parsed (a line
-    that does not parse holds no row). Once a model has `window` rows,
-    `others` searches for the lines of the other models only, so a run
-    with no match and no backslash holds no row to learn. It always
-    searches for the models in `keep` (the tail search's short models), so
-    it finds every line that the tail search's `_row_of` finds. A line that
-    shows a name literally may hold no row of it; _rows_from_index finds
-    such an offset out when it reads the line.
+    A line with a backslash is parsed, and raises when it does not parse. A
+    line without one shows its model literally, and is learned as a row of
+    each name `others` finds in it after a "model" key. Once a model has
+    `window` rows, `others` finds the names of the other models only, so a
+    run in which it finds none and that has no backslash holds no row to
+    learn. A line may show a name it holds no row of; _read_tail finds that
+    out when it parses the line.
     """
 
-    def __init__(self, window: int, keep: Container[str] = ()) -> None:
+    def __init__(self, window: int, models: Iterable[str]) -> None:
         self.window = window
-        self.keep = keep
+        self.short = set(models)  # the listed models with fewer rows
         self.found: dict[str, list[int]] = {}  # newest first
-        self.others = _row_not_of([])
+        self.full: set[bytes] = set()  # the models with `window`, in UTF-8
+        self.others = _row_not_of(())
 
-    def learn(self, data: bytes, offset: int, partial: bool) -> None:
-        """Learn the lines of `data`, which starts at file offset `offset`,
-        all but its first when that is `partial` (see _runs_backward)."""
-        lines = _split_lines(data)
-        line_end = len(data)  # where lines[i] ends in data
-        for i in range(len(lines) - 1, 0 if partial else -1, -1):
-            line = lines[i]
-            line_start = line_end - len(line)
-            line_end = line_start - 1
-            if b"\\" in line:
-                try:
-                    names = [parse_history_line(line.decode("utf-8")).model]
-                except (MonitorError, UnicodeDecodeError):
-                    continue
-            elif self.others.search(line):
-                names = [
-                    name.decode("utf-8", "replace")
-                    for name in _MODEL_VALUE.findall(line)
-                ]
+    def learn(self, data: bytes, cut: int, offset: int) -> None:
+        """Learn the run data[cut:], where data[0] is at file offset
+        `offset` (see _runs_backward), until no listed model is short."""
+        # Where each name shown, and each line with a backslash, is met.
+        hits = [(hit.start(), hit[1]) for hit in self.others.finditer(data, cut)]
+        escaped = {}  # where each line with a backslash starts: its end
+        at = data.find(b"\\", cut)
+        while at >= 0:
+            end = _LINE_END.search(data, at)
+            end = end.start() if end else len(data)
+            escaped[_line_start(data, at)] = end
+            hits.append((at, None))
+            at = data.find(b"\\", end)
+        if escaped:
+            hits.sort()
+        for at, name in reversed(hits):
+            if name in self.full:
+                continue  # `others` still found it when this run was searched
+            start = _line_start(data, at)
+            end = escaped.get(start)
+            if end is None and data[at - 1 : at] == b'"':
+                model = name.decode("utf-8", "replace")
+            elif end is not None and name is None:
+                model = parse_history_line(data[start:end].decode("utf-8")).model
             else:
-                continue
-            at = offset + line_start
-            for name in names:
-                offsets = self.found.setdefault(name, [])
-                if len(offsets) < self.window and at not in offsets[-1:]:
-                    offsets.append(at)
-                    if len(offsets) == self.window:
-                        self.others = _row_not_of(
-                            [
-                                m
-                                for m, o in self.found.items()
-                                if len(o) == self.window and m not in self.keep
-                            ]
-                        )
+                continue  # a key that ends in "model", or a name in a parsed line
+            offsets = self.found.setdefault(model, [])
+            if len(offsets) < self.window and offset + start not in offsets[-1:]:
+                offsets.append(offset + start)
+                if len(offsets) == self.window:
+                    self.short.discard(model)
+                    if not self.short:
+                        return
+                    self.full.add(model.encode("utf-8", "surrogatepass"))
+                    self.others = _row_not_of(sorted(self.full))
 
     def rows(self) -> dict[str, list[int]]:
         """The offsets learned so far, oldest first."""
         return {name: offsets[::-1] for name, offsets in self.found.items()}
 
 
-def _learn_rows(
-    fh, lo: int, hi: int, window: int, keep: Container[str] = ()
-) -> _RowLearner:
-    """A _RowLearner(window, keep) that has learned the bytes [lo, hi) of
-    `fh`."""
-    learner = _RowLearner(window, keep)
-    for data, cut, offset in _runs_backward(fh, lo, hi):
-        if data.find(b"\\", cut) >= 0 or learner.others.search(data, cut):
-            learner.learn(data, offset, offset > lo)
-    return learner
-
-
-def _rows_from_index(
-    path: str,
-    fh,
-    index: _TailIndex,
-    searched: int,
-    start: int,
-    last: int,
-    left: dict[str, int],
-    rows: list[HistoryRow],
-) -> list[HistoryRow] | None:
-    """Finish a tail read from the current tail `index` once the search
-    has reached the prefix it describes, or None when the index lacks rows
-    the read needs or lists wrong ones; the search then goes on.
-
-    The search has read every line that starts at or after `searched`, and
-    found `rows` (newest first) from `start`; the history's whole lines end
-    at `last`, and each model in `left` still needs that many rows. Each
-    takes its older rows from the index, and the bytes from the oldest of
-    them to `start` are read and parsed. A parsed row must stand at every
-    offset taken, of its model, and a model must have no row there that the
-    index leaves out; otherwise None. A bad line among those bytes then
-    raises, as in the search.
-
-    When a model has fewer rows than the read asks for and the history has
-    grown by a block or more since the index, the index is rewritten to
-    take in the rows appended since.
-    """
-    taken: dict[str, list[int]] = {}
-    for model, needed in left.items():
-        listed = index.rows.get(model, [])
-        older = listed[: bisect.bisect_left(listed, searched)]
-        if len(older) < needed and len(listed) == index.window:
-            # The model may have older rows than the index lists.
-            return None
-        taken[model] = older[-needed:]
-    oldest = min((offsets[0] for offsets in taken.values() if offsets), default=start)
-    parsed: dict[int, HistoryRow | ValueError] = {}  # by file offset
-    if oldest < start:
-        before = min(oldest, 1)  # the byte before `oldest` must end a line
-        fh.seek(oldest - before)
-        chunk = fh.read(start - oldest + before)
-        if chunk[:before] not in (b"", b"\n", b"\r"):
-            return None
-        at = oldest
-        for line in _split_lines(chunk[before:]):
-            try:
-                text = line.decode("utf-8")
-                if text.strip():
-                    parsed[at] = parse_history_line(text)
-            except (MonitorError, UnicodeDecodeError) as exc:
-                parsed[at] = exc
-            at += len(line) + 1
-    for model, offsets in taken.items():
-        since = offsets[0] if offsets else oldest
-        found = [
-            at
-            for at, row in parsed.items()
-            if at >= since and isinstance(row, HistoryRow) and row.model == model
-        ]
-        if found != offsets:
-            return None
-    suffix = list(parsed.values())
-    for row in suffix:
-        if not isinstance(row, HistoryRow):
-            raise row
-    suffix.extend(reversed(rows))
-    if last - index.length >= _BLOCK_SIZE and any(
-        len(taken[model]) < needed for model, needed in left.items()
-    ):
-        merged = dict(index.rows)
-        learned = _learn_rows(fh, index.length, last, index.window)
-        for model, offsets in learned.rows().items():
-            merged[model] = (merged.get(model, []) + offsets)[-index.window :]
-        _write_tail_index(path, fh, last, index.window, merged)
-    return suffix
+def _shortest_suffix(
+    rows: list[HistoryRow], models: Iterable[str], window: int
+) -> list[HistoryRow]:
+    """The shortest suffix of `rows` that holds the last `window` rows of
+    every one of `models` (all of its rows when it has fewer)."""
+    left = dict.fromkeys(models, window)
+    start = len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        if left.get(rows[i].model):
+            left[rows[i].model] -= 1
+            start = i
+    return rows[start:]
 
 
 def _read_tail(
@@ -774,102 +697,96 @@ def _read_tail(
     runs: Iterator[tuple[bytes, int, int]],
     models: Iterable[str],
     window: int,
+    indexed: bool = True,
 ) -> list[HistoryRow]:
-    """The shortest suffix of the rows in `runs` (newest run first, as
-    _runs_backward yields them from `fh`, the history at `path`) that holds
-    the last `window` rows of every listed model (all of its rows when it
-    has fewer); see read_history.
+    """The shortest suffix of the rows of the history at `path`, open as
+    `fh`, that holds the last `window` rows of every listed model (all of
+    its rows when it has fewer); see read_history. `runs` are the
+    history's runs, newest first, as _runs_backward yields them.
 
-    A run with no backslash and no match of `_row_of` is passed over: it is
-    searched in place and dropped. What was passed over since the suffix
-    found so far is kept as one file range, from the end of the current
-    run to `start`: the runs come in file order, so each one passed over
-    widens that range. The range is read again (one seek, one read) and
-    parsed only when an older row pulls it into the suffix.
+    A _RowLearner learns the offsets of each model's rows, back from the
+    end to the line where the last listed model has `window`. When the
+    newest run leaves a model short, and `indexed`, the current tail index
+    bounds that pass: it ends where the index's prefix ends, and each model
+    takes its older offsets from the index. Then the bytes from the oldest
+    offset taken to the end are read in one read and parsed. That offset
+    must start a line, and each listed model's rows from its oldest offset
+    taken on must stand at exactly the offsets taken; if not, the read is
+    made again without the index, and without one, the suffix is taken
+    from a read of every row. A bad line among the bytes read for the
+    suffix raises only once they have passed that check.
 
-    When a model is still short after the newest run, the tail index is
-    loaded, and the search stops once it has read the lines from where the
-    index's prefix ends; _rows_from_index finishes the read. Without a
-    current index the search learns each line's model as it goes, and if
-    it reaches the start of the file it rewrites the index from them.
+    The index is rewritten when the pass reached the start of a file
+    longer than its newest run, or when it used the index, a model is still
+    short, and the history has grown by a block or more past the prefix.
     """
-    left = dict.fromkeys(models, window)
-    if not left:
+    models = set(models)
+    if not models:
         return []
-    short = _row_of(left)
-    rows: list[HistoryRow] = []  # the suffix found so far, newest first
-    start = last = None  # where that suffix starts; where the rows end
-    index = None
-    loaded = False
-    learner = None  # learns each line's model once the search must go on
-
-    def take(run: bytes) -> None:
-        rows.extend(reversed(_parse_run(run)))
-
+    learner = _RowLearner(window, models)
+    index = last = None
     for data, cut, offset in runs:
-        end = offset + len(data)
-        if start is None:
-            start = last = end
-        slash = data.find(b"\\", cut) >= 0
-        if learner is not None:
-            # One search passes over a run for the learner and the tail
-            # search alike: `others` finds every line that `short` finds.
-            if not slash and not learner.others.search(data, cut):
-                continue
-            learner.learn(data, offset, offset > 0)
-        if slash or short.search(data, cut):
-            lines = _split_lines(data)
-            # lines[0] is data[:cut], the line before the run, unless data
-            # starts the file.
-            first = 1 if offset else 0
-            top = len(lines)  # lines[top:] are in rows already
-            line_end = len(data)  # where lines[i] ends in data
-            for i in range(top - 1, first - 1, -1):
-                line = lines[i]
-                line_start = line_end - len(line)
-                line_end = line_start - 1
-                if b"\\" not in line and not short.search(line):
-                    continue
-                row = parse_history_line(line.decode("utf-8"))
-                needed = left.get(row.model)
-                if not needed:
-                    continue
-                # Everything between this row and the suffix found so far
-                # joins the suffix, and is parsed and checked.
-                if start > end:
-                    fh.seek(end)
-                    take(fh.read(start - end))
-                take(b"\n".join(lines[i + 1 : top]))
-                rows.append(row)
-                top = i
-                start = offset + line_start
-                if needed > 1:
-                    left[row.model] = needed - 1
-                    continue
-                del left[row.model]
-                if not left:
-                    rows.reverse()
-                    return rows
-                short = _row_of(left)
-        if offset and not loaded:
-            loaded = True
-            index = _current_tail_index(path, fh, last)
-        # Every line that starts at `searched` or later has been searched.
+        if last is None:
+            last, newest = offset + len(data), offset
+        learner.learn(data, cut, offset)
+        # Every line that starts at `searched` or later has been learned.
         searched = offset + cut + 1 if offset else 0
-        if index is not None and searched <= index.length:
-            suffix = _rows_from_index(
-                path, fh, index, searched, start, last, left, rows
-            )
-            if suffix is not None:
-                return suffix
+        if not learner.short or not offset:
             index = None
-        if loaded and index is None and learner is None:
-            # The search goes on to the start of the file. What it has read
-            # is learned again, and each run from here on as it comes.
-            learner = _learn_rows(fh, searched, last, window, left)
-    if learner is not None:
-        _write_tail_index(path, fh, last, window, learner.rows())
-    rows.reverse()
+            break
+        if indexed:
+            indexed = False
+            index = _current_tail_index(path, fh, last, window)
+        if index is not None and searched <= index.length:
+            break
+    found = learner.rows()
+    if index is not None:
+        for model, listed in index.rows.items():
+            older = listed[: bisect.bisect_left(listed, searched)]
+            if older:
+                found[model] = (older + found.get(model, []))[-window:]
+    taken = {model: found.get(model, []) for model in models}
+    start = min((offsets[0] for offsets in taken.values() if offsets), default=last)
+    before = min(start, 1)  # the byte before `start` must end a line
+    chunk = b""
+    if start < last:
+        fh.seek(start - before)
+        chunk = fh.read(last - start + before)
+    rows: list[HistoryRow] = []
+    seen: dict[str, list[int]] = {model: [] for model in models}  # row offsets
+    error = None
+    at = start
+    for line in _split_lines(chunk[before:]):
+        try:
+            text = line.decode("utf-8")
+            if text.strip():
+                row = parse_history_line(text)
+                rows.append(row)
+                if row.model in seen:
+                    seen[row.model].append(at)
+        except (MonitorError, UnicodeDecodeError) as exc:
+            error = error or exc
+        at += len(line) + 1
+    if chunk[:before] not in (b"", b"\n", b"\r") or any(
+        seen[model][bisect.bisect_left(seen[model], offsets[0]) if offsets else 0 :]
+        != offsets
+        for model, offsets in taken.items()
+    ):
+        runs = _runs_backward(fh, 0, last)
+        if index is not None:
+            return _read_tail(path, fh, runs, models, window, False)
+        return _shortest_suffix(_parse_runs(runs), models, window)
+    if error is not None:
+        raise error
+    if index is None:
+        # The pass reached the start of the file, or every model is full.
+        rewrite = newest > 0 and bool(learner.short)
+    else:
+        rewrite = last - index.length >= _BLOCK_SIZE and any(
+            len(offsets) < window for offsets in taken.values()
+        )
+    if rewrite:
+        _write_tail_index(path, fh, last, window, found)
     return rows
 
 
@@ -879,26 +796,23 @@ def read_history(
     """Parse the history rows of `path`, returned in file order; lines
     split where text mode splits them, and blank lines are skipped.
 
-    The file is read backwards from its end. Without `models` and `window`
-    every row is parsed and returned. With both, the result is the
-    shortest suffix of the rows that holds the last `window` rows of every
-    listed model, or all of its rows when it has fewer (none when it is
-    absent). Every line of that suffix is parsed and checked. An older line
-    is parsed only when its bytes may hold a row of a listed model that is
-    still short of `window` rows. The others are searched where they were
-    read and passed over: only their place in the file is kept, and they
-    are read again if an older row pulls them into the suffix.
+    Without `models` and `window` every row is parsed and returned. With
+    both, the result is the shortest suffix of the rows that holds the last
+    `window` rows of every listed model, or all of its rows when it has
+    fewer (none when it is absent). The file is read backwards from its end
+    until it is known where those rows lie, and then the suffix is read
+    once; every line of it is parsed and checked. An older line is parsed
+    only when it may hold a row of a listed model still short of `window`
+    rows: when it has a backslash or shows the model's name.
 
     A model still short after the newest block is looked up in the tail
-    index beside the history (`path` + ".kgmon-tail"): for a prefix of the
-    file, the SHA-256 of that prefix's last 64 KiB and the offsets of each
-    model's last rows there. With an index that matches the file, the
-    search stops where the prefix ends, and the model's older rows are
-    read from the offsets it lists, so a short or absent model costs about
-    the rows appended since the index, not the file; older lines, bad ones
-    too, are not read. An index that is missing, damaged, stale or built
-    for fewer rows than the model needs is not used: the search goes on to
-    the start of the file, as without one, and then rewrites it. A read
+    index beside the history (`path` + ".kgmon-tail"), which lists the
+    offsets of each model's last rows in a prefix of the file. With an
+    index that matches the file, the backward read stops where the prefix
+    ends, so a short or absent model costs about the rows appended since
+    the index, not the file; older lines, bad ones too, are not read. An
+    index that is missing, stale or built for fewer rows is not used, and
+    a read that goes back to the start of the file rewrites it. A read
     without `models` never uses the index.
 
     Either way, an unterminated last line that does not parse, as a write
@@ -913,9 +827,7 @@ def read_history(
             kept = _drop_torn_end(path, data, cut)
             runs = itertools.chain([(data[:kept], cut, offset)], runs)
             if models is None or window is None:
-                # Parsed run by run, so no more than one run's bytes are held.
-                chunks = [_parse_run(data[cut:]) for data, cut, _ in runs]
-                return [row for chunk in reversed(chunks) for row in chunk]
+                return _parse_runs(runs)
             return _read_tail(path, fh, runs, models, window)
     except UnicodeDecodeError as exc:
         raise UndecodableFileError(

@@ -835,29 +835,79 @@ def test_tail_read_when_other_rows_show_a_short_models_name(tmp_path, monkeypatc
     assert read_history(str(path), ["a", "few"], 3) == rows[3:]
 
 
-def test_learn_rows_tells_each_lines_model_as_the_search_does(tmp_path):
+def test_tail_read_of_a_row_that_shows_another_name_after_its_own(
+    tmp_path, monkeypatch
+):
+    # The oldest row of "few" ends in a nested object that shows "z": the
+    # line is learned as a row of both, so "few" keeps it.
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    rows = _history_rows(0, 60)
+    path.write_text(
+        "".join(
+            json.dumps({**r._asdict(), "meta": {"model": "z"}}) + "\n"
+            if r is rows[3]
+            else r.to_line() + "\n"
+            for r in rows
+        ),
+        encoding="utf-8",
+    )
+    for _ in range(2):
+        assert read_history(str(path), ["few", "absent"], 3) == rows[3:]
+
+
+def test_row_learner_tells_each_lines_model(tmp_path, monkeypatch):
+    # One rule tells a line's model: a line with a backslash is parsed, and
+    # a line without one is learned under each name it shows after a
+    # "model" key.
     path = tmp_path / "history.jsonl"
     lines = [
-        b'{"model": "\\u0062"',  # a backslash: parsed, and holds no row
+        baseline_row(0, "b", _ZERO)._replace(model="b").to_line().encode(),
+        # to_line escapes the batch id's "\u00e9": a backslash, so parsed.
         baseline_row(1, "\u00e9", _ZERO)._replace(model="a").to_line().encode(),
-        baseline_row(2, "b", _ZERO)._replace(model="b").to_line().encode(),
         b'{"xmodel": "c", "model": "d"}',  # no backslash: taken literally
-        baseline_row(4, "b", _ZERO)._replace(model="a").to_line().encode(),
+        b'{"model": "e", "meta": {"model": "c"}}',
+        baseline_row(4, "b", _ZERO)._replace(model="\u00e9").to_line().encode(),
+        baseline_row(5, "b", _ZERO)._replace(model="a").to_line().encode(),
     ]
     data = b"\r\n".join(lines) + b"\r\n"
-    path.write_bytes(data)
     at = [data.index(line) for line in lines]
-    with open(path, "rb") as fh:
-        assert monitor._learn_rows(fh, 0, len(data), 2).rows() == {
-            "a": [at[1], at[4]],
-            "d": [at[3]],
-            "b": [at[2]],
+
+    def learn(window, models):
+        learner = monitor._RowLearner(window, models)
+        with open(path, "rb") as fh:
+            for run in monitor._runs_backward(fh):
+                learner.learn(*run)
+                if not learner.short:
+                    break
+        return learner.rows()
+
+    for block in (7, 1 << 16):
+        monkeypatch.setattr(monitor, "_BLOCK_SIZE", block)
+        path.write_bytes(data)
+        assert learn(2, ["absent"]) == {
+            "a": [at[1], at[5]],
+            "\u00e9": [at[4]],
+            "e": [at[3]],
+            "c": [at[3]],
+            "d": [at[2]],
+            "b": [at[0]],
         }
-        assert monitor._learn_rows(fh, at[2], len(data), 1).rows() == {
-            "a": [at[4]],
-            "d": [at[3]],
-            "b": [at[2]],
+        # It stops at the line where the last listed model has `window` rows.
+        assert learn(1, ["a", "d"]) == {
+            "a": [at[5]],
+            "\u00e9": [at[4]],
+            "e": [at[3]],
+            "c": [at[3]],
+            "d": [at[2]],
         }
+        # A line with a backslash that does not parse raises, as a read of
+        # it would, once the learner reaches it.
+        bad = b'{"model": "\\u0062"\n'
+        path.write_bytes(bad + data)
+        assert learn(1, ["a"]) == {"a": [len(bad) + at[5]]}
+        with pytest.raises(MonitorError, match="bad history line"):
+            learn(2, ["absent"])
 
 
 def test_tail_read_with_an_index_built_for_a_smaller_window(tmp_path, monkeypatch):
@@ -939,18 +989,31 @@ def test_full_windows_and_full_reads_touch_no_sidecar(tmp_path, monkeypatch):
     path = tmp_path / "history.jsonl"
     rows = _history_rows(0, 60)
     _write_rows(path, rows)
+    small = tmp_path / "small.jsonl"
+    _write_rows(small, rows[:2])
     opened = []
+    parsed = []
 
     def recording_open(*args):
         opened.append(args[0])
         return open(*args)
 
+    def counting_parse(line):
+        parsed.append(line)
+        return parse_history_line(line)
+
     monkeypatch.setattr(monitor, "open", recording_open, raising=False)
-    # Two rows of "a" lie in the newest block: the read stops there.
+    monkeypatch.setattr(monitor, "parse_history_line", counting_parse)
+    # Two rows of "a" lie in the newest block: the read stops there, and
+    # parses each row it returns once.
     assert read_history(str(path), ["a"], 2) == rows[-2:]
+    assert len(parsed) == 2
     assert read_history(str(path)) == rows
-    assert opened == [str(path)] * 2
+    # A history smaller than one block, with a short model.
+    assert read_history(str(small), ["a", "absent"], 3) == rows[1:2]
+    assert opened == [str(path)] * 2 + [str(small)]
     assert not Path(str(path) + _SIDECAR).exists()
+    assert not Path(str(small) + _SIDECAR).exists()
 
 
 def _torn_history(path, models, final):

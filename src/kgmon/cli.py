@@ -240,14 +240,19 @@ def load_run_config(path: str) -> RunConfig:
         if not os.path.isfile(paths[label]):
             raise CliError(f"{where}: {label} file not found: {paths[label]}")
     # The threshold parameters get ThresholdState's range checks here, so a
-    # bad value fails before any extraction and names the file.
+    # bad value fails before any extraction and names the file. A warmup
+    # longer than the window would never let a threshold be computed.
+    window = _int_value(payload, "window", where, DEFAULT_WINDOW, minimum=1)
+    warmup_min = _int_value(payload, "warmup_min", where, DEFAULT_WARMUP, minimum=1)
+    if warmup_min > window:
+        raise _bad_value(where, "warmup_min", f"at most window ({window})", warmup_min)
     return RunConfig(
         **paths,
         models=list(models),
         weights=weights,
         lam=_real_value(payload, "lambda", where, DEFAULT_LAMBDA, positive=True),
-        window=_int_value(payload, "window", where, DEFAULT_WINDOW, minimum=1),
-        warmup_min=_int_value(payload, "warmup_min", where, DEFAULT_WARMUP, minimum=1),
+        window=window,
+        warmup_min=warmup_min,
         endpoint_config=None if endpoint is None else _resolve(base, endpoint),
         feed_url=_str_value(payload, "feed_url", where, optional=True),
         noise_sigma=_real_value(payload, "noise_sigma", where, 0.0),

@@ -7,7 +7,6 @@ persisted history is sufficient to replay every threshold and flag
 decision bit-exactly.
 """
 
-import bisect
 import contextlib
 import hashlib
 import itertools
@@ -44,7 +43,7 @@ _LINE_END = re.compile(rb"[\r\n]")
 # The tail index of a history is its path plus this suffix: this format
 # line, then the JSON of a _TailIndex.
 _TAIL_SUFFIX = ".kgmon-tail"
-_TAIL_FORMAT = b"kgmon history tail index 1\n"
+_TAIL_FORMAT = b"kgmon history tail index 2\n"
 # How many bytes before the end of the prefix a tail index describes it
 # keeps the SHA-256 of. Not _BLOCK_SIZE, which sets read sizes alone.
 _TAIL_SPAN = 1 << 16
@@ -75,12 +74,14 @@ def read_text(path: str) -> str:
 def normalize_weights(
     w_icr: float, w_ipr: float, w_ci: float, w_hal: float | None = None
 ) -> MetricVector:
-    """Scale nonnegative weights to sum to 1. At least one must be positive;
-    a None Hal weight stays None."""
+    """Scale nonnegative weights to sum to 1. At least one must be positive,
+    and their sum finite; a None Hal weight stays None."""
     parts = [w_icr, w_ipr, w_ci] + ([] if w_hal is None else [w_hal])
     if any(w < 0 for w in parts):
         raise MonitorError("weights must be nonnegative")
     total = sum(parts)
+    if not math.isfinite(total):
+        raise MonitorError("weights must have a finite sum")
     if total <= 0:
         raise MonitorError("at least one weight must be positive")
     return MetricVector(*(w / total for w in parts))
@@ -392,23 +393,11 @@ def write_atomic(path: str, *chunks: bytes) -> None:
         raise
 
 
-def parse_history_line(line: str) -> HistoryRow:
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MonitorError(f"bad history line: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise MonitorError("bad history line: not a key-value record")
-    try:
-        row = HistoryRow._make(_history_values(payload))
-    except KeyError:
-        missing = [name for name in _HISTORY_FIELDS if name not in payload]
-        raise MonitorError(
-            f"history line missing fields: {', '.join(missing)}"
-        ) from None
-    # One chained test rather than a loop over a table of field types: it
-    # runs on every parsed row.
-    if not (
+def _well_typed(row: HistoryRow) -> bool:
+    """Whether every field of `row` has its wire type. One chained test
+    rather than a loop over a table of field types: it runs on every parsed
+    row."""
+    return (
         type(row.timestamp) is int
         and type(row.hall_total) is int
         and type(row.hall_failed) is int
@@ -424,7 +413,24 @@ def parse_history_line(line: str) -> HistoryRow:
         and type(row.score) in _NUMBER
         and type(row.hal) in _NUMBER_OR_NULL
         and type(row.threshold) in _NUMBER_OR_NULL
-    ):
+    )
+
+
+def parse_history_line(line: str) -> HistoryRow:
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MonitorError(f"bad history line: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise MonitorError("bad history line: not a key-value record")
+    try:
+        row = HistoryRow._make(_history_values(payload))
+    except KeyError:
+        missing = [name for name in _HISTORY_FIELDS if name not in payload]
+        raise MonitorError(
+            f"history line missing fields: {', '.join(missing)}"
+        ) from None
+    if not _well_typed(row):
         raise MonitorError(
             f"bad history line: a field has the wrong type: {line.strip()}"
         )
@@ -492,12 +498,6 @@ def _split_lines(run: bytes) -> list[bytes]:
     return run.replace(b"\r", b"\n").split(b"\n")
 
 
-def _line_start(data: bytes, at: int) -> int:
-    """Where the line that holds data[at] starts in `data`."""
-    newline = data.rfind(b"\n", 0, at)
-    return max(newline, data.rfind(b"\r", newline + 1, at)) + 1
-
-
 def _parse_run(run: bytes) -> list[HistoryRow]:
     """The rows of a run in file order; blank lines are skipped."""
     rows: list[HistoryRow] = []
@@ -516,33 +516,17 @@ def _parse_runs(runs: Iterable[tuple[bytes, int, int]]) -> list[HistoryRow]:
     return [row for chunk in reversed(chunks) for row in chunk]
 
 
-def _row_not_of(names: Iterable[bytes]) -> re.Pattern:
-    """A search for the model name that a line without a backslash shows
-    after each "model" key, unless it is one of `names` (UTF-8).
-
-    Without a backslash a line has no escapes, so the key and the model
-    name of a row stand in it literally: "model", blanks, a colon, blanks,
-    then the name's bytes between quotes, which group 1 captures. The
-    search leaves out the key's opening quote, which opens every key and
-    string of a line and would stop it at each.
-    """
-    pattern = rb'model"[ \t]*:[ \t]*"'
-    if names:
-        pattern += rb"(?!(?:" + b"|".join(map(re.escape, names)) + rb')")'
-    return re.compile(pattern + rb'([^"\r\n]*)"')
-
-
 class _TailIndex(NamedTuple):
-    """What a tail index says of the first `length` bytes of a history:
-    the SHA-256 (hex) of their last _TAIL_SPAN bytes, and for every model
-    with a row in them the file offsets of its last `window` rows there
-    (all of them when it has fewer), oldest first. The field names are the
-    keys of the sidecar's JSON body."""
+    """What a tail index says of the first `length` bytes of a history: the
+    SHA-256 (hex) of their last _TAIL_SPAN bytes, and every model's last
+    `window` rows there (all of them when it has fewer), in file order. The
+    field names are the keys of the sidecar's JSON body, which holds each
+    row as the list of its field values."""
 
     length: int
     sha256: str
     window: int
-    rows: dict[str, list[int]]
+    rows: list[HistoryRow]
 
 
 def _current_tail_index(
@@ -550,9 +534,10 @@ def _current_tail_index(
 ) -> _TailIndex | None:
     """The tail index of the history at `path` (open as `fh`, its whole
     lines ending at `last`) when it describes the history as it is now and
-    lists up to `window` rows of each model, or None: when there is none,
-    when the sidecar is empty, torn or not one, when it was built under a
-    smaller window, or when the history is shorter than its prefix or the
+    holds up to `window` rows of each model, or None: when there is none,
+    when the sidecar is empty, torn, of another format or not one, when a
+    row in it is not a well-typed row, when it was built under a smaller
+    window, or when the history is shorter than its prefix or the
     _TAIL_SPAN bytes before the prefix ends have another SHA-256."""
     try:
         with open(path + _TAIL_SUFFIX, "rb") as fh_index:
@@ -571,22 +556,19 @@ def _current_tail_index(
         and type(index.sha256) is str
         and type(index.window) is int
         and index.window >= window
-        and type(index.rows) is dict
+        and type(index.rows) is list
+        and all(
+            type(values) is list and len(values) == len(_HISTORY_FIELDS)
+            for values in index.rows
+        )
     ):
         return None
-    for offsets in index.rows.values():
-        if not (
-            type(offsets) is list
-            and 0 < len(offsets) <= index.window
-            and all(type(at) is int for at in offsets)
-            and 0 <= offsets[0]
-            and offsets[-1] < index.length
-            and all(a < b for a, b in zip(offsets, offsets[1:]))
-        ):
-            return None
+    rows = list(map(HistoryRow._make, index.rows))
+    if not all(map(_well_typed, rows)):
+        return None
     if _prefix_digest(fh, index.length) != index.sha256:
         return None
-    return index
+    return index._replace(rows=rows)
 
 
 def _prefix_digest(fh, length: int) -> str:
@@ -601,11 +583,12 @@ def _prefix_digest(fh, length: int) -> str:
 
 
 def _write_tail_index(
-    path: str, fh, length: int, window: int, rows: dict[str, list[int]]
+    path: str, fh, length: int, window: int, rows: list[HistoryRow]
 ) -> None:
     """Replace the tail index of the history at `path` (open as `fh`) with
-    one of its first `length` bytes. A sidecar that cannot be written is
-    logged at debug level and costs only the reading it would have spared."""
+    one of its first `length` bytes, whose rows are `rows`. A sidecar that
+    cannot be written is logged at debug level and costs only the reading
+    it would have spared."""
     index = _TailIndex(length, _prefix_digest(fh, length), window, rows)
     try:
         write_atomic(
@@ -615,80 +598,18 @@ def _write_tail_index(
         log.debug("history tail index %s not written: %s", path + _TAIL_SUFFIX, exc)
 
 
-class _RowLearner:
-    """Learns, line by line from the newest, the file offsets of each
-    model's last `window` rows (all of them when it has fewer), until each
-    of `models` has `window`.
-
-    A line with a backslash is parsed, and raises when it does not parse. A
-    line without one shows its model literally, and is learned as a row of
-    each name `others` finds in it after a "model" key. Once a model has
-    `window` rows, `others` finds the names of the other models only, so a
-    run in which it finds none and that has no backslash holds no row to
-    learn. A line may show a name it holds no row of; _read_tail finds that
-    out when it parses the line.
-    """
-
-    def __init__(self, window: int, models: Iterable[str]) -> None:
-        self.window = window
-        self.short = set(models)  # the listed models with fewer rows
-        self.found: dict[str, list[int]] = {}  # newest first
-        self.full: set[bytes] = set()  # the models with `window`, in UTF-8
-        self.others = _row_not_of(())
-
-    def learn(self, data: bytes, cut: int, offset: int) -> None:
-        """Learn the run data[cut:], where data[0] is at file offset
-        `offset` (see _runs_backward), until no listed model is short."""
-        # Where each name shown, and each line with a backslash, is met.
-        hits = [(hit.start(), hit[1]) for hit in self.others.finditer(data, cut)]
-        escaped = {}  # where each line with a backslash starts: its end
-        at = data.find(b"\\", cut)
-        while at >= 0:
-            end = _LINE_END.search(data, at)
-            end = end.start() if end else len(data)
-            escaped[_line_start(data, at)] = end
-            hits.append((at, None))
-            at = data.find(b"\\", end)
-        if escaped:
-            hits.sort()
-        for at, name in reversed(hits):
-            if name in self.full:
-                continue  # `others` still found it when this run was searched
-            start = _line_start(data, at)
-            end = escaped.get(start)
-            if end is None and data[at - 1 : at] == b'"':
-                model = name.decode("utf-8", "replace")
-            elif end is not None and name is None:
-                model = parse_history_line(data[start:end].decode("utf-8")).model
-            else:
-                continue  # a key that ends in "model", or a name in a parsed line
-            offsets = self.found.setdefault(model, [])
-            if len(offsets) < self.window and offset + start not in offsets[-1:]:
-                offsets.append(offset + start)
-                if len(offsets) == self.window:
-                    self.short.discard(model)
-                    if not self.short:
-                        return
-                    self.full.add(model.encode("utf-8", "surrogatepass"))
-                    self.others = _row_not_of(sorted(self.full))
-
-    def rows(self) -> dict[str, list[int]]:
-        """The offsets learned so far, oldest first."""
-        return {name: offsets[::-1] for name, offsets in self.found.items()}
-
-
-def _shortest_suffix(
-    rows: list[HistoryRow], models: Iterable[str], window: int
-) -> list[HistoryRow]:
-    """The shortest suffix of `rows` that holds the last `window` rows of
-    every one of `models` (all of its rows when it has fewer)."""
-    left = dict.fromkeys(models, window)
-    start = len(rows)
-    for i in range(len(rows) - 1, -1, -1):
-        if left.get(rows[i].model):
-            left[rows[i].model] -= 1
-            start = i
-    return rows[start:]
+def _last_rows(rows: list[HistoryRow], window: int) -> list[HistoryRow]:
+    """Each model's last `window` of `rows` (all of them when it has
+    fewer), in the order of `rows`."""
+    count: dict[str, int] = {}
+    kept = []
+    for row in reversed(rows):
+        n = count.get(row.model, 0)
+        if n < window:
+            count[row.model] = n + 1
+            kept.append(row)
+    kept.reverse()
+    return kept
 
 
 def _read_tail(
@@ -697,97 +618,59 @@ def _read_tail(
     runs: Iterator[tuple[bytes, int, int]],
     models: Iterable[str],
     window: int,
-    indexed: bool = True,
 ) -> list[HistoryRow]:
-    """The shortest suffix of the rows of the history at `path`, open as
-    `fh`, that holds the last `window` rows of every listed model (all of
-    its rows when it has fewer); see read_history. `runs` are the
-    history's runs, newest first, as _runs_backward yields them.
+    """The last `window` rows of each listed model (all of its rows when it
+    has fewer) in the history at `path`, open as `fh`, in file order; see
+    read_history. `runs` are the history's runs, newest first, as
+    _runs_backward yields them.
 
-    A _RowLearner learns the offsets of each model's rows, back from the
-    end to the line where the last listed model has `window`. When the
-    newest run leaves a model short, and `indexed`, the current tail index
-    bounds that pass: it ends where the index's prefix ends, and each model
-    takes its older offsets from the index. Then the bytes from the oldest
-    offset taken to the end are read in one read and parsed. That offset
-    must start a line, and each listed model's rows from its oldest offset
-    taken on must stand at exactly the offsets taken; if not, the read is
-    made again without the index, and without one, the suffix is taken
-    from a read of every row. A bad line among the bytes read for the
-    suffix raises only once they have passed that check.
-
-    The index is rewritten when the pass reached the start of a file
-    longer than its newest run, or when it used the index, a model is still
-    short, and the history has grown by a block or more past the prefix.
+    Lines are parsed from the newest, and each model's rows are kept until
+    it has `window`, up to the line where the last listed model has them.
+    When the newest run leaves a listed model short, a current tail index
+    ends the walk: the rows are then the index's and those of the lines
+    after its prefix, which are parsed again. A walk that reaches the start
+    of a file longer than its newest run writes the index; a read that used
+    it rewrites it once the history has grown by a block or more past the
+    prefix.
     """
     models = set(models)
     if not models:
         return []
-    learner = _RowLearner(window, models)
+    short = set(models)
+    count: dict[str, int] = {}
+    kept: list[HistoryRow] = []  # each model's last `window` rows, newest first
     index = last = None
     for data, cut, offset in runs:
         if last is None:
             last, newest = offset + len(data), offset
-        learner.learn(data, cut, offset)
-        # Every line that starts at `searched` or later has been learned.
-        searched = offset + cut + 1 if offset else 0
-        if not learner.short or not offset:
-            index = None
-            break
-        if indexed:
-            indexed = False
-            index = _current_tail_index(path, fh, last, window)
-        if index is not None and searched <= index.length:
-            break
-    found = learner.rows()
-    if index is not None:
-        for model, listed in index.rows.items():
-            older = listed[: bisect.bisect_left(listed, searched)]
-            if older:
-                found[model] = (older + found.get(model, []))[-window:]
-    taken = {model: found.get(model, []) for model in models}
-    start = min((offsets[0] for offsets in taken.values() if offsets), default=last)
-    before = min(start, 1)  # the byte before `start` must end a line
-    chunk = b""
-    if start < last:
-        fh.seek(start - before)
-        chunk = fh.read(last - start + before)
-    rows: list[HistoryRow] = []
-    seen: dict[str, list[int]] = {model: [] for model in models}  # row offsets
-    error = None
-    at = start
-    for line in _split_lines(chunk[before:]):
-        try:
+        for line in reversed(_split_lines(data[cut:])):
             text = line.decode("utf-8")
-            if text.strip():
-                row = parse_history_line(text)
-                rows.append(row)
-                if row.model in seen:
-                    seen[row.model].append(at)
-        except (MonitorError, UnicodeDecodeError) as exc:
-            error = error or exc
-        at += len(line) + 1
-    if chunk[:before] not in (b"", b"\n", b"\r") or any(
-        seen[model][bisect.bisect_left(seen[model], offsets[0]) if offsets else 0 :]
-        != offsets
-        for model, offsets in taken.items()
-    ):
-        runs = _runs_backward(fh, 0, last)
-        if index is not None:
-            return _read_tail(path, fh, runs, models, window, False)
-        return _shortest_suffix(_parse_runs(runs), models, window)
-    if error is not None:
-        raise error
-    if index is None:
-        # The pass reached the start of the file, or every model is full.
-        rewrite = newest > 0 and bool(learner.short)
+            if not text.strip():
+                continue
+            row = parse_history_line(text)
+            n = count.get(row.model, 0)
+            if n < window:
+                count[row.model] = n + 1
+                kept.append(row)
+                if n + 1 == window and row.model in short:
+                    short.remove(row.model)
+                    if not short:
+                        return [row for row in reversed(kept) if row.model in models]
+        if offset and offset == newest:
+            # The newest run of a longer file leaves a listed model short.
+            index = _current_tail_index(path, fh, last, window)
+            if index is not None:
+                break
+    if index is not None:
+        after = _parse_runs(_runs_backward(fh, index.length, last))
+        kept = _last_rows(index.rows + after, window)
+        if last - index.length >= _BLOCK_SIZE:
+            _write_tail_index(path, fh, last, window, kept)
     else:
-        rewrite = last - index.length >= _BLOCK_SIZE and any(
-            len(offsets) < window for offsets in taken.values()
-        )
-    if rewrite:
-        _write_tail_index(path, fh, last, window, found)
-    return rows
+        kept.reverse()
+        if newest:
+            _write_tail_index(path, fh, last, window, kept)
+    return [row for row in kept if row.model in models]
 
 
 def read_history(
@@ -797,27 +680,22 @@ def read_history(
     split where text mode splits them, and blank lines are skipped.
 
     Without `models` and `window` every row is parsed and returned. With
-    both, the result is the shortest suffix of the rows that holds the last
-    `window` rows of every listed model, or all of its rows when it has
-    fewer (none when it is absent). The file is read backwards from its end
-    until it is known where those rows lie, and then the suffix is read
-    once; every line of it is parsed and checked. An older line is parsed
-    only when it may hold a row of a listed model still short of `window`
-    rows: when it has a backslash or shows the model's name.
+    both, the result is the last `window` rows of each listed model, or all
+    of its rows when it has fewer (none when it is absent). The file is
+    parsed backwards from its end, a block at a time, up to the line where
+    the last listed model has `window` rows.
 
     A model still short after the newest block is looked up in the tail
-    index beside the history (`path` + ".kgmon-tail"), which lists the
-    offsets of each model's last rows in a prefix of the file. With an
-    index that matches the file, the backward read stops where the prefix
-    ends, so a short or absent model costs about the rows appended since
-    the index, not the file; older lines, bad ones too, are not read. An
-    index that is missing, stale or built for fewer rows is not used, and
-    a read that goes back to the start of the file rewrites it. A read
+    index beside the history (`path` + ".kgmon-tail"), which holds every
+    model's last rows in a prefix of the file. With an index that matches
+    the file, no line before the prefix ends is read, so a short or absent
+    model costs about the rows appended since the index, not the file.
+    Without one, every line is parsed, and the index is written. A read
     without `models` never uses the index.
 
     Either way, an unterminated last line that does not parse, as a write
-    cut short leaves it, is skipped with a warning; a bad line anywhere
-    else raises MonitorError.
+    cut short leaves it, is skipped with a warning; any other bad line that
+    is read raises MonitorError.
     """
     try:
         with open(path, "rb") as fh:

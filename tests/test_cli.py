@@ -190,8 +190,9 @@ def test_load_run_config_number_types(ws):
         ({"icr": 0, "ipr": 0, "ci": 0}, "at least one weight must be positive"),
         ({"icr": 0, "ipr": 0, "ci": 0, "hal": 0}, "at least one weight must be positive"),
         ({"icr": 1, "ipr": -0.5, "ci": 1}, "weights must be nonnegative"),
+        ({"icr": 1e308, "ipr": 1e308, "ci": 0}, "weights must have a finite sum"),
     ],
-    ids=["all-zero", "all-zero-with-hal", "negative"],
+    ids=["all-zero", "all-zero-with-hal", "negative", "overflowing-sum"],
 )
 def test_bad_weights_are_one_error_line(ws, capsys, weights, message):
     config = _write_config(ws, weights=weights)
@@ -1714,6 +1715,29 @@ def test_monitor_threshold_parameter_out_of_range_marks_nothing_seen(
     assert f"ERROR config {config}: {key} must be {kind}" in capsys.readouterr().err
     assert not (ws / "history.jsonl.seen").exists()
     assert not (ws / "history.jsonl").exists()
+
+
+def test_warmup_longer_than_the_window_fails_before_extraction(
+    ws, monkeypatch, capsys
+):
+    # No threshold is ever computed from a window of 3 scores when 5 are
+    # needed, so nothing could flag.
+    monkeypatch.setattr(
+        cli, "build_baseline", lambda *a, **k: pytest.fail("baseline built")
+    )
+    config = _write_config(ws, window=3, warmup_min=5)
+    assert _evaluate(ws, config, f"probe={ws / 'good.rec'}", 1) == 1
+    assert capsys.readouterr().err == (
+        f"ERROR config {config}: warmup_min must be at most window (3), not 5\n"
+    )
+    assert not (ws / "history.jsonl").exists()
+    # The default warmup_min of 5 is checked against the window too.
+    payload = json.loads(Path(config).read_text(encoding="utf-8"))
+    del payload["warmup_min"]
+    Path(config).write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CliError, match="warmup_min must be at most window"):
+        load_run_config(config)
+    assert load_run_config(_write_config(ws, window=5, warmup_min=5)).warmup_min == 5
 
 
 def test_threshold_parameters_at_their_limits_are_accepted(ws):

@@ -68,6 +68,13 @@ def test_normalize_weights():
         normalize_weights(-0.1, 1.0, 1.0)
     with pytest.raises(MonitorError, match="positive"):
         normalize_weights(0.0, 0.0, 0.0)
+    # A sum that overflows would scale every weight to 0.0.
+    with pytest.raises(MonitorError, match="finite sum"):
+        normalize_weights(1e308, 1e308, 0.0)
+    with pytest.raises(MonitorError, match="finite sum"):
+        normalize_weights(1.0, 1.0, 1.0, math.inf)
+    big = normalize_weights(1e308, 5e307, 0.0, 0.0)
+    assert big == MetricVector(1e308 / 1.5e308, 5e307 / 1.5e308, 0.0, 0.0)
 
 
 def test_anomaly_score_weighted_sum():
@@ -380,77 +387,153 @@ def test_history_row_round_trip(tmp_path):
     assert rows[1].score == 0.0 and rows[1].flagged is False
 
 
-def _read_history_forward(path):
-    """The whole-file read written out: text mode, front to back."""
-    with open(path, encoding="utf-8") as fh:
-        return [parse_history_line(line) for line in fh if line.strip()]
+_SIDECAR = monitor._TAIL_SUFFIX
+_FORMAT = monitor._TAIL_FORMAT
+
+
+def _last_rows(rows, models, window):
+    """The last `window` rows of each of `models` in `rows` (all of a
+    model's rows when it has fewer), in the order of `rows`."""
+    left = {m: sum(r.model == m for r in rows) for m in models}
+    out = []
+    for row in rows:
+        if row.model in left:
+            if left[row.model] <= window:
+                out.append(row)
+            left[row.model] -= 1
+    return out
 
 
 _LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 _BLANK_LINES = st.sampled_from(["", "\n", " \n", "\u3000\r\n", "\t\r", "\r\n"])
+# Names that JSON escapes, and one that is not ASCII.
+_TAIL_MODELS = [BASELINE_MODEL, "a", "few", 'q"\\', "\u00e9\U0001f600"]
 _TAIL_ROWS = st.lists(
     st.tuples(
-        st.sampled_from([BASELINE_MODEL, "a", "b", "few"]),
+        st.sampled_from(_TAIL_MODELS),
         st.text(
             st.sampled_from("e\u00e9\u20ac\U0001f600\u2028\x85\u3000")
             | st.characters(blacklist_categories=("Cs",)),
             max_size=6,
         ),
         st.floats(allow_nan=False, allow_infinity=False),
+        st.booleans(),
         _BLANK_LINES,
         _LINE_ENDS,
     ),
     max_size=40,
 )
+# A write cut short: part of a row, and a row cut inside a character.
+_TORN_TAILS = st.sampled_from(
+    ["", '{"tim', '{"timestamp": 9, "model": "a", "batch_id": "\udcc3']
+)
+_SIDECAR_STATES = st.sampled_from(
+    ["none", "current", "stale", "foreign", "torn", "smaller", "version 1"]
+)
 
 
-@settings(max_examples=150, deadline=None)
+def _history_text(rows, items, count):
+    """The lines of the first `count` of `items`, whose rows are `rows`."""
+    parts = []
+    for row, (_, _, _, ascii_only, blank, end) in zip(rows[:count], items):
+        parts += [blank, json.dumps(row._asdict(), ensure_ascii=ascii_only), end]
+    return "".join(parts)
+
+
+def _make_sidecar(path, state, data, prefix, foreign, window):
+    """Leave the sidecar of the history at `path` in `state`, the history
+    holding `data` once done. `prefix` is the part of `data` before any
+    sidecar was written, and `foreign` another history."""
+    Path(str(path) + _SIDECAR).unlink(missing_ok=True)
+    # A row of a model no generated row has, so the file never holds it.
+    stale_row = baseline_row(0, "b", _ZERO)._replace(model="stale").to_line()
+    source = {
+        "current": prefix,
+        "torn": prefix,
+        "version 1": prefix,
+        "smaller": prefix,
+        "stale": prefix + stale_row.encode() + b"\n",
+        "foreign": foreign,
+    }.get(state)
+    if source is not None:
+        path.write_bytes(source)
+        made_window = max(1, window - 1) if state == "smaller" else window
+        assert read_history(str(path), ["absent"], made_window) == []
+    sidecar = Path(str(path) + _SIDECAR)
+    if state == "torn" and sidecar.exists():
+        sidecar.write_bytes(sidecar.read_bytes()[:-9])
+    elif state == "version 1" and sidecar.exists():
+        # The first format: the offsets of each model's rows, not the rows.
+        body = json.loads(sidecar.read_bytes()[len(_FORMAT) :])
+        body["rows"] = {"a": [0]}
+        version_1 = b"kgmon history tail index 1\n"
+        sidecar.write_bytes(version_1 + json.dumps(body).encode())
+    path.write_bytes(data)
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     items=_TAIL_ROWS,
     window=st.integers(1, 4),
     requested=st.lists(
-        st.sampled_from(["a", "b", "few", "absent"]), min_size=1, unique=True
+        st.sampled_from(_TAIL_MODELS[1:] + ["absent"]), min_size=1, unique=True
     ),
     trailing=st.sampled_from(["", "\n", " ", "\u3000", "\t\r\n"]),
     final_newline=st.booleans(),
+    torn=_TORN_TAILS,
+    split=st.integers(0, 40),
+    sidecar=_SIDECAR_STATES,
     # A few bytes puts lines and CRLF pairs across block boundaries; larger
     # blocks put several lines in one decoded run.
     block=st.integers(1, 16) | st.integers(17, 4096),
 )
 def test_tail_read_matches_full_read(
-    tmp_path_factory, items, window, requested, trailing, final_newline, block
+    tmp_path_factory,
+    items,
+    window,
+    requested,
+    trailing,
+    final_newline,
+    torn,
+    split,
+    sidecar,
+    block,
 ):
     path = tmp_path_factory.getbasetemp() / "tail_history.jsonl"
-    parts = []
     few_left = window - 1  # "few" always has fewer than `window` rows
-    for ts, (model, batch_id, score, blank, end) in enumerate(items):
+    kept_items, rows = [], []
+    for ts, item in enumerate(items):
+        model, batch_id, score = item[:3]
         if model == "few":
             if not few_left:
                 continue
             few_left -= 1
+        kept_items.append(item)
         row = baseline_row(ts, batch_id, _ZERO)._replace(model=model, score=score)
-        # ensure_ascii=False puts multi-byte UTF-8 into the file, and raw
-        # U+2028 and U+0085, at which text mode does not split.
-        line = json.dumps(row._asdict(), ensure_ascii=False)
-        parts += [blank, line, end]
-    if parts and not final_newline:
-        parts.pop()
+        rows.append(row)
+    text = _history_text(rows, kept_items, len(rows))
+    if rows and not final_newline:
+        text = text[: -len(kept_items[-1][-1])]
     else:
-        parts.append(trailing)
-    path.write_bytes("".join(parts).encode("utf-8"))
+        text += trailing
+    if torn:
+        text += "\n" + torn
+    data = text.encode("utf-8", "surrogateescape")
+    prefix = _history_text(rows, kept_items, split).encode("utf-8")
+    others = [r._replace(batch_id=r.batch_id + "x") for r in rows]
+    foreign = _history_text(others, kept_items, split).encode("utf-8")
 
     with mock.patch.object(monitor, "_BLOCK_SIZE", block):
+        _make_sidecar(path, sidecar, data, prefix, foreign, window)
         full = read_history(str(path))
         tail = read_history(str(path), requested, window)
-    assert full == _read_history_forward(path)
-    assert tail == full[len(full) - len(tail) :]
-
-    need = {m: min(window, sum(r.model == m for r in full)) for m in requested}
-
-    def holds(rows):
-        return all(sum(r.model == m for r in rows) >= need[m] for m in requested)
-
-    assert holds(tail) and (not tail or not holds(tail[1:]))
+        assert full == rows
+        assert tail == _last_rows(full, requested, window)
+        # The next read, with the sidecar this one left, returns the same
+        # rows, and so does one without a sidecar.
+        assert read_history(str(path), requested, window) == tail
+        Path(str(path) + _SIDECAR).unlink(missing_ok=True)
+        assert read_history(str(path), requested, window) == tail
     params = dict(capacity=window, lam=DEFAULT_LAMBDA, warmup_min=DEFAULT_WARMUP)
     for model in requested:
         from_tail = resume_state(tail, model, **params)
@@ -461,21 +544,17 @@ def test_tail_read_matches_full_read(
 
 @pytest.mark.parametrize("block", [7, 1 << 16])
 @pytest.mark.parametrize(
-    "oldest, parsed",
+    "oldest",
     [
-        ("not json", False),
-        ('{"batch_id": "few", "model": "other"', False),
-        # Lines that may hold a row of "few" are parsed, in any spacing,
-        # and so is any line with a backslash: it may hide the name.
-        ('{"timestamp": 0, "model": "few"', True),
-        ('{"model"\t :"few"', True),
-        ('{"model": "\\u0066ew"', True),
-        ('{"batch_id": "\\u0062"', True),
+        "not json",
+        '{"batch_id": "few", "model": "other"',
+        '{"timestamp": 0, "model": "few"',
+        '{"model"\t :"few"',
+        '{"model": "\\u0066ew"',
+        '{"batch_id": "\\u0062"',
     ],
 )
-def test_tail_read_passes_over_old_lines_of_other_models(
-    tmp_path, block, oldest, parsed
-):
+def test_tail_read_stops_where_the_last_listed_model_fills(tmp_path, block, oldest):
     path = tmp_path / "history.jsonl"
     old = [baseline_row(ts, "b", _ZERO) for ts in range(3)]
     few = baseline_row(3, "b", _ZERO)._replace(model="few")
@@ -484,13 +563,14 @@ def test_tail_read_passes_over_old_lines_of_other_models(
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with mock.patch.object(monitor, "_BLOCK_SIZE", block):
         assert read_history(str(path), [], 3) == []
-        # "few" has one row of the three wanted and "absent" none, so the
-        # suffix starts at few's row.
-        if parsed:
-            with pytest.raises(MonitorError, match="bad history line"):
-                read_history(str(path), ["few", "absent"], 3)
-        else:
-            assert read_history(str(path), ["few", "absent"], 3) == [few, newest]
+        # The read ends at the line where the last listed model fills, so
+        # the malformed oldest line is not read.
+        assert read_history(str(path), ["few"], 1) == [few]
+        assert read_history(str(path), [BASELINE_MODEL], 4) == [*old, newest]
+        # "few" has one row of the three wanted: the read goes on to the
+        # start of the file and meets the oldest line.
+        with pytest.raises(MonitorError, match="bad history line"):
+            read_history(str(path), ["few", "absent"], 3)
         with pytest.raises(MonitorError, match="bad history line"):
             read_history(str(path))
 
@@ -530,69 +610,6 @@ class _ReadSizes:
         return data
 
 
-@pytest.mark.parametrize("block", [7, 1024])
-@pytest.mark.parametrize("bad", [None, "passed over", "above the oldest"])
-def test_tail_read_rereads_the_range_it_passed_over(
-    tmp_path, monkeypatch, block, bad
-):
-    # Two rows of "few" with over 20 blocks of other models' rows between
-    # them: the tail read passes over those blocks, then the older row of
-    # "few" pulls them back into the suffix.
-    rows = [baseline_row(ts, "b", _ZERO) for ts in range(110)]
-    for ts in (2, 103):
-        rows[ts] = rows[ts]._replace(model="few")
-    for ts in range(3, 103, 2):
-        rows[ts] = rows[ts]._replace(model="a")
-    lines = [r.to_line() for r in rows]
-    if bad == "passed over":
-        lines[50] = "not json"
-    elif bad == "above the oldest":
-        lines[1] = "not json"
-    path = tmp_path / "history.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert sum(len(line) + 1 for line in lines[3:103]) > 20 * 1024
-
-    opened = []
-
-    def recording_open(*args):
-        opened.append(_ReadSizes(open(*args)))
-        return opened[-1]
-
-    monkeypatch.setattr(monitor, "_BLOCK_SIZE", block)
-    monkeypatch.setattr(monitor, "open", recording_open, raising=False)
-    if bad == "passed over":
-        with pytest.raises(MonitorError, match="bad history line"):
-            read_history(str(path), ["few"], 3)
-        return
-    assert read_history(str(path), ["few"], 3) == rows[2:]
-    if block == 1024:
-        # The blocks passed over come back as one range in one read.
-        reread = [size for size in opened[-1].sizes if size > 2 * block]
-        assert len(reread) == 1 and reread[0] > 18 * block
-    if bad is None:
-        assert read_history(str(path)) == rows
-    else:
-        with pytest.raises(MonitorError, match="bad history line"):
-            read_history(str(path))
-
-
-_SIDECAR = monitor._TAIL_SUFFIX
-
-
-def _shortest_suffix(rows, models, window):
-    """The shortest suffix of `rows` that holds the last `window` rows of
-    every one of `models` (all of its rows when it has fewer)."""
-    need = {m: min(window, sum(r.model == m for r in rows)) for m in models}
-    have = dict.fromkeys(models, 0)
-    start = len(rows)
-    for i in range(len(rows) - 1, -1, -1):
-        model = rows[i].model
-        if model in have and have[model] < need[model]:
-            have[model] += 1
-            start = i
-    return rows[start:]
-
-
 def _read_without_index(path, models, window):
     """The tail read of a copy of the history at `path` with no sidecar."""
     copy = path.with_name("copy-" + path.name)
@@ -629,7 +646,7 @@ def test_tail_reads_of_a_growing_history_match_reads_without_index(
     # Appends, each followed by a tail read that may write or rewrite the
     # sidecar. A row ended by \r and a blank \n line appended after it put
     # the index's prefix end inside a CRLF pair; a few-byte block makes
-    # each read that uses the index and still has a short model rewrite it.
+    # each read that uses the index rewrite it.
     path = tmp_path_factory.mktemp("growing") / "history.jsonl"
     ts = 0
     with mock.patch.object(monitor, "_BLOCK_SIZE", block):
@@ -643,7 +660,7 @@ def test_tail_reads_of_a_growing_history_match_reads_without_index(
                 fh.write("".join(parts).encode("utf-8"))
             tail = read_history(str(path), requested, window)
             assert tail == _read_without_index(path, requested, window)
-            assert tail == _shortest_suffix(read_history(str(path)), requested, window)
+            assert tail == _last_rows(read_history(str(path)), requested, window)
 
 
 def _model_at(ts):
@@ -701,7 +718,28 @@ def _drop_sidecar(path, _tmp_path):
     Path(str(path) + _SIDECAR).unlink()
 
 
-_FORMAT = monitor._TAIL_FORMAT
+def _sidecar(path):
+    return json.loads(Path(str(path) + _SIDECAR).read_bytes()[len(_FORMAT) :])
+
+
+def _forge_sidecar_rows(change):
+    """A damage that rewrites the rows of the current sidecar by `change`,
+    the digest and length left as they were."""
+
+    def damage(path, _tmp_path):
+        payload = _sidecar(path)
+        payload["rows"] = change(payload["rows"])
+        Path(str(path) + _SIDECAR).write_bytes(_FORMAT + json.dumps(payload).encode())
+
+    return damage
+
+
+def _as_version_1(path, _tmp_path):
+    payload = _sidecar(path)
+    payload["rows"] = {"few": [0]}
+    Path(str(path) + _SIDECAR).write_bytes(
+        b"kgmon history tail index 1\n" + json.dumps(payload).encode()
+    )
 
 
 @pytest.mark.parametrize(
@@ -721,6 +759,22 @@ _FORMAT = monitor._TAIL_FORMAT
         _truncate_at_a_line,
         _rewrite_before_the_prefix_end,
         _append_as_an_older_kgmon,
+        _as_version_1,
+        # A row that is not a list of the 15 field values, or of wrong types.
+        pytest.param(
+            _forge_sidecar_rows(lambda rows: rows[:1] + [rows[1][:-1]]), id="short-row"
+        ),
+        pytest.param(
+            _forge_sidecar_rows(lambda rows: rows + [{"model": "few"}]), id="keyed-row"
+        ),
+        pytest.param(
+            _forge_sidecar_rows(lambda rows: [[str(rows[0][0]), *rows[0][1:]]]),
+            id="string-timestamp",
+        ),
+        pytest.param(
+            _forge_sidecar_rows(lambda rows: [rows[0][:12] + [0] + rows[0][13:]]),
+            id="int-flag",
+        ),
     ],
 )
 @pytest.mark.parametrize("requested", [["few", "absent"], ["a", "few"], ["c"]])
@@ -734,66 +788,13 @@ def test_tail_read_with_a_stale_or_damaged_index(
     assert Path(str(path) + _SIDECAR).exists()
     damage(path, tmp_path)
     tail = read_history(str(path), requested, 3)
-    assert tail == _shortest_suffix(read_history(str(path)), requested, 3)
-    assert Path(str(path) + _SIDECAR).exists()
-    # The next read, with the sidecar this one left, returns the same rows.
+    assert tail == _last_rows(read_history(str(path)), requested, 3)
+    # The read left a sidecar of the current format, and the next read,
+    # with it, returns the same rows.
+    assert Path(str(path) + _SIDECAR).read_bytes().startswith(_FORMAT)
     assert read_history(str(path), requested, 3) == tail
     Path(str(path) + _SIDECAR).unlink()
     assert read_history(str(path), requested, 3) == tail
-
-
-def _sidecar(path):
-    return json.loads(Path(str(path) + _SIDECAR).read_bytes()[len(_FORMAT) :])
-
-
-def _forge_sidecar(path, change):
-    """Rewrite the offsets the sidecar lists for "few" by `change`."""
-    payload = _sidecar(path)
-    payload["rows"]["few"] = change(payload["rows"]["few"], payload["rows"]["a"])
-    Path(str(path) + _SIDECAR).write_bytes(_FORMAT + json.dumps(payload).encode())
-
-
-@pytest.mark.parametrize(
-    "change",
-    [
-        # An offset inside a line, one at a row of another model, and a list
-        # that leaves out the newer row of "few".
-        lambda few, a: [few[0] + 1, few[1]],
-        lambda few, a: [few[0], a[-1]],
-        lambda few, a: few[:1],
-    ],
-)
-def test_tail_read_with_an_index_that_lists_wrong_offsets(
-    tmp_path, monkeypatch, change
-):
-    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
-    path = tmp_path / "history.jsonl"
-    rows = _history_rows(0, 60)
-    _write_rows(path, rows)
-    assert read_history(str(path), ["absent"], 3) == []
-    _forge_sidecar(path, change)
-    assert read_history(str(path), ["few", "absent"], 3) == rows[3:]
-    # The search rewrote the index, and the next read takes the rows it lists.
-    assert _sidecar(path)["rows"]["few"] == [
-        path.read_bytes().index(rows[ts].to_line().encode()) for ts in (3, 5)
-    ]
-    assert read_history(str(path), ["few", "absent"], 3) == rows[3:]
-
-
-def test_tail_read_with_an_index_offset_inside_a_line(tmp_path, monkeypatch):
-    # A row of "few" behind other bytes on its line: an index offset at the
-    # row itself does not start a line, so the read searches instead.
-    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
-    path = tmp_path / "history.jsonl"
-    rows = _history_rows(0, 60)
-    _write_rows(path, rows)
-    data = path.read_bytes()
-    row = rows[5].to_line().encode()
-    path.write_bytes(data.replace(row, b"garbage " + row))
-    assert read_history(str(path), ["absent"], 3) == []
-    _forge_sidecar(path, lambda few, a: [few[1] + len(b"garbage ")])
-    with pytest.raises(MonitorError, match="bad history line"):
-        read_history(str(path), ["few", "absent"], 3)
 
 
 def test_tail_read_with_a_current_index_checks_the_lines_it_reads(
@@ -813,11 +814,34 @@ def test_tail_read_with_a_current_index_checks_the_lines_it_reads(
         read_history(str(path), ["few", "absent"], 3)
 
 
+def test_tail_read_rewrites_the_index_a_block_past_its_prefix(tmp_path, monkeypatch):
+    # A read that used the index rewrites it once the history has grown a
+    # block past its prefix, also when no listed model is short after it.
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    _write_rows(path, _history_rows(0, 60))
+    assert read_history(str(path), ["absent"], 3) == []
+    length = _sidecar(path)["length"]
+    assert length == path.stat().st_size
+    _write_rows(path, [baseline_row(60, "b", _ZERO)], "a")
+    few = [r for r in _history_rows(0, 60) if r.model == "few"]
+    assert read_history(str(path), ["few"], 3) == few
+    assert _sidecar(path)["length"] == length
+    _write_rows(path, [baseline_row(ts, "b", _ZERO) for ts in range(61, 70)], "a")
+    assert path.stat().st_size - length >= 1024
+    rows = read_history(str(path))
+    assert read_history(str(path), ["few"], 2) == _last_rows(rows, ["few"], 2)
+    assert _sidecar(path) == {
+        "length": path.stat().st_size,
+        "sha256": _sidecar(path)["sha256"],
+        "window": 2,
+        "rows": [list(r) for r in _last_rows(rows, ["a", "b", "few", "GT"], 2)],
+    }
+
+
 def test_tail_read_when_other_rows_show_a_short_models_name(tmp_path, monkeypatch):
-    # Newer rows of "a" and "b" show "few" as the model of a nested object,
-    # so by the literal rule they look like rows of "few": the search still
-    # finds the two true ones, and then the index's false offsets are not
-    # taken.
+    # Newer rows of "a" and "b" show "few" as the model of a nested object:
+    # only the rows whose own model is "few" are taken.
     monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
     path = tmp_path / "history.jsonl"
     rows = _history_rows(0, 60)
@@ -831,15 +855,16 @@ def test_tail_read_when_other_rows_show_a_short_models_name(tmp_path, monkeypatc
         encoding="utf-8",
     )
     for _ in range(2):
-        assert read_history(str(path), ["few", "absent"], 3) == rows[3:]
-    assert read_history(str(path), ["a", "few"], 3) == rows[3:]
+        assert read_history(str(path), ["few", "absent"], 3) == [rows[3], rows[5]]
+    assert read_history(str(path), ["a", "few"], 3) == [
+        rows[3], rows[5], *_last_rows(rows, ["a"], 3)
+    ]
 
 
 def test_tail_read_of_a_row_that_shows_another_name_after_its_own(
     tmp_path, monkeypatch
 ):
-    # The oldest row of "few" ends in a nested object that shows "z": the
-    # line is learned as a row of both, so "few" keeps it.
+    # The oldest row of "few" ends in a nested object that shows "z".
     monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
     path = tmp_path / "history.jsonl"
     rows = _history_rows(0, 60)
@@ -853,61 +878,8 @@ def test_tail_read_of_a_row_that_shows_another_name_after_its_own(
         encoding="utf-8",
     )
     for _ in range(2):
-        assert read_history(str(path), ["few", "absent"], 3) == rows[3:]
-
-
-def test_row_learner_tells_each_lines_model(tmp_path, monkeypatch):
-    # One rule tells a line's model: a line with a backslash is parsed, and
-    # a line without one is learned under each name it shows after a
-    # "model" key.
-    path = tmp_path / "history.jsonl"
-    lines = [
-        baseline_row(0, "b", _ZERO)._replace(model="b").to_line().encode(),
-        # to_line escapes the batch id's "\u00e9": a backslash, so parsed.
-        baseline_row(1, "\u00e9", _ZERO)._replace(model="a").to_line().encode(),
-        b'{"xmodel": "c", "model": "d"}',  # no backslash: taken literally
-        b'{"model": "e", "meta": {"model": "c"}}',
-        baseline_row(4, "b", _ZERO)._replace(model="\u00e9").to_line().encode(),
-        baseline_row(5, "b", _ZERO)._replace(model="a").to_line().encode(),
-    ]
-    data = b"\r\n".join(lines) + b"\r\n"
-    at = [data.index(line) for line in lines]
-
-    def learn(window, models):
-        learner = monitor._RowLearner(window, models)
-        with open(path, "rb") as fh:
-            for run in monitor._runs_backward(fh):
-                learner.learn(*run)
-                if not learner.short:
-                    break
-        return learner.rows()
-
-    for block in (7, 1 << 16):
-        monkeypatch.setattr(monitor, "_BLOCK_SIZE", block)
-        path.write_bytes(data)
-        assert learn(2, ["absent"]) == {
-            "a": [at[1], at[5]],
-            "\u00e9": [at[4]],
-            "e": [at[3]],
-            "c": [at[3]],
-            "d": [at[2]],
-            "b": [at[0]],
-        }
-        # It stops at the line where the last listed model has `window` rows.
-        assert learn(1, ["a", "d"]) == {
-            "a": [at[5]],
-            "\u00e9": [at[4]],
-            "e": [at[3]],
-            "c": [at[3]],
-            "d": [at[2]],
-        }
-        # A line with a backslash that does not parse raises, as a read of
-        # it would, once the learner reaches it.
-        bad = b'{"model": "\\u0062"\n'
-        path.write_bytes(bad + data)
-        assert learn(1, ["a"]) == {"a": [len(bad) + at[5]]}
-        with pytest.raises(MonitorError, match="bad history line"):
-            learn(2, ["absent"])
+        assert read_history(str(path), ["few", "absent"], 3) == [rows[3], rows[5]]
+        assert read_history(str(path), ["z"], 3) == []
 
 
 def test_tail_read_with_an_index_built_for_a_smaller_window(tmp_path, monkeypatch):
@@ -916,10 +888,10 @@ def test_tail_read_with_an_index_built_for_a_smaller_window(tmp_path, monkeypatc
     _write_rows(path, _history_rows(0, 60))
     assert read_history(str(path), ["absent"], 2) == []
     _write_rows(path, _history_rows(60, 62), "a")
-    # "a" has one row past the index's prefix, which lists only two of its
-    # older ones: the read searches on, and rewrites the index for 9.
+    # "a" has one row past the index's prefix, which holds only two of its
+    # older ones: the index is not used, and is rewritten for 9.
     tail = read_history(str(path), ["a", "absent"], 9)
-    assert tail == _shortest_suffix(read_history(str(path)), ["a"], 9)
+    assert tail == _last_rows(read_history(str(path)), ["a"], 9)
     assert _sidecar(path)["window"] == 9
     Path(str(path) + _SIDECAR).unlink()
     assert read_history(str(path), ["a", "absent"], 9) == tail
@@ -936,7 +908,7 @@ def test_tail_read_when_the_index_cannot_be_written(tmp_path, monkeypatch, caplo
 
     monkeypatch.setattr(monitor, "write_atomic", disk_full)
     with caplog.at_level("DEBUG", logger="kgmon.monitor"):
-        assert read_history(str(path), ["few", "absent"], 3) == rows[3:]
+        assert read_history(str(path), ["few", "absent"], 3) == [rows[3], rows[5]]
     assert f"history tail index {path}{_SIDECAR} not written" in caplog.text
     assert not Path(str(path) + _SIDECAR).exists()
 
@@ -944,7 +916,7 @@ def test_tail_read_when_the_index_cannot_be_written(tmp_path, monkeypatch, caplo
 def test_tail_read_with_a_current_index_reads_no_older_line(tmp_path, monkeypatch):
     # The index cannot see an edit that keeps the history's length more
     # than _TAIL_SPAN bytes before its prefix ends. A read with the index
-    # takes the rows it lists and reads no older line, so a line made
+    # takes the rows it holds and reads no older line, so a line made
     # malformed that way fails only a read without the index.
     monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
     path = tmp_path / "history.jsonl"
@@ -955,7 +927,7 @@ def test_tail_read_with_a_current_index_reads_no_older_line(tmp_path, monkeypatc
     bad = b'{"model": "\\u0061"'
     first_end = data.index(b"\n")
     path.write_bytes(bad + b" " * (first_end - len(bad)) + data[first_end:])
-    assert read_history(str(path), ["few", "absent"], 3) == rows[3:]
+    assert read_history(str(path), ["few", "absent"], 3) == [rows[3], rows[5]]
     Path(str(path) + _SIDECAR).unlink()
     with pytest.raises(MonitorError, match="bad history line"):
         read_history(str(path), ["few", "absent"], 3)
@@ -966,7 +938,7 @@ def test_tail_read_with_a_current_index_reads_a_bounded_span(tmp_path, monkeypat
     for blocks in (64, 256):
         path = tmp_path / f"history{blocks}.jsonl"
         path.write_bytes(line * (blocks * monitor._BLOCK_SIZE // len(line) + 1))
-        # The first read searches the whole file and writes the index.
+        # The first read parses the whole file and writes the index.
         assert read_history(str(path), ["absent"], 30) == []
         opened = []
 
@@ -977,8 +949,9 @@ def test_tail_read_with_a_current_index_reads_a_bounded_span(tmp_path, monkeypat
         with monkeypatch.context() as patch:
             patch.setattr(monitor, "open", recording_open, raising=False)
             assert read_history(str(path), ["absent"], 30) == []
+        # The index holds the file's one model's last 30 rows.
         index_size = Path(str(path) + _SIDECAR).stat().st_size
-        assert index_size < 2048 and opened[1].sizes == [index_size]
+        assert index_size < 30 * len(line) and opened[1].sizes == [index_size]
         # One block from the end, the sidecar, and the span it hashes.
         read = sum(sum(fh.sizes) for fh in opened)
         assert read <= monitor._BLOCK_SIZE + index_size + monitor._TAIL_SPAN
@@ -1046,8 +1019,8 @@ def test_torn_last_line_is_dropped_with_a_warning(tmp_path, caplog, block, final
     with mock.patch.object(monitor, "_BLOCK_SIZE", block):
         with caplog.at_level("WARNING", logger="kgmon.monitor"):
             assert read_history(str(path)) == rows
-            assert read_history(str(path), ["a"], 1) == rows[2:]
-            assert read_history(str(path), ["a", "b"], 5) == rows
+            assert read_history(str(path), ["a"], 1) == rows[2:3]
+            assert read_history(str(path), ["a", "b"], 5) == [rows[0], *rows[2:]]
     warnings = [r.getMessage() for r in caplog.records]
     assert len(warnings) == 3
     assert all(f"history {path}: dropping a torn last line" in w for w in warnings)

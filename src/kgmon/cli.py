@@ -18,6 +18,7 @@ import signal
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -370,9 +371,9 @@ def load_batch(source: str) -> list[ArticleDoc]:
     else:
         raise CliError(f"batch source not found: {source}")
 
-    ids = [a.id for a in articles]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    counts = Counter(a.id for a in articles)
+    if len(counts) != len(articles):
+        dupes = sorted(i for i, n in counts.items() if n > 1)
         raise CliError(f"duplicate article ids in batch: {', '.join(dupes)}")
     if not articles:
         log.warning("empty batch from %s", source)

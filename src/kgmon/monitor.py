@@ -12,10 +12,12 @@ import hashlib
 import itertools
 import json
 import logging
+import marshal
 import math
 import operator
 import os
 import re
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -41,12 +43,18 @@ _BLOCK_SIZE = 1 << 16
 _LINE_END = re.compile(rb"[\r\n]")
 
 # The tail index of a history is its path plus this suffix: this format
-# line, then the JSON of a _TailIndex.
+# line, the SHA-256 of the body, then the body, the marshal data of a
+# _TailIndex. The format line names the interpreter, as marshal data is
+# specific to the one that wrote it.
 _TAIL_SUFFIX = ".kgmon-tail"
-_TAIL_FORMAT = b"kgmon history tail index 2\n"
+_TAIL_FORMAT = f"kgmon history tail index 3 {sys.implementation.cache_tag}\n".encode()
 # How many bytes before the end of the prefix a tail index describes it
 # keeps the SHA-256 of. Not _BLOCK_SIZE, which sets read sizes alone.
 _TAIL_SPAN = 1 << 16
+# A read that used the tail index rewrites it once the lines after its
+# prefix span this many bytes. Less rewrites it more often, at about the
+# cost of a read and an fsync each; more leaves more lines to parse.
+_TAIL_REWRITE = 1 << 13
 
 
 class MonitorError(ValueError):
@@ -456,16 +464,13 @@ def _drop_torn_end(
     return len(data)
 
 
-def _runs_backward(
-    fh, lo: int = 0, hi: int | None = None
-) -> Iterator[tuple[bytes, int, int]]:
-    r"""Yield the bytes [lo, hi) of a binary file (by default all of it) in
-    runs of whole lines, last run first, each as (data, cut, offset): the
-    run is data[cut:], and data[0] is at file offset `offset`. A line is
-    taken to start at `lo`.
+def _runs_backward(fh) -> Iterator[tuple[bytes, int, int]]:
+    r"""Yield the bytes of a binary file in runs of whole lines, last run
+    first, each as (data, cut, offset): the run is data[cut:], and data[0]
+    is at file offset `offset`.
 
-    Blocks are read from `hi` back. Each read takes one block together with
-    the partial line it ends in, up to where the run after it starts;
+    Blocks are read from the end back. Each read takes one block together
+    with the partial line it ends in, up to where the run after it starts;
     data[:cut] is the block's own partial first line, which the next read
     takes again. So a run never cuts a line (nor, since a terminator byte
     never falls inside a multi-byte character, a UTF-8 character), and no
@@ -473,14 +478,14 @@ def _runs_backward(
     read again with each block before it until its start is found. A run
     may start or end inside a \r\n pair; see _split_lines.
     """
-    end = hi = fh.seek(0, os.SEEK_END) if hi is None else hi
-    while end > lo:
-        start = max(lo, end - _BLOCK_SIZE)
+    end = hi = fh.seek(0, os.SEEK_END)
+    while end > 0:
+        start = max(0, end - _BLOCK_SIZE)
         fh.seek(start)
         data = fh.read(hi - start)
         end = start
         cut = 0
-        if start > lo:
+        if start > 0:
             first_end = _LINE_END.search(data)
             if first_end is None:
                 # One line holds the whole read: read it again with the
@@ -518,47 +523,54 @@ def _parse_runs(runs: Iterable[tuple[bytes, int, int]]) -> list[HistoryRow]:
 
 class _TailIndex(NamedTuple):
     """What a tail index says of the first `length` bytes of a history: the
-    SHA-256 (hex) of their last _TAIL_SPAN bytes, and every model's last
-    `window` rows there (all of them when it has fewer), in file order. The
-    field names are the keys of the sidecar's JSON body, which holds each
-    row as the list of its field values."""
+    SHA-256 of their last _TAIL_SPAN bytes, and every model's last `window`
+    rows there (all of them when it has fewer), in file order. The sidecar
+    body is the marshal data of this tuple, each row a plain tuple of its
+    field values."""
 
     length: int
-    sha256: str
+    sha256: bytes
     window: int
     rows: list[HistoryRow]
 
 
-def _current_tail_index(
-    path: str, fh, last: int, window: int
-) -> _TailIndex | None:
-    """The tail index of the history at `path` (open as `fh`, its whole
-    lines ending at `last`) when it describes the history as it is now and
-    holds up to `window` rows of each model, or None: when there is none,
-    when the sidecar is empty, torn, of another format or not one, when a
-    row in it is not a well-typed row, when it was built under a smaller
-    window, or when the history is shorter than its prefix or the
-    _TAIL_SPAN bytes before the prefix ends have another SHA-256."""
+def _load_tail_index(path: str, last: int, window: int) -> _TailIndex | None:
+    """The tail index of the history at `path`, whose whole lines end at
+    `last`, when it may describe that history and holds up to `window` rows
+    of each model, or None: when there is none, when the sidecar is empty,
+    torn, of another format or interpreter, or not one, when its body does
+    not match its digest, when a row in it is not a well-typed row, when it
+    was built under a smaller window, or when the history is shorter than
+    its prefix. Whether the prefix is the history's own is left to the
+    caller (see _prefix_digest)."""
     try:
         with open(path + _TAIL_SUFFIX, "rb") as fh_index:
-            raw = fh_index.read()
-        if not raw.startswith(_TAIL_FORMAT):
-            return None
-        payload = json.loads(raw[len(_TAIL_FORMAT) :])
-    except (OSError, ValueError, RecursionError):
+            raw = memoryview(fh_index.read())
+    except OSError:
         return None
-    if type(payload) is not dict:
+    head = len(_TAIL_FORMAT) + hashlib.sha256().digest_size
+    body = raw[head:]
+    if (
+        raw[: len(_TAIL_FORMAT)] != _TAIL_FORMAT
+        or raw[len(_TAIL_FORMAT) : head] != hashlib.sha256(body).digest()
+    ):
         return None
-    index = _TailIndex._make(map(payload.get, _TailIndex._fields))
+    try:
+        payload = marshal.loads(body)
+    except (EOFError, ValueError, TypeError):
+        return None
+    if not (type(payload) is tuple and len(payload) == len(_TailIndex._fields)):
+        return None
+    index = _TailIndex._make(payload)
     if not (
         type(index.length) is int
         and 0 <= index.length <= last
-        and type(index.sha256) is str
+        and type(index.sha256) is bytes
         and type(index.window) is int
         and index.window >= window
         and type(index.rows) is list
         and all(
-            type(values) is list and len(values) == len(_HISTORY_FIELDS)
+            type(values) is tuple and len(values) == len(_HISTORY_FIELDS)
             for values in index.rows
         )
     ):
@@ -566,20 +578,17 @@ def _current_tail_index(
     rows = list(map(HistoryRow._make, index.rows))
     if not all(map(_well_typed, rows)):
         return None
-    if _prefix_digest(fh, index.length) != index.sha256:
-        return None
     return index._replace(rows=rows)
 
 
-def _prefix_digest(fh, length: int) -> str:
-    """SHA-256 (hex) of the last _TAIL_SPAN bytes of the first `length`
-    bytes of `fh` (of all of them when there are fewer), read a block at a
-    time."""
+def _prefix_digest(fh, length: int) -> bytes:
+    """SHA-256 of the last _TAIL_SPAN bytes of the first `length` bytes of
+    `fh` (of all of them when there are fewer), read a block at a time."""
     digest = hashlib.sha256()
     first = fh.seek(max(0, length - _TAIL_SPAN))
     for at in range(first, length, _BLOCK_SIZE):
         digest.update(fh.read(min(_BLOCK_SIZE, length - at)))
-    return digest.hexdigest()
+    return digest.digest()
 
 
 def _write_tail_index(
@@ -589,10 +598,12 @@ def _write_tail_index(
     one of its first `length` bytes, whose rows are `rows`. A sidecar that
     cannot be written is logged at debug level and costs only the reading
     it would have spared."""
-    index = _TailIndex(length, _prefix_digest(fh, length), window, rows)
+    body = marshal.dumps(
+        (length, _prefix_digest(fh, length), window, list(map(tuple, rows)))
+    )
     try:
         write_atomic(
-            path + _TAIL_SUFFIX, _TAIL_FORMAT, json.dumps(index._asdict()).encode()
+            path + _TAIL_SUFFIX, _TAIL_FORMAT, hashlib.sha256(body).digest(), body
         )
     except OSError as exc:
         log.debug("history tail index %s not written: %s", path + _TAIL_SUFFIX, exc)
@@ -626,12 +637,12 @@ def _read_tail(
 
     Lines are parsed from the newest, and each model's rows are kept until
     it has `window`, up to the line where the last listed model has them.
-    When the newest run leaves a listed model short, a current tail index
-    ends the walk: the rows are then the index's and those of the lines
-    after its prefix, which are parsed again. A walk that reaches the start
-    of a file longer than its newest run writes the index; a read that used
-    it rewrites it once the history has grown by a block or more past the
-    prefix.
+    In a file longer than its newest run, the tail index is loaded first;
+    a listed model still short at the first line that starts before the
+    index's prefix end L makes the walk check the index there. When it
+    matches, the rows are the index's and those of the lines after L, and
+    the index is rewritten once those lines span _TAIL_REWRITE bytes. A
+    walk that reaches the start of such a file writes the index.
     """
     models = set(models)
     if not models:
@@ -640,10 +651,26 @@ def _read_tail(
     count: dict[str, int] = {}
     kept: list[HistoryRow] = []  # each model's last `window` rows, newest first
     index = last = None
+    stop = -1  # where the index's prefix ends, while it may be used
     for data, cut, offset in runs:
         if last is None:
             last, newest = offset + len(data), offset
+            if newest:
+                index = _load_tail_index(path, last, window)
+                stop = -1 if index is None else index.length
+        end = offset + len(data)
         for line in reversed(_split_lines(data[cut:])):
+            start = end - len(line)
+            if start < stop:
+                # A line that ends past L, or another SHA-256 of the bytes
+                # before L: the index is not this history's.
+                if end <= stop and _prefix_digest(fh, stop) == index.sha256:
+                    kept = _last_rows(index.rows + kept[::-1], window)
+                    if last - stop >= _TAIL_REWRITE:
+                        _write_tail_index(path, fh, last, window, kept)
+                    return [row for row in kept if row.model in models]
+                stop = -1
+            end = start - 1
             text = line.decode("utf-8")
             if not text.strip():
                 continue
@@ -656,20 +683,9 @@ def _read_tail(
                     short.remove(row.model)
                     if not short:
                         return [row for row in reversed(kept) if row.model in models]
-        if offset and offset == newest:
-            # The newest run of a longer file leaves a listed model short.
-            index = _current_tail_index(path, fh, last, window)
-            if index is not None:
-                break
-    if index is not None:
-        after = _parse_runs(_runs_backward(fh, index.length, last))
-        kept = _last_rows(index.rows + after, window)
-        if last - index.length >= _BLOCK_SIZE:
-            _write_tail_index(path, fh, last, window, kept)
-    else:
-        kept.reverse()
-        if newest:
-            _write_tail_index(path, fh, last, window, kept)
+    kept.reverse()
+    if newest:
+        _write_tail_index(path, fh, last, window, kept)
     return [row for row in kept if row.model in models]
 
 
@@ -685,13 +701,16 @@ def read_history(
     parsed backwards from its end, a block at a time, up to the line where
     the last listed model has `window` rows.
 
-    A model still short after the newest block is looked up in the tail
-    index beside the history (`path` + ".kgmon-tail"), which holds every
-    model's last rows in a prefix of the file. With an index that matches
-    the file, no line before the prefix ends is read, so a short or absent
-    model costs about the rows appended since the index, not the file.
-    Without one, every line is parsed, and the index is written. A read
-    without `models` never uses the index.
+    In a file longer than one block, older rows come from the tail index
+    beside the history (`path` + ".kgmon-tail"), which holds every model's
+    last rows in a prefix of the file. When the walk reaches that prefix
+    with a listed model still short of `window` rows and the index matches
+    the file, the read takes the index's rows and parses no line before
+    the prefix ends. So a read costs about the rows appended since the
+    index, not the file, whether its models have full windows or not; the
+    index is rewritten once those rows span a few KiB. Without a matching
+    index, a short model makes the read parse every line, and the index is
+    written. A read without `models` never uses the index.
 
     Either way, an unterminated last line that does not parse, as a write
     cut short leaves it, is skipped with a warning; any other bad line that

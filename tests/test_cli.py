@@ -285,6 +285,16 @@ def test_load_batch_file_errors(tmp_path):
         load_batch(str(tmp_path / "ghost"))
 
 
+def test_load_batch_names_repeated_ids_of_a_large_batch(tmp_path):
+    # Ids are counted in one pass: a 20,000-article batch is checked at once.
+    path = tmp_path / "batch.tsv"
+    ids = [f"a{i}" for i in range(20_000)] + ["a7", "a19999", "a7"]
+    path.write_text("".join(f"{i}\t1\ttext\n" for i in ids), encoding="utf-8")
+    with pytest.raises(CliError) as excinfo:
+        load_batch(str(path))
+    assert str(excinfo.value) == "duplicate article ids in batch: a19999, a7"
+
+
 def _load_feed(monkeypatch, text):
     monkeypatch.setattr(cli, "_feed_get", lambda _url: text)
     return load_batch("https://feed.example/b")

@@ -1,7 +1,11 @@
+import hashlib
 import json
+import marshal
 import math
 import random
 import statistics
+import struct
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -389,6 +393,85 @@ def test_history_row_round_trip(tmp_path):
 
 _SIDECAR = monitor._TAIL_SUFFIX
 _FORMAT = monitor._TAIL_FORMAT
+# The head of a sidecar: the format line, then the SHA-256 of the body.
+_HEAD = len(_FORMAT) + hashlib.sha256().digest_size
+
+
+def _sidecar(path):
+    """The (length, sha256, window, rows) the sidecar of `path` holds."""
+    return marshal.loads(Path(str(path) + _SIDECAR).read_bytes()[_HEAD:])
+
+
+def _write_sidecar(path, payload, tag=_FORMAT):
+    """Write `payload` as the sidecar of `path`, under the format line
+    `tag`, with the SHA-256 of its body."""
+    body = marshal.dumps(payload)
+    Path(str(path) + _SIDECAR).write_bytes(tag + hashlib.sha256(body).digest() + body)
+
+
+def _json_sidecar(version, payload, rows):
+    """The JSON sidecar of an earlier format holding `payload`, with `rows`
+    in place of its rows."""
+    length, digest, window, _ = payload
+    body = {"length": length, "sha256": digest.hex(), "window": window, "rows": rows}
+    return b"kgmon history tail index %d\n" % version + json.dumps(body).encode()
+
+
+# The format line of the same format, written by another interpreter
+# whose tag has the same length, so that only the tag tells them apart.
+_CACHE_TAG = sys.implementation.cache_tag.encode()
+_OTHER_INTERPRETER = _FORMAT.replace(_CACHE_TAG, _CACHE_TAG.swapcase())
+
+
+def _tear_sidecar(path, _tmp_path):
+    sidecar = Path(str(path) + _SIDECAR)
+    sidecar.write_bytes(sidecar.read_bytes()[:-9])
+
+
+def _as_version_1(path, _tmp_path):
+    # The first format: the offsets of each model's rows, not the rows.
+    sidecar = Path(str(path) + _SIDECAR)
+    sidecar.write_bytes(_json_sidecar(1, _sidecar(path), {"few": [0]}))
+
+
+def _as_version_2(path, _tmp_path):
+    # The JSON format of the same index: each row a list of its values.
+    payload = _sidecar(path)
+    rows = list(map(list, payload[3]))
+    Path(str(path) + _SIDECAR).write_bytes(_json_sidecar(2, payload, rows))
+
+
+def _as_another_interpreters(path, _tmp_path):
+    _write_sidecar(path, _sidecar(path), _OTHER_INTERPRETER)
+
+
+def _with_digest(body):
+    """A sidecar of the current format whose body is `body`."""
+    return _FORMAT + hashlib.sha256(body).digest() + body
+
+
+def _cut_the_body(path, _tmp_path):
+    # The digest matches the cut body, which marshal cannot load.
+    body = Path(str(path) + _SIDECAR).read_bytes()[_HEAD:-9]
+    Path(str(path) + _SIDECAR).write_bytes(_with_digest(body))
+
+
+def _flip_a_digest_bit(path, _tmp_path):
+    sidecar = Path(str(path) + _SIDECAR)
+    raw = bytearray(sidecar.read_bytes())
+    raw[len(_FORMAT)] ^= 1
+    sidecar.write_bytes(raw)
+
+
+# Sidecar states made by damaging a current sidecar.
+_DAMAGED_STATES = {
+    "torn": _tear_sidecar,
+    "version 1": _as_version_1,
+    "version 2": _as_version_2,
+    "other interpreter": _as_another_interpreters,
+    "bad digest": _flip_a_digest_bit,
+    "truncated body": _cut_the_body,
+}
 
 
 def _last_rows(rows, models, window):
@@ -428,7 +511,7 @@ _TORN_TAILS = st.sampled_from(
     ["", '{"tim', '{"timestamp": 9, "model": "a", "batch_id": "\udcc3']
 )
 _SIDECAR_STATES = st.sampled_from(
-    ["none", "current", "stale", "foreign", "torn", "smaller", "version 1"]
+    ["none", "current", "stale", "foreign", "smaller", *_DAMAGED_STATES]
 )
 
 
@@ -444,30 +527,20 @@ def _make_sidecar(path, state, data, prefix, foreign, window):
     """Leave the sidecar of the history at `path` in `state`, the history
     holding `data` once done. `prefix` is the part of `data` before any
     sidecar was written, and `foreign` another history."""
-    Path(str(path) + _SIDECAR).unlink(missing_ok=True)
+    sidecar = Path(str(path) + _SIDECAR)
+    sidecar.unlink(missing_ok=True)
     # A row of a model no generated row has, so the file never holds it.
     stale_row = baseline_row(0, "b", _ZERO)._replace(model="stale").to_line()
     source = {
-        "current": prefix,
-        "torn": prefix,
-        "version 1": prefix,
-        "smaller": prefix,
         "stale": prefix + stale_row.encode() + b"\n",
         "foreign": foreign,
-    }.get(state)
-    if source is not None:
+    }.get(state, prefix)
+    if state != "none":
         path.write_bytes(source)
         made_window = max(1, window - 1) if state == "smaller" else window
         assert read_history(str(path), ["absent"], made_window) == []
-    sidecar = Path(str(path) + _SIDECAR)
-    if state == "torn" and sidecar.exists():
-        sidecar.write_bytes(sidecar.read_bytes()[:-9])
-    elif state == "version 1" and sidecar.exists():
-        # The first format: the offsets of each model's rows, not the rows.
-        body = json.loads(sidecar.read_bytes()[len(_FORMAT) :])
-        body["rows"] = {"a": [0]}
-        version_1 = b"kgmon history tail index 1\n"
-        sidecar.write_bytes(version_1 + json.dumps(body).encode())
+    if sidecar.exists() and state in _DAMAGED_STATES:
+        _DAMAGED_STATES[state](path, None)
     path.write_bytes(data)
 
 
@@ -702,11 +775,6 @@ def _replace_sidecar(content):
     return damage
 
 
-def _tear_sidecar(path, _tmp_path):
-    sidecar = Path(str(path) + _SIDECAR)
-    sidecar.write_bytes(sidecar.read_bytes()[:-9])
-
-
 def _copy_a_foreign_sidecar(path, tmp_path):
     other = tmp_path / "other.jsonl"
     _write_rows(other, [r._replace(batch_id="x") for r in _history_rows(0, 70)])
@@ -718,28 +786,31 @@ def _drop_sidecar(path, _tmp_path):
     Path(str(path) + _SIDECAR).unlink()
 
 
-def _sidecar(path):
-    return json.loads(Path(str(path) + _SIDECAR).read_bytes()[len(_FORMAT) :])
-
-
-def _forge_sidecar_rows(change):
-    """A damage that rewrites the rows of the current sidecar by `change`,
-    the digest and length left as they were."""
+def _forge_sidecar(change):
+    """A damage that rewrites the (length, sha256, window, rows) of the
+    current sidecar by `change`, under the SHA-256 of the new body."""
 
     def damage(path, _tmp_path):
-        payload = _sidecar(path)
-        payload["rows"] = change(payload["rows"])
-        Path(str(path) + _SIDECAR).write_bytes(_FORMAT + json.dumps(payload).encode())
+        _write_sidecar(path, change(_sidecar(path)))
 
     return damage
 
 
-def _as_version_1(path, _tmp_path):
-    payload = _sidecar(path)
-    payload["rows"] = {"few": [0]}
-    Path(str(path) + _SIDECAR).write_bytes(
-        b"kgmon history tail index 1\n" + json.dumps(payload).encode()
-    )
+def _forge_sidecar_rows(change):
+    """A damage that rewrites the rows of the current sidecar by `change`,
+    its length and prefix digest left as they were."""
+    return _forge_sidecar(lambda payload: (*payload[:3], change(payload[3])))
+
+
+def _flip_a_score_bit(path, _tmp_path):
+    # The low bit of the last row's score: the body still loads, with
+    # another score in that row.
+    sidecar = Path(str(path) + _SIDECAR)
+    raw = bytearray(sidecar.read_bytes())
+    score = marshal.loads(raw[_HEAD:])[3][-1][HistoryRow._fields.index("score")]
+    raw[raw.rindex(struct.pack("<d", score))] ^= 1
+    assert score not in marshal.loads(raw[_HEAD:])[3][-1]
+    sidecar.write_bytes(raw)
 
 
 @pytest.mark.parametrize(
@@ -760,7 +831,28 @@ def _as_version_1(path, _tmp_path):
         _rewrite_before_the_prefix_end,
         _append_as_an_older_kgmon,
         _as_version_1,
-        # A row that is not a list of the 15 field values, or of wrong types.
+        _as_version_2,
+        _as_another_interpreters,
+        _flip_a_digest_bit,
+        _flip_a_score_bit,
+        _cut_the_body,
+        pytest.param(_replace_sidecar(_with_digest(b"\xff not marshal")), id="not-marshal"),
+        # The JSON damages above, as bodies that match their digest.
+        pytest.param(_replace_sidecar(_with_digest(marshal.dumps([]))), id="list-body"),
+        pytest.param(_forge_sidecar(lambda payload: payload[:3]), id="three-fields"),
+        pytest.param(
+            _forge_sidecar(lambda payload: (str(payload[0]), *payload[1:])),
+            id="string-length",
+        ),
+        pytest.param(
+            _forge_sidecar(lambda payload: (*payload[:3], {"a": (5, 2)})),
+            id="keyed-rows",
+        ),
+        pytest.param(
+            _forge_sidecar(lambda payload: (payload[0], payload[1].hex(), *payload[2:])),
+            id="hex-prefix-digest",
+        ),
+        # A row that is not a tuple of the 15 field values, or of wrong types.
         pytest.param(
             _forge_sidecar_rows(lambda rows: rows[:1] + [rows[1][:-1]]), id="short-row"
         ),
@@ -768,11 +860,14 @@ def _as_version_1(path, _tmp_path):
             _forge_sidecar_rows(lambda rows: rows + [{"model": "few"}]), id="keyed-row"
         ),
         pytest.param(
-            _forge_sidecar_rows(lambda rows: [[str(rows[0][0]), *rows[0][1:]]]),
+            _forge_sidecar_rows(lambda rows: [list(rows[0])]), id="list-row"
+        ),
+        pytest.param(
+            _forge_sidecar_rows(lambda rows: [(str(rows[0][0]), *rows[0][1:])]),
             id="string-timestamp",
         ),
         pytest.param(
-            _forge_sidecar_rows(lambda rows: [rows[0][:12] + [0] + rows[0][13:]]),
+            _forge_sidecar_rows(lambda rows: [rows[0][:12] + (0,) + rows[0][13:]]),
             id="int-flag",
         ),
     ],
@@ -814,29 +909,56 @@ def test_tail_read_with_a_current_index_checks_the_lines_it_reads(
         read_history(str(path), ["few", "absent"], 3)
 
 
-def test_tail_read_rewrites_the_index_a_block_past_its_prefix(tmp_path, monkeypatch):
-    # A read that used the index rewrites it once the history has grown a
-    # block past its prefix, also when no listed model is short after it.
+def test_tail_read_with_an_index_whose_prefix_ends_inside_a_line(
+    tmp_path, monkeypatch
+):
+    # The index was written when the history ended in an unterminated row;
+    # bytes appended to that line make it malformed. Its rows in the index
+    # no longer describe the file: the read does not use them, and fails on
+    # the line as a full read does.
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    rows = _history_rows(0, 60)
+    path.write_text("\n".join(r.to_line() for r in rows), encoding="utf-8")
+    assert read_history(str(path), ["absent"], 3) == []
+    assert _sidecar(path)[0] == path.stat().st_size
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("x\n")
+    _write_rows(path, _history_rows(60, 62), "a")
+    for _ in range(2):
+        with pytest.raises(MonitorError, match="bad history line"):
+            read_history(str(path), ["few", "absent"], 3)
+    with pytest.raises(MonitorError, match="bad history line"):
+        read_history(str(path))
+
+
+def test_tail_read_rewrites_the_index_at_the_rewrite_distance(tmp_path, monkeypatch):
+    # A read that used the index rewrites it once the lines after its
+    # prefix end L span _TAIL_REWRITE bytes, and not one byte before.
     monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
     path = tmp_path / "history.jsonl"
     _write_rows(path, _history_rows(0, 60))
     assert read_history(str(path), ["absent"], 3) == []
-    length = _sidecar(path)["length"]
+    length = _sidecar(path)[0]
     assert length == path.stat().st_size
-    _write_rows(path, [baseline_row(60, "b", _ZERO)], "a")
+    _write_rows(path, [baseline_row(ts, "b", _ZERO) for ts in range(60, 70)], "a")
+    # A row whose batch id pads the lines after L to one byte short.
+    pad = length + monitor._TAIL_REWRITE - 1 - path.stat().st_size
+    pad -= len(baseline_row(70, "", _ZERO).to_line()) + 1
+    assert pad >= 0
+    _write_rows(path, [baseline_row(70, "x" * pad, _ZERO)], "a")
+    assert path.stat().st_size - length == monitor._TAIL_REWRITE - 1
     few = [r for r in _history_rows(0, 60) if r.model == "few"]
     assert read_history(str(path), ["few"], 3) == few
-    assert _sidecar(path)["length"] == length
-    _write_rows(path, [baseline_row(ts, "b", _ZERO) for ts in range(61, 70)], "a")
-    assert path.stat().st_size - length >= 1024
+    assert _sidecar(path)[0] == length
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n")
     rows = read_history(str(path))
     assert read_history(str(path), ["few"], 2) == _last_rows(rows, ["few"], 2)
-    assert _sidecar(path) == {
-        "length": path.stat().st_size,
-        "sha256": _sidecar(path)["sha256"],
-        "window": 2,
-        "rows": [list(r) for r in _last_rows(rows, ["a", "b", "few", "GT"], 2)],
-    }
+    length, digest, window, index_rows = _sidecar(path)
+    assert (length, window) == (path.stat().st_size, 2)
+    assert digest == hashlib.sha256(path.read_bytes()[-monitor._TAIL_SPAN :]).digest()
+    assert index_rows == list(map(tuple, _last_rows(rows, ["a", "b", "few", "GT"], 2)))
 
 
 def test_tail_read_when_other_rows_show_a_short_models_name(tmp_path, monkeypatch):
@@ -892,7 +1014,7 @@ def test_tail_read_with_an_index_built_for_a_smaller_window(tmp_path, monkeypatc
     # older ones: the index is not used, and is rewritten for 9.
     tail = read_history(str(path), ["a", "absent"], 9)
     assert tail == _last_rows(read_history(str(path)), ["a"], 9)
-    assert _sidecar(path)["window"] == 9
+    assert _sidecar(path)[2] == 9
     Path(str(path) + _SIDECAR).unlink()
     assert read_history(str(path), ["a", "absent"], 9) == tail
 
@@ -978,15 +1100,68 @@ def test_full_windows_and_full_reads_touch_no_sidecar(tmp_path, monkeypatch):
     monkeypatch.setattr(monitor, "open", recording_open, raising=False)
     monkeypatch.setattr(monitor, "parse_history_line", counting_parse)
     # Two rows of "a" lie in the newest block: the read stops there, and
-    # parses each row it returns once.
+    # parses each row it returns once. The history is longer than a block,
+    # so the read looks for an index first; it used none, and writes none.
     assert read_history(str(path), ["a"], 2) == rows[-2:]
     assert len(parsed) == 2
     assert read_history(str(path)) == rows
     # A history smaller than one block, with a short model.
     assert read_history(str(small), ["a", "absent"], 3) == rows[1:2]
-    assert opened == [str(path)] * 2 + [str(small)]
+    assert opened == [str(path), str(path) + _SIDECAR, str(path), str(small)]
     assert not Path(str(path) + _SIDECAR).exists()
     assert not Path(str(small) + _SIDECAR).exists()
+
+
+def test_full_window_read_with_a_current_index_parses_only_lines_after_it(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    _write_rows(path, _history_rows(0, 60))
+    assert read_history(str(path), ["absent"], 3) == []
+    # Two rows each of "a" and "b" after the index's prefix: both have
+    # three rows, but only with the index's.
+    appended = _history_rows(60, 64)
+    _write_rows(path, appended, "a")
+    parsed = []
+
+    def counting_parse(line):
+        parsed.append(line)
+        return parse_history_line(line)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(monitor, "parse_history_line", counting_parse)
+        tail = read_history(str(path), ["a", "b"], 3)
+    assert parsed == [r.to_line() for r in reversed(appended)]
+    assert tail == _read_without_index(path, ["a", "b"], 3)
+    assert tail == _last_rows(read_history(str(path)), ["a", "b"], 3)
+
+
+def test_tail_read_whose_models_fill_after_the_index_prefix_writes_nothing(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(monitor, "_BLOCK_SIZE", 1024)
+    path = tmp_path / "history.jsonl"
+    _write_rows(path, _history_rows(0, 60))
+    assert read_history(str(path), ["absent"], 3) == []
+    length = path.stat().st_size
+    index = Path(str(path) + _SIDECAR).read_bytes()
+    _write_rows(path, _history_rows(60, 100), "a")
+    assert path.stat().st_size - length >= monitor._TAIL_REWRITE
+    rows = read_history(str(path))
+    checked = []
+
+    def no_write(*_args):
+        raise AssertionError("the index was written")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(monitor, "_prefix_digest", lambda *args: checked.append(args))
+        patch.setattr(monitor, "write_atomic", no_write)
+        # "a" and "b" fill their windows in the rows after the prefix: the
+        # index is neither checked nor rewritten.
+        assert read_history(str(path), ["a", "b"], 3) == _last_rows(rows, ["a", "b"], 3)
+    assert checked == []
+    assert Path(str(path) + _SIDECAR).read_bytes() == index
 
 
 def _torn_history(path, models, final):
